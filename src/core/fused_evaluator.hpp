@@ -27,15 +27,30 @@
 /// available (GpuEvaluator / BatchGpuEvaluator) as the ablation
 /// baseline.
 ///
-/// The system's device-resident state (constant tables, folded
-/// coefficients, Mons scratch) and the kernel construction live in
+/// Tenant routing.  The same evaluator carries the solve service's
+/// cross-request rounds: built by the tenant constructor, it holds up to
+/// `max_tenants` systems sharing one uniform (n, m, k, d) structure.
+/// Uniform structure makes every tenant's table strides identical, so
+/// the systems' positions/exponents (constant memory) and folded
+/// coefficients (global memory) concatenate, and a per-point tenant-id
+/// buffer routes each block to its own tables: ONE launch evaluates
+/// points of several requests, amortizing the per-launch overhead over
+/// requests as batching amortizes it over points.  Routing is the same
+/// kernel builders with a tenant-id buffer bound; a tenant's base
+/// offset changes WHICH table entries a block reads, never the operation
+/// order, so a routed point is bit-identical to the same point through
+/// its tenant's own single-tenant evaluator.
+///
+/// The device-resident state (constant tables, folded coefficients,
+/// Mons scratch) and the kernel construction live in
 /// detail::FusedSystemState / detail::build_fused_kernel so the
 /// pipelined double-buffered variant (pipelined_evaluator.hpp) can
 /// share them while owning two X/Outputs buffer pairs.
 ///
 /// Steady-state evaluate() calls perform zero heap allocations: the
 /// packed system, kernels, staging vectors and device buffers are all
-/// built once in the constructor.  The exception is the Device launch
+/// built once in the constructor, and tenant tables upload at
+/// set_tenant (admission time).  The exception is the Device launch
 /// log, which grows by one entry per launch -- long-running callers
 /// should clear it periodically (Device::clear_log keeps capacity).
 
@@ -96,44 +111,78 @@ namespace polyeval::core {
 
 namespace detail {
 
-/// Device-resident state every fused-pipeline variant shares: the
-/// packed system's constant tables, the coefficient portions folded in
-/// the working precision, the per-point Mons scratch (written and read
-/// inside one launch, so one copy serves any number of in-flight point
-/// buffers) and the shared-memory budget.  The X and Outputs buffers
-/// stay with the evaluator: the plain evaluator owns one pair, the
-/// pipelined evaluator double-buffers two.
+/// Device-resident state every fused-pipeline variant shares: constant
+/// tables and folded coefficients for N tenant systems of one uniform
+/// structure, the per-point Mons scratch (written and read inside one
+/// launch, so one copy serves any number of in-flight point buffers) and
+/// the shared-memory budget.  Tenant t's positions/exponents start at
+/// t * support_stride and its coefficient portions at
+/// t * layout.coeffs_size(); a one-tenant state is the plain system.
+/// The X and Outputs buffers stay with the evaluator: the plain
+/// evaluator owns one pair, the pipelined evaluator double-buffers two.
 template <prec::RealScalar S>
 struct FusedSystemState {
   using C = cplx::Complex<S>;
 
-  PackedSystem packed;
   SystemLayout layout;
+  ExponentEncoding encoding;
+  std::uint64_t support_stride;  ///< support entries per tenant (n*m*k)
   simt::ConstantBuffer<unsigned char> positions, exponents;
   simt::GlobalBuffer<C> coeffs;
   InterchangeBuffer<S> mons;
-  std::size_t shared_bytes = 0;
+  /// Shared memory: the point (n) and the powers table (n*d).  Unlike
+  /// the paper's kernel 2, the per-thread L_1..L_{k+1} strip lives in
+  /// registers/local memory: it is thread-private, so shared memory
+  /// buys it nothing but bank pressure, and keeping it local lifts the
+  /// shared-capacity ceiling on the block size.
+  std::size_t shared_bytes;
+  /// Host mirrors of the three tables: install() splices one tenant in
+  /// and re-uploads each table whole.
+  std::vector<unsigned char> host_positions, host_exponents;
+  std::vector<C> host_coeffs;
 
-  FusedSystemState(simt::Device& device, const poly::PolynomialSystem& system,
-                   unsigned batch_capacity, ExponentEncoding encoding,
-                   InterchangeLayout interchange)
-      : packed(pack_system(system)), layout(packed.structure) {
-    const auto s = packed.structure;
-
-    const auto encoded = encode_exponents(encoding, packed.exponents);
-    positions =
-        device.alloc_constant<unsigned char>(packed.positions.size(), "Positions");
-    exponents = device.alloc_constant<unsigned char>(encoded.size(), "Exponents");
-    device.upload_constant(positions,
-                           std::span<const unsigned char>(packed.positions));
-    device.upload_constant(exponents, std::span<const unsigned char>(encoded));
-
-    coeffs = device.alloc_global<C>(layout.coeffs_size(), "Coeffs");
+  /// Size zeroed tables for `tenant_slots` systems of `structure`;
+  /// nothing is uploaded until install() or upload_tables().
+  FusedSystemState(simt::Device& device, const poly::UniformStructure& structure,
+                   unsigned tenant_slots, unsigned batch_capacity,
+                   ExponentEncoding enc, InterchangeLayout interchange)
+      : layout(structure),
+        encoding(enc),
+        support_stride(layout.total_monomials() * structure.k),
+        shared_bytes(std::size_t{structure.n} * (1 + structure.d) * sizeof(C)),
+        host_positions(support_stride * tenant_slots, 0),
+        host_exponents(encoded_exponent_bytes(enc, support_stride) * tenant_slots, 0),
+        host_coeffs(layout.coeffs_size() * tenant_slots, C{}) {
+    positions = device.alloc_constant<unsigned char>(host_positions.size(), "Positions");
+    exponents = device.alloc_constant<unsigned char>(host_exponents.size(), "Exponents");
+    coeffs = device.alloc_global<C>(host_coeffs.size(), "Coeffs");
     mons.allocate(device, std::size_t{batch_capacity} * layout.mons_size(),
                   "Mons[batch]", interchange);
+    mons.fill_zero(device);
+  }
 
-    // exponent factors folded in the working precision, as in GpuEvaluator
-    std::vector<C> folded(packed.coeffs.size());
+  /// One system, installed as the only tenant.
+  FusedSystemState(simt::Device& device, const PackedSystem& packed,
+                   unsigned batch_capacity, ExponentEncoding enc,
+                   InterchangeLayout interchange)
+      : FusedSystemState(device, packed.structure, 1, batch_capacity, enc, interchange) {
+    install(device, 0, packed);
+  }
+
+  /// Install (or replace) tenant `tenant`: splice its positions and
+  /// encoded exponents into the mirrors, fold its exponent factors into
+  /// the coefficient portions in the working precision (portion j < k
+  /// holds c * a_j, portion k holds c) and upload the three tables.
+  void install(simt::Device& device, unsigned tenant, const PackedSystem& packed) {
+    const auto s = layout.structure();
+    if (!(packed.structure == s))
+      throw std::invalid_argument("FusedGpuEvaluator: tenant structure mismatch");
+    const auto encoded = encode_exponents(encoding, packed.exponents);
+    std::copy(packed.positions.begin(), packed.positions.end(),
+              host_positions.begin() + tenant * support_stride);
+    std::copy(encoded.begin(), encoded.end(),
+              host_exponents.begin() + tenant * encoded.size());
+    const auto folded = host_coeffs.begin() + tenant * layout.coeffs_size();
     for (std::uint64_t t = 0; t < layout.total_monomials(); ++t) {
       const auto raw = C::from_double(packed.coeffs[layout.coeff_index(s.k, t)]);
       for (unsigned j = 0; j < s.k; ++j) {
@@ -142,15 +191,13 @@ struct FusedSystemState {
       }
       folded[layout.coeff_index(s.k, t)] = raw;
     }
-    device.upload(coeffs, std::span<const C>(folded));
-    mons.fill_zero(device);
+    upload_tables(device);
+  }
 
-    // Shared memory: the point (n) and the powers table (n*d).  Unlike
-    // the paper's kernel 2, the per-thread L_1..L_{k+1} strip lives in
-    // registers/local memory: it is thread-private, so shared memory
-    // buys it nothing but bank pressure, and keeping it local lifts the
-    // shared-capacity ceiling on the block size.
-    shared_bytes = std::size_t{s.n} * (1 + s.d) * sizeof(C);
+  void upload_tables(simt::Device& device) const {
+    device.upload_constant(positions, std::span<const unsigned char>(host_positions));
+    device.upload_constant(exponents, std::span<const unsigned char>(host_exponents));
+    device.upload(coeffs, std::span<const C>(host_coeffs));
   }
 };
 
@@ -188,6 +235,166 @@ template <prec::RealScalar S>
   };
 }
 
+/// Phase 2 shared by the full and values-only fused kernels (kernels 1
+/// and 2 fused): each thread loops over its share of the point's
+/// monomials, loads the monomial's support and forms its common factor
+/// from the shared powers table -- in-register, no global interchange.
+/// kJacobian selects the rest: the full kernel's Speelpenning
+/// derivatives and k+1 coefficient products, or the values kernel's one
+/// product (see build_fused_values_kernel).
+///
+/// A valid `tenant_ids` buffer turns on tenant routing: every thread
+/// loads its block's tenant id once, and every table index shifts by
+/// that tenant's base offset.  The full kernel then also re-zeroes each
+/// monomial's derivative slots before its sparse stores: a previous
+/// launch may have run a DIFFERENT tenant on this point slot, leaving
+/// derivatives at variable positions this tenant's monomial never
+/// writes.  Without routing the positions never change, so the
+/// construction-time zero fill suffices.
+template <prec::RealScalar S, bool kJacobian>
+[[nodiscard]] auto make_fused_monomial_phase(const FusedSystemState<S>& sys,
+                                             simt::GlobalBuffer<unsigned> tenant_ids,
+                                             std::size_t svars_off,
+                                             std::size_t powers_off) {
+  using C = cplx::Complex<S>;
+  const auto layout = sys.layout;
+  const auto s = layout.structure();
+  const unsigned n = s.n, d = s.d, k = s.k;
+  const std::uint64_t monomials = layout.total_monomials();
+  const std::uint64_t support_stride = sys.support_stride;
+  const std::uint64_t coeff_stride = layout.coeffs_size();
+  const bool routed = tenant_ids.valid();
+  const auto enc = sys.encoding;
+  const auto coeffs = sys.coeffs;
+  const auto mons = sys.mons;
+  const auto positions = sys.positions;
+  const auto exponents = sys.exponents;
+
+  return [mons, coeffs, positions, exponents, tenant_ids, enc, layout, n, d, k,
+          monomials, support_stride, coeff_stride, routed, svars_off,
+          powers_off](simt::ThreadContext& ctx) {
+    const std::size_t point = ctx.block_index();
+    std::uint64_t support_base = 0, coeff_base = 0;
+    if (routed) {
+      const std::uint64_t tenant = ctx.load(tenant_ids, point);
+      support_base = tenant * support_stride;
+      coeff_base = tenant * coeff_stride;
+    }
+    auto svars = ctx.template shared_array<C>(svars_off, n);
+    auto powers = ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
+    // Thread-private L_1..L_{k+1} strip and position cache
+    // (registers/local memory, not shared -- see the shared-memory note
+    // in FusedSystemState).  Entries below k are always written before
+    // they are read; the values kernel needs one slot, its product.
+    std::array<C, kJacobian ? 257 : 1> ell;
+    std::array<unsigned, 256> pos;
+    const std::size_t mons_base = point * layout.mons_size();
+
+    bool worked = false;
+    for (std::uint64_t g = ctx.thread_index(); g < monomials; g += ctx.block_dim()) {
+      worked = true;
+
+      for (unsigned j = 0; j < k; ++j)
+        pos[j] = ctx.load_constant(positions, support_base + layout.support_index(g, j));
+      const auto var = [&](unsigned j) { return svars.get(pos[j]); };
+      const auto coeff = [&](unsigned portion) {
+        return ctx.load(coeffs, coeff_base + layout.coeff_index(portion, g));
+      };
+
+      // Common factor from the powers table: k-1 multiplications.
+      C cf(S(1.0));
+      for (unsigned j = 0; j < k; ++j) {
+        const unsigned em1 = load_exponent(ctx, exponents, enc,
+                                           support_base + layout.support_index(g, j));
+        const C val = powers.get(std::size_t{em1} * n + pos[j]);
+        if (j == 0) {
+          cf = val;
+        } else {
+          cf = cf * val;
+          ctx.op_cmul();
+        }
+      }
+
+      if constexpr (kJacobian) {
+        // Speelpenning derivatives into L_1..L_k: 3k-6 for k >= 3.
+        if (k == 2) {
+          ell[0] = var(1);
+          ell[1] = var(0);
+        } else if (k >= 3) {
+          ell[1] = var(0);
+          for (unsigned r = 2; r < k; ++r) {
+            ell[r] = ell[r - 1] * var(r - 1);
+            ctx.op_cmul();
+          }
+          C q = var(k - 1);
+          ell[k - 2] = ell[k - 2] * q;
+          ctx.op_cmul();
+          for (unsigned r = 1; r + 2 < k; ++r) {
+            q = q * var(k - 1 - r);
+            ctx.op_cmul();
+            ell[k - 2 - r] = ell[k - 2 - r] * q;
+            ctx.op_cmul();
+          }
+          ell[0] = q * var(1);
+          ctx.op_cmul();
+        }
+
+        // Scale by the in-register common factor (k multiplications;
+        // for k == 1 the derivative IS the factor).
+        if (k == 1) {
+          ell[0] = cf;
+        } else {
+          for (unsigned j = 0; j < k; ++j) {
+            ell[j] = ell[j] * cf;
+            ctx.op_cmul();
+          }
+        }
+
+        // Monomial value from its last derivative (1 multiplication).
+        ell[k] = ell[k - 1] * var(k - 1);
+        ctx.op_cmul();
+
+        // Coefficient products (k+1 multiplications).
+        for (unsigned j = 0; j <= k; ++j) {
+          ell[j] = ell[j] * coeff(j);
+          ctx.op_cmul();
+        }
+
+        if (routed)
+          for (unsigned q = 0; q < n; ++q)
+            mons.store(ctx, mons_base + layout.mons_deriv_index(g, q), C{});
+        mons.store(ctx, mons_base + layout.mons_value_index(g), ell[k]);
+        for (unsigned j = 0; j < k; ++j)
+          mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]), ell[j]);
+      } else {
+        // The full kernel's value: ((var(0)..var(k-2)) * cf) * var(k-1)
+        // -- its last Speelpenning derivative scaled by the factor,
+        // times the last variable.  k == 1 degenerates to cf * var(0).
+        C& p = ell[0];
+        p = cf;
+        if (k >= 2) {
+          p = var(0);
+          for (unsigned r = 2; r < k; ++r) {
+            p = p * var(r - 1);
+            ctx.op_cmul();
+          }
+          p = p * cf;
+          ctx.op_cmul();
+        }
+        p = p * var(k - 1);
+        ctx.op_cmul();
+
+        // Value coefficient (portion k), as in the full kernel.
+        p = p * coeff(k);
+        ctx.op_cmul();
+
+        mons.store(ctx, mons_base + layout.mons_value_index(g), p);
+      }
+    }
+    if (!worked) ctx.mark_inactive();
+  };
+}
+
 /// Summation phase shared by the full and values-only fused kernels
 /// (kernel 3 behind the block barrier): each thread sums its share of
 /// the point's first `out_count` outputs -- n^2+n for the full kernel,
@@ -218,141 +425,42 @@ template <prec::RealScalar S>
   };
 }
 
-/// Build the fused single-launch kernel over the given point/output
-/// buffer pair.  The pipelined evaluator calls this twice (one kernel
-/// per double-buffer slot); the buffers are cheap handles captured by
-/// value in the phase closures.
-template <prec::RealScalar S>
-[[nodiscard]] simt::Kernel build_fused_kernel(const FusedSystemState<S>& sys,
-                                              ExponentEncoding enc,
-                                              simt::GlobalBuffer<cplx::Complex<S>> x,
-                                              simt::GlobalBuffer<cplx::Complex<S>> outputs_buf) {
-  using C = cplx::Complex<S>;
-  const auto s = sys.packed.structure;
-  const unsigned n = s.n, d = s.d, k = s.k, m = s.m;
-  const std::uint64_t monomials = sys.layout.total_monomials();
-  const std::uint64_t outs = sys.layout.num_outputs();
-  const auto layout = sys.layout;
-  const auto coeffs = sys.coeffs;
-  const auto mons = sys.mons;
-  const auto positions = sys.positions;
-  const auto exponents = sys.exponents;
-
-  // Shared layout offsets (bytes).
+/// The three phases of one fused kernel over the given point/output
+/// buffer pair, `out_count` outputs per point.
+template <prec::RealScalar S, bool kJacobian>
+[[nodiscard]] simt::Kernel build_fused(const FusedSystemState<S>& sys, const char* name,
+                                       simt::GlobalBuffer<cplx::Complex<S>> x,
+                                       simt::GlobalBuffer<cplx::Complex<S>> out_buf,
+                                       std::uint64_t out_count,
+                                       simt::GlobalBuffer<unsigned> tenant_ids) {
+  const auto s = sys.layout.structure();
+  // Shared layout offsets (bytes): the point, then the powers table.
   const std::size_t svars_off = 0;
-  const std::size_t powers_off = std::size_t{n} * sizeof(C);
-
-  const auto decode = [exponents, enc](simt::ThreadContext& ctx,
-                                       std::uint64_t index) -> unsigned {
-    if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
-    const unsigned char byte = ctx.load_constant(exponents, index / 2);
-    return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
-  };
-
+  const std::size_t powers_off = std::size_t{s.n} * sizeof(cplx::Complex<S>);
   simt::Kernel kernel;
-  // <= 15 chars: KernelStats copies the name per launch, and an
-  // SSO-sized string keeps that copy off the allocator.
-  kernel.name = "fused_eval";
+  kernel.name = name;
   kernel.phases = {
-      // Phase 1 (kernel 1 stage one, fused): the shared point/powers
-      // load.
-      make_fused_point_phase<S>(x, n, d, svars_off, powers_off),
-      // Phase 2 (kernels 1+2 fused): each thread loops over its share
-      // of the point's monomials.  The common factor is produced from
-      // the shared powers table and consumed in-register -- no global
-      // interchange.
-      [mons, coeffs, positions, decode, layout, n, d, k, monomials, svars_off,
-       powers_off](simt::ThreadContext& ctx) {
-        const std::size_t point = ctx.block_index();
-        auto svars = ctx.template shared_array<C>(svars_off, n);
-        auto powers = ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
-        // Thread-private L_1..L_{k+1} strip and position cache
-        // (registers/local memory, not shared -- see the
-        // shared-memory note in FusedSystemState).  Entries below k
-        // are always written before they are read.
-        std::array<C, 257> ell;
-        std::array<unsigned, 256> pos;
-        const std::size_t mons_base = point * layout.mons_size();
-
-        bool worked = false;
-        for (std::uint64_t g = ctx.thread_index(); g < monomials;
-             g += ctx.block_dim()) {
-          worked = true;
-
-          for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions, layout.support_index(g, j));
-          const auto var = [&](unsigned j) { return svars.get(pos[j]); };
-
-          // Common factor from the powers table: k-1 multiplications.
-          C cf(S(1.0));
-          for (unsigned j = 0; j < k; ++j) {
-            const unsigned em1 = decode(ctx, layout.support_index(g, j));
-            const C val = powers.get(std::size_t{em1} * n + pos[j]);
-            if (j == 0) {
-              cf = val;
-            } else {
-              cf = cf * val;
-              ctx.op_cmul();
-            }
-          }
-
-          // Speelpenning derivatives into L_1..L_k: 3k-6 for k >= 3.
-          if (k == 2) {
-            ell[0] = var(1);
-            ell[1] = var(0);
-          } else if (k >= 3) {
-            ell[1] = var(0);
-            for (unsigned r = 2; r < k; ++r) {
-              ell[r] = ell[r - 1] * var(r - 1);
-              ctx.op_cmul();
-            }
-            C q = var(k - 1);
-            ell[k - 2] = ell[k - 2] * q;
-            ctx.op_cmul();
-            for (unsigned r = 1; r + 2 < k; ++r) {
-              q = q * var(k - 1 - r);
-              ctx.op_cmul();
-              ell[k - 2 - r] = ell[k - 2 - r] * q;
-              ctx.op_cmul();
-            }
-            ell[0] = q * var(1);
-            ctx.op_cmul();
-          }
-
-          // Scale by the in-register common factor (k multiplications;
-          // for k == 1 the derivative IS the factor).
-          if (k == 1) {
-            ell[0] = cf;
-          } else {
-            for (unsigned j = 0; j < k; ++j) {
-              ell[j] = ell[j] * cf;
-              ctx.op_cmul();
-            }
-          }
-
-          // Monomial value from its last derivative (1 multiplication).
-          ell[k] = ell[k - 1] * var(k - 1);
-          ctx.op_cmul();
-
-          // Coefficient products (k+1 multiplications).
-          for (unsigned j = 0; j <= k; ++j) {
-            const C c = ctx.load(coeffs, layout.coeff_index(j, g));
-            ell[j] = ell[j] * c;
-            ctx.op_cmul();
-          }
-
-          mons.store(ctx, mons_base + layout.mons_value_index(g), ell[k]);
-          for (unsigned j = 0; j < k; ++j)
-            mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]),
-                       ell[j]);
-        }
-        if (!worked) ctx.mark_inactive();
-      },
-      // Phase 3 (kernel 3, fused behind the block barrier): all n^2+n
-      // outputs.
-      make_fused_summation_phase<S>(mons, outputs_buf, layout, m, outs),
+      make_fused_point_phase<S>(x, s.n, s.d, svars_off, powers_off),
+      make_fused_monomial_phase<S, kJacobian>(sys, tenant_ids, svars_off, powers_off),
+      make_fused_summation_phase<S>(sys.mons, out_buf, sys.layout, s.m, out_count),
   };
   return kernel;
+}
+
+/// Build the fused single-launch kernel over the given point/output
+/// buffer pair: all n^2+n outputs of every point.  The pipelined
+/// evaluator calls this twice (one kernel per double-buffer slot); the
+/// buffers are cheap handles captured by value in the phase closures.
+/// Binding `tenant_ids` (one id per point) builds the routed kernel.
+template <prec::RealScalar S>
+[[nodiscard]] simt::Kernel build_fused_kernel(const FusedSystemState<S>& sys,
+                                              simt::GlobalBuffer<cplx::Complex<S>> x,
+                                              simt::GlobalBuffer<cplx::Complex<S>> outputs_buf,
+                                              simt::GlobalBuffer<unsigned> tenant_ids = {}) {
+  // <= 15 chars: KernelStats copies the name per launch, and an
+  // SSO-sized string keeps that copy off the allocator.
+  return build_fused<S, true>(sys, tenant_ids.valid() ? "mt_fused" : "fused_eval", x,
+                              outputs_buf, sys.layout.num_outputs(), tenant_ids);
 }
 
 /// Build the fused VALUES-ONLY kernel over the given point/values buffer
@@ -371,99 +479,11 @@ template <prec::RealScalar S>
 /// rows (outputs [0, n)), never the stale derivative slots.
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel build_fused_values_kernel(
-    const FusedSystemState<S>& sys, ExponentEncoding enc,
-    simt::GlobalBuffer<cplx::Complex<S>> x,
-    simt::GlobalBuffer<cplx::Complex<S>> values_buf) {
-  using C = cplx::Complex<S>;
-  const auto s = sys.packed.structure;
-  const unsigned n = s.n, d = s.d, k = s.k, m = s.m;
-  const std::uint64_t monomials = sys.layout.total_monomials();
-  const auto layout = sys.layout;
-  const auto coeffs = sys.coeffs;
-  const auto mons = sys.mons;
-  const auto positions = sys.positions;
-  const auto exponents = sys.exponents;
-
-  const std::size_t svars_off = 0;
-  const std::size_t powers_off = std::size_t{n} * sizeof(C);
-
-  const auto decode = [exponents, enc](simt::ThreadContext& ctx,
-                                       std::uint64_t index) -> unsigned {
-    if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
-    const unsigned char byte = ctx.load_constant(exponents, index / 2);
-    return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
-  };
-
-  simt::Kernel kernel;
-  kernel.name = "fused_values";
-  kernel.phases = {
-      // Phase 1: the full kernel's shared point/powers load, the SAME
-      // lambda (the common factor still needs the powers table).
-      make_fused_point_phase<S>(x, n, d, svars_off, powers_off),
-      // Phase 2: one monomial VALUE per loop trip -- 2k multiplications
-      // (k-1 for the common factor, k-2 prefix, cf, last variable,
-      // coefficient) instead of the full kernel's 5k-4 -- written into
-      // the same Mons value slot the full kernel uses.
-      [mons, coeffs, positions, decode, layout, n, k, monomials, svars_off,
-       powers_off](simt::ThreadContext& ctx) {
-        const std::size_t point = ctx.block_index();
-        auto svars = ctx.template shared_array<C>(svars_off, n);
-        auto powers = ctx.template shared_array<C>(
-            powers_off, std::size_t{n} * layout.structure().d);
-        std::array<unsigned, 256> pos;
-        const std::size_t mons_base = point * layout.mons_size();
-
-        bool worked = false;
-        for (std::uint64_t g = ctx.thread_index(); g < monomials;
-             g += ctx.block_dim()) {
-          worked = true;
-
-          for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions, layout.support_index(g, j));
-          const auto var = [&](unsigned j) { return svars.get(pos[j]); };
-
-          // Common factor: the full kernel's loop, verbatim.
-          C cf(S(1.0));
-          for (unsigned j = 0; j < k; ++j) {
-            const unsigned em1 = decode(ctx, layout.support_index(g, j));
-            const C val = powers.get(std::size_t{em1} * n + pos[j]);
-            if (j == 0) {
-              cf = val;
-            } else {
-              cf = cf * val;
-              ctx.op_cmul();
-            }
-          }
-
-          // The full kernel's value: ((var(0)..var(k-2)) * cf) * var(k-1)
-          // -- its last Speelpenning derivative scaled by the factor,
-          // times the last variable.  k == 1 degenerates to cf * var(0).
-          C p = cf;
-          if (k >= 2) {
-            p = var(0);
-            for (unsigned r = 2; r < k; ++r) {
-              p = p * var(r - 1);
-              ctx.op_cmul();
-            }
-            p = p * cf;
-            ctx.op_cmul();
-          }
-          p = p * var(k - 1);
-          ctx.op_cmul();
-
-          // Value coefficient (portion k), as in the full kernel.
-          p = p * ctx.load(coeffs, layout.coeff_index(k, g));
-          ctx.op_cmul();
-
-          mons.store(ctx, mons_base + layout.mons_value_index(g), p);
-        }
-        if (!worked) ctx.mark_inactive();
-      },
-      // Phase 3: sum only the n value rows (not the n^2 Jacobian rows)
-      // -- the SAME summation lambda as the full kernel, truncated.
-      make_fused_summation_phase<S>(mons, values_buf, layout, m, n),
-  };
-  return kernel;
+    const FusedSystemState<S>& sys, simt::GlobalBuffer<cplx::Complex<S>> x,
+    simt::GlobalBuffer<cplx::Complex<S>> values_buf,
+    simt::GlobalBuffer<unsigned> tenant_ids = {}) {
+  return build_fused<S, false>(sys, tenant_ids.valid() ? "mt_fused_vals" : "fused_values",
+                               x, values_buf, sys.layout.structure().n, tenant_ids);
 }
 
 }  // namespace detail
@@ -491,6 +511,7 @@ class FusedGpuEvaluator {
     /// modes (tests/test_tune.cpp).  Tuned resolution applies when both
     /// geometry knobs are auto; pinning either one pins the other to
     /// the heuristic seed (a half-pinned key would poison the cache).
+    /// The tenant constructor always resolves heuristically.
     tune::TuningMode tuning = tune::TuningMode::kMeasured;
     /// The race journals are a debugging aid (the cuda-memcheck
     /// analogue); the production fast path skips the per-access
@@ -505,26 +526,41 @@ class FusedGpuEvaluator {
       : device_(device),
         options_(resolve_options(device, system, batch_capacity, options)),
         capacity_(batch_capacity),
-        sys_(device, system, batch_capacity, options_.encoding,
-             options_.interchange.value_or(InterchangeLayout::kAoS)) {
+        sys_(device, pack_system(system), batch_capacity, options_.encoding,
+             *options_.interchange) {
     if (capacity_ == 0)
       throw std::invalid_argument("FusedGpuEvaluator: zero batch capacity");
-    const auto s = sys_.packed.structure;
-
-    x_ = device_.alloc_global<C>(std::size_t{capacity_} * s.n, "X[batch]");
-    outputs_ = device_.alloc_global<C>(std::size_t{capacity_} * sys_.layout.num_outputs(),
-                                       "Outputs[batch]");
-    values_ = device_.alloc_global<C>(std::size_t{capacity_} * s.n, "Values[batch]");
-    kernel_ = detail::build_fused_kernel<S>(sys_, options_.encoding, x_, outputs_);
-    values_kernel_ =
-        detail::build_fused_values_kernel<S>(sys_, options_.encoding, x_, values_);
-
-    flat_.reserve(std::size_t{capacity_} * s.n);
-    host_outputs_.reserve(std::size_t{capacity_} * sys_.layout.num_outputs());
+    build(/*routed=*/false);
   }
 
-  [[nodiscard]] unsigned dimension() const noexcept { return sys_.packed.structure.n; }
+  /// The tenant-routed evaluator: zeroed tables for `max_tenants`
+  /// systems of `structure`, installed later by set_tenant, and a
+  /// per-point tenant id (bind_tenants) choosing each point's tables.
+  /// Geometry never probes: pinned knobs stay, auto ones take the
+  /// pick_block_size seed and AoS (the service pins the structure's
+  /// tuned winner, resolved once per SystemCache entry).  Tenant
+  /// strides assume one byte per support entry, so only
+  /// ExponentEncoding::kChar is accepted.
+  FusedGpuEvaluator(simt::Device& device, const poly::UniformStructure& structure,
+                    unsigned max_tenants, unsigned batch_capacity, Options options = {})
+      : device_(device),
+        options_(resolve_tenant_options(device, structure, max_tenants, batch_capacity,
+                                        options)),
+        capacity_(batch_capacity),
+        sys_(device, structure, max_tenants, batch_capacity, options_.encoding,
+             *options_.interchange) {
+    build(/*routed=*/true);
+    sys_.upload_tables(device_);
+    tenant_present_.assign(max_tenants, 0);
+    staged_tenants_.resize(capacity_);
+  }
+
+  [[nodiscard]] unsigned dimension() const noexcept { return sys_.layout.structure().n; }
   [[nodiscard]] unsigned batch_capacity() const noexcept { return capacity_; }
+  /// Tenant slots; 0 unless built by the tenant constructor.
+  [[nodiscard]] unsigned max_tenants() const noexcept {
+    return static_cast<unsigned>(tenant_present_.size());
+  }
   [[nodiscard]] const SystemLayout& layout() const noexcept { return sys_.layout; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
@@ -534,6 +570,28 @@ class FusedGpuEvaluator {
   [[nodiscard]] unsigned launches_per_batch() const noexcept {
     return kLaunchesPerBatch;
   }
+
+  /// Install (or replace) tenant `tenant`'s system, which must share the
+  /// evaluator's structure: fold it into the tenant's slot and re-upload
+  /// the three tables.  An admission-time cost, not a per-round one.
+  /// Only the tenant constructor has tenant slots.
+  void set_tenant(unsigned tenant, const poly::PolynomialSystem& system) {
+    if (tenant >= tenant_present_.size())
+      throw std::invalid_argument("FusedGpuEvaluator: bad tenant");
+    sys_.install(device_, tenant, pack_system(system));
+    tenant_present_[tenant] = 1;
+  }
+
+  /// Mark a tenant slot free (host bookkeeping only -- the tables stay
+  /// until a new tenant overwrites them).
+  void clear_tenant(unsigned tenant) {
+    if (tenant < tenant_present_.size()) tenant_present_[tenant] = 0;
+  }
+
+  /// Per-point tenant routing for the NEXT evaluate call(s): point
+  /// `first + i` of the call belongs to tenants[first + i].  The span
+  /// must stay valid (and at least first + count long) until the call.
+  void bind_tenants(std::span<const unsigned> tenants) noexcept { bound_ = tenants; }
 
   /// Evaluate at points.size() <= batch_capacity() points with one
   /// upload, ONE launch and one download.
@@ -550,19 +608,16 @@ class FusedGpuEvaluator {
   /// point: a ShardedEvaluator hands each shard contiguous point ranges
   /// and the matching slices of the caller's result buffer, so merged
   /// results land in point-index (deterministic) order no matter which
-  /// shard computed them.  One upload, ONE launch, one download; each
-  /// point's arithmetic is independent of the range it rode in (one
-  /// block per point), so results are bitwise identical under any
-  /// chunking.
+  /// shard computed them.  One upload (plus the tenant ids when
+  /// routed), ONE launch, one download; each point's arithmetic is
+  /// independent of the range it rode in (one block per point), so
+  /// results are bitwise identical under any chunking.
   void evaluate_range(const std::vector<std::vector<C>>& points, std::size_t first,
                       std::size_t count, std::span<poly::EvalResult<S>> out) {
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
     const unsigned batch = stage_range(points, first, count, out.size(), count);
-
-    simt::LaunchConfig cfg{batch, options_.block_size, sys_.shared_bytes};
-    cfg.detect_races = options_.detect_races;
-    (void)device_.launch(kernel_, cfg);
+    launch(kernel_, batch);
 
     host_outputs_.resize(std::size_t{batch} * sys_.layout.num_outputs());
     device_.download(outputs_, std::span<C>(host_outputs_));
@@ -583,14 +638,11 @@ class FusedGpuEvaluator {
   /// identical to a full evaluation's (build_fused_values_kernel).
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::size_t first, std::size_t count, std::span<C> out) {
-    const unsigned s_n = sys_.packed.structure.n;
+    const unsigned s_n = dimension();
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
     const unsigned batch = stage_range(points, first, count, out.size(), count * s_n);
-
-    simt::LaunchConfig cfg{batch, options_.block_size, sys_.shared_bytes};
-    cfg.detect_races = options_.detect_races;
-    (void)device_.launch(values_kernel_, cfg);
+    launch(values_kernel_, batch);
 
     device_.download(values_, out.subspan(0, std::size_t{batch} * s_n));
 
@@ -600,7 +652,7 @@ class FusedGpuEvaluator {
 
   /// Single-point values-only convenience: a batch of one.
   void evaluate_values(std::span<const C> x, std::span<C> values) {
-    if (x.size() != sys_.packed.structure.n)
+    if (x.size() != dimension())
       throw std::invalid_argument("FusedGpuEvaluator: point has wrong dimension");
     single_point_.resize(1);
     single_point_[0].assign(x.begin(), x.end());
@@ -609,7 +661,7 @@ class FusedGpuEvaluator {
 
   /// Single-point convenience: a batch of one.
   void evaluate(std::span<const C> x, poly::EvalResult<S>& out) {
-    if (x.size() != sys_.packed.structure.n)
+    if (x.size() != dimension())
       throw std::invalid_argument("FusedGpuEvaluator: point has wrong dimension");
     single_point_.resize(1);
     single_point_[0].assign(x.begin(), x.end());
@@ -627,6 +679,18 @@ class FusedGpuEvaluator {
   [[nodiscard]] const simt::LaunchLog& last_log() const noexcept { return last_log_; }
 
  private:
+  /// Heuristic geometry: pinned knobs stay, an auto block size takes the
+  /// pick_block_size seed for the device's SM count, an auto layout AoS.
+  [[nodiscard]] static Options heuristic_options(const simt::Device& device,
+                                                 const poly::UniformStructure& st,
+                                                 unsigned capacity, Options options) {
+    if (options.block_size == 0)
+      options.block_size =
+          pick_block_size(st.n, st.m, st.k, capacity, device.spec().multiprocessors);
+    if (!options.interchange) options.interchange = InterchangeLayout::kAoS;
+    return options;
+  }
+
   /// Resolve the auto geometry knobs (block_size == 0, interchange ==
   /// nullopt) before any member consumes them.  Measured mode (both
   /// knobs auto): route through the global Autotuner -- on a cache miss
@@ -634,29 +698,21 @@ class FusedGpuEvaluator {
   /// with a full-capacity zero-point batch (values cannot move a memory
   /// access, so zeros measure exactly the steady state's statistics)
   /// and scored by estimate_log_us under the scalar's cost factor.
-  /// Heuristic mode, or any knob pinned: the missing knobs take the
-  /// pick_block_size seed and AoS.  Candidate probes construct
-  /// themselves with kHeuristic and explicit geometry, so resolution
-  /// can never recurse.
+  /// Heuristic mode, or any knob pinned: heuristic_options.  Candidate
+  /// probes construct themselves with kHeuristic and explicit geometry,
+  /// so resolution can never recurse.
   [[nodiscard]] static Options resolve_options(simt::Device& device,
                                                const poly::PolynomialSystem& system,
                                                unsigned capacity, Options options) {
-    const bool auto_block = options.block_size == 0;
-    const bool auto_layout = !options.interchange.has_value();
-    if ((!auto_block && !auto_layout) || capacity == 0) {
-      if (auto_layout) options.interchange = InterchangeLayout::kAoS;
-      return options;
-    }
+    // Fully pinned (every tuning probe): nothing to resolve, skip the pack.
+    if (options.block_size != 0 && options.interchange.has_value()) return options;
     const auto st = pack_system(system).structure;
-    const unsigned sms = device.spec().multiprocessors;
-    const unsigned seed = pick_block_size(st.n, st.m, st.k, capacity, sms);
-    if (options.tuning == tune::TuningMode::kHeuristic || !auto_block ||
-        !auto_layout) {
-      if (auto_block) options.block_size = seed;
-      if (auto_layout) options.interchange = InterchangeLayout::kAoS;
-      return options;
-    }
+    if (options.tuning == tune::TuningMode::kHeuristic || options.block_size != 0 ||
+        options.interchange.has_value() || capacity == 0)
+      return heuristic_options(device, st, capacity, options);
 
+    const unsigned seed =
+        pick_block_size(st.n, st.m, st.k, capacity, device.spec().multiprocessors);
     const unsigned width = static_cast<unsigned>(sizeof(S) / sizeof(double));
     const auto key = tune::TuneKey::make(tune::TunedSchedule::kFused, st, capacity,
                                          0, width, device.spec());
@@ -689,30 +745,80 @@ class FusedGpuEvaluator {
     return options;
   }
 
+  /// The tenant constructor's resolution, validating before any device
+  /// allocation.
+  [[nodiscard]] static Options resolve_tenant_options(const simt::Device& device,
+                                                      const poly::UniformStructure& st,
+                                                      unsigned max_tenants,
+                                                      unsigned capacity, Options options) {
+    if (max_tenants == 0) throw std::invalid_argument("FusedGpuEvaluator: zero tenants");
+    if (capacity == 0)
+      throw std::invalid_argument("FusedGpuEvaluator: zero batch capacity");
+    if (options.encoding != ExponentEncoding::kChar)
+      throw std::invalid_argument("FusedGpuEvaluator: tenant tables need kChar exponents");
+    return heuristic_options(device, st, capacity, options);
+  }
+
+  /// Shared constructor tail: the point/output buffers (plus the
+  /// per-point tenant ids when routed), the two kernels over them and
+  /// the reused host staging.
+  void build(bool routed) {
+    const unsigned n = dimension();
+    const std::uint64_t outs = sys_.layout.num_outputs();
+    x_ = device_.alloc_global<C>(std::size_t{capacity_} * n, "X[batch]");
+    outputs_ = device_.alloc_global<C>(std::size_t{capacity_} * outs, "Outputs[batch]");
+    values_ = device_.alloc_global<C>(std::size_t{capacity_} * n, "Values[batch]");
+    if (routed) tenant_ids_ = device_.alloc_global<unsigned>(capacity_, "Tenants[batch]");
+    kernel_ = detail::build_fused_kernel<S>(sys_, x_, outputs_, tenant_ids_);
+    values_kernel_ = detail::build_fused_values_kernel<S>(sys_, x_, values_, tenant_ids_);
+
+    flat_.reserve(std::size_t{capacity_} * n);
+    host_outputs_.reserve(std::size_t{capacity_} * outs);
+  }
+
   /// Shared head of the two range entry points: validate the range
-  /// against the batch capacity and the caller's output span (sized
-  /// `out_needed`), pack the points into the staging buffer and upload
-  /// X.  Throws before any device work; returns the batch size.
+  /// against the batch capacity, the caller's output span (sized
+  /// `out_needed`) and, when routed, the bound tenant ids; pack the
+  /// points into the staging buffer and upload X (and the ids).  Throws
+  /// before any device work; returns the batch size.
   unsigned stage_range(const std::vector<std::vector<C>>& points, std::size_t first,
                        std::size_t count, std::size_t out_size,
                        std::size_t out_needed) {
-    const unsigned s_n = sys_.packed.structure.n;
+    const unsigned s_n = dimension();
+    const bool routed = tenant_ids_.valid();
     if (count == 0 || count > capacity_)
       throw std::invalid_argument("FusedGpuEvaluator: bad batch size");
     if (first > points.size() || count > points.size() - first ||
         out_size < out_needed)
       throw std::invalid_argument("FusedGpuEvaluator: bad point range");
+    if (routed && bound_.size() < first + count)
+      throw std::invalid_argument("FusedGpuEvaluator: bind_tenants span too short");
     const auto batch = static_cast<unsigned>(count);
-    for (std::size_t p = first; p < first + count; ++p)
+    for (std::size_t p = first; p < first + count; ++p) {
       if (points[p].size() != s_n)
         throw std::invalid_argument("FusedGpuEvaluator: point has wrong dimension");
+      if (!routed) continue;
+      const unsigned tenant = bound_[p];
+      if (tenant >= tenant_present_.size() || tenant_present_[tenant] == 0)
+        throw std::invalid_argument("FusedGpuEvaluator: point bound to absent tenant");
+      staged_tenants_[p - first] = tenant;
+    }
 
     flat_.resize(std::size_t{batch} * s_n);
     for (unsigned p = 0; p < batch; ++p)
       std::copy(points[first + p].begin(), points[first + p].end(),
                 flat_.begin() + std::size_t{p} * s_n);
     device_.upload(x_, std::span<const C>(flat_));
+    if (routed)
+      device_.upload(tenant_ids_,
+                     std::span<const unsigned>(staged_tenants_.data(), batch));
     return batch;
+  }
+
+  void launch(const simt::Kernel& kernel, unsigned batch) {
+    simt::LaunchConfig cfg{batch, options_.block_size, sys_.shared_bytes};
+    cfg.detect_races = options_.detect_races;
+    (void)device_.launch(kernel, cfg);
   }
 
   simt::Device& device_;
@@ -721,12 +827,17 @@ class FusedGpuEvaluator {
   detail::FusedSystemState<S> sys_;
 
   simt::GlobalBuffer<C> x_, outputs_, values_;
+  simt::GlobalBuffer<unsigned> tenant_ids_;  ///< valid only when routed
   simt::Kernel kernel_, values_kernel_;
   std::vector<C> flat_;          ///< packed upload staging, reused
   std::vector<C> host_outputs_;  ///< download staging, reused
   std::vector<std::vector<C>> single_point_;        ///< single-point staging
   std::vector<poly::EvalResult<S>> single_result_;  ///< single-point staging
   simt::LaunchLog last_log_;
+
+  std::vector<unsigned char> tenant_present_;  ///< by slot; empty unless routed
+  std::span<const unsigned> bound_;            ///< per-point tenant routing
+  std::vector<unsigned> staged_tenants_;       ///< compacted id upload staging
 };
 
 }  // namespace polyeval::core

@@ -109,12 +109,11 @@ struct DeviceBuffers {
 namespace detail {
 
 /// Exponent-minus-one of support entry `index`, via the constant cache.
-template <prec::RealScalar S>
-[[nodiscard]] inline unsigned load_exponent(simt::ThreadContext& ctx,
-                                            const DeviceBuffers<S>& bufs,
-                                            ExponentEncoding enc, std::uint64_t index) {
-  if (enc == ExponentEncoding::kChar) return ctx.load_constant(bufs.exponents, index);
-  const unsigned char byte = ctx.load_constant(bufs.exponents, index / 2);
+[[nodiscard]] inline unsigned load_exponent(
+    simt::ThreadContext& ctx, const simt::ConstantBuffer<unsigned char>& exponents,
+    ExponentEncoding enc, std::uint64_t index) {
+  if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
+  const unsigned char byte = ctx.load_constant(exponents, index / 2);
   return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
 }
 
@@ -168,7 +167,7 @@ template <prec::RealScalar S>
     for (unsigned j = 0; j < k; ++j) {
       const auto idx = layout.support_index(g, j);
       const unsigned pos = ctx.load_constant(bufs.positions, idx);
-      const unsigned em1 = detail::load_exponent(ctx, bufs, enc, idx);
+      const unsigned em1 = detail::load_exponent(ctx, bufs.exponents, enc, idx);
       const C val = powers.get(std::size_t{em1} * n + pos);
       if (j == 0) {
         cf = val;
@@ -242,7 +241,7 @@ template <prec::RealScalar S>
     for (unsigned j = 0; j < k; ++j) {
       const auto idx = layout.support_index(g, j);
       const unsigned pos = ctx.load_constant(bufs.positions, idx);
-      const unsigned em1 = detail::load_exponent(ctx, bufs, enc, idx);
+      const unsigned em1 = detail::load_exponent(ctx, bufs.exponents, enc, idx);
       const C val = ctx.load(bufs.powers, std::size_t{em1} * n + pos);
       if (j == 0) {
         cf = val;

@@ -101,7 +101,7 @@ class PipelinedFusedEvaluator {
         options_(resolve_options(device, system, batch_capacity, options)),
         capacity_(batch_capacity),
         micro_(std::min(options_.micro_chunk, batch_capacity)),
-        sys_(device, system, std::max(micro_, 1u), options_.encoding,
+        sys_(device, pack_system(system), std::max(micro_, 1u), options_.encoding,
              options_.interchange.value_or(InterchangeLayout::kAoS)),
         copy_stream_(device, options_.cost),
         compute_stream_(device, options_.cost),
@@ -112,7 +112,7 @@ class PipelinedFusedEvaluator {
       throw std::invalid_argument("PipelinedFusedEvaluator: zero micro_chunk");
     if (options_.streams != 2 && options_.streams != 3)
       throw std::invalid_argument("PipelinedFusedEvaluator: streams must be 0, 2 or 3");
-    const auto s = sys_.packed.structure;
+    const auto s = sys_.layout.structure();
 
     const std::uint64_t outs = sys_.layout.num_outputs();
     for (unsigned b = 0; b < 2; ++b) {
@@ -122,10 +122,8 @@ class PipelinedFusedEvaluator {
                                             b == 0 ? "Outputs[pipe0]" : "Outputs[pipe1]");
       values_[b] = device_.alloc_global<C>(std::size_t{micro_} * s.n,
                                            b == 0 ? "Values[pipe0]" : "Values[pipe1]");
-      kernels_[b] = detail::build_fused_kernel<S>(sys_, options_.encoding, x_[b],
-                                                  outputs_[b]);
-      values_kernels_[b] = detail::build_fused_values_kernel<S>(sys_, options_.encoding,
-                                                                x_[b], values_[b]);
+      kernels_[b] = detail::build_fused_kernel<S>(sys_, x_[b], outputs_[b]);
+      values_kernels_[b] = detail::build_fused_values_kernel<S>(sys_, x_[b], values_[b]);
       flat_[b].reserve(std::size_t{micro_} * s.n);
       host_outputs_[b].reserve(std::size_t{micro_} * outs);
     }
@@ -138,7 +136,7 @@ class PipelinedFusedEvaluator {
     down_stream_.reserve(0, 8 * chunks + 8);
   }
 
-  [[nodiscard]] unsigned dimension() const noexcept { return sys_.packed.structure.n; }
+  [[nodiscard]] unsigned dimension() const noexcept { return sys_.layout.structure().n; }
   [[nodiscard]] unsigned batch_capacity() const noexcept { return capacity_; }
   [[nodiscard]] unsigned micro_chunk() const noexcept { return micro_; }
   [[nodiscard]] const SystemLayout& layout() const noexcept { return sys_.layout; }
@@ -195,7 +193,7 @@ class PipelinedFusedEvaluator {
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::size_t first, std::size_t count, std::span<C> out) {
     validate_range(points, first, count, out.size(),
-                   count * sys_.packed.structure.n);
+                   count * sys_.layout.structure().n);
 
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
@@ -209,7 +207,7 @@ class PipelinedFusedEvaluator {
 
   /// Single-point values-only convenience: a batch of one.
   void evaluate_values(std::span<const C> x, std::span<C> values) {
-    if (x.size() != sys_.packed.structure.n)
+    if (x.size() != sys_.layout.structure().n)
       throw std::invalid_argument("PipelinedFusedEvaluator: point has wrong dimension");
     single_point_.resize(1);
     single_point_[0].assign(x.begin(), x.end());
@@ -219,7 +217,7 @@ class PipelinedFusedEvaluator {
   /// Single-point convenience (tracker-corrector interface): a batch of
   /// one, i.e. a one-chunk pipeline.
   void evaluate(std::span<const C> x, poly::EvalResult<S>& out) {
-    if (x.size() != sys_.packed.structure.n)
+    if (x.size() != sys_.layout.structure().n)
       throw std::invalid_argument("PipelinedFusedEvaluator: point has wrong dimension");
     single_point_.resize(1);
     single_point_[0].assign(x.begin(), x.end());
@@ -323,7 +321,7 @@ class PipelinedFusedEvaluator {
   void validate_range(const std::vector<std::vector<C>>& points, std::size_t first,
                       std::size_t count, std::size_t out_size,
                       std::size_t out_needed) const {
-    const unsigned s_n = sys_.packed.structure.n;
+    const unsigned s_n = sys_.layout.structure().n;
     if (count == 0 || count > capacity_)
       throw std::invalid_argument("PipelinedFusedEvaluator: bad batch size");
     if (first > points.size() || count > points.size() - first ||
@@ -345,7 +343,7 @@ class PipelinedFusedEvaluator {
   void run_pipeline(const std::vector<std::vector<C>>& points, std::size_t first,
                     std::size_t count, simt::Kernel (&kernels)[2],
                     DrainChunk&& drain) {
-    const unsigned s_n = sys_.packed.structure.n;
+    const unsigned s_n = sys_.layout.structure().n;
 
     // Fresh modeled timeline for this call (capacities kept).
     copy_stream_.reset();
@@ -425,7 +423,7 @@ class PipelinedFusedEvaluator {
   /// drain_chunk for the values-only pipeline: Values[buf] lands
   /// directly in the caller's point-major span (no unpacking needed).
   void drain_values_chunk(std::size_t c, std::size_t count, std::span<C> out) {
-    const unsigned s_n = sys_.packed.structure.n;
+    const unsigned s_n = sys_.layout.structure().n;
     const unsigned buf = static_cast<unsigned>(c & 1);
     const std::size_t base = c * micro_;
     const std::size_t cnt = std::min<std::size_t>(micro_, count - base);

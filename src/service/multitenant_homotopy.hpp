@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file multitenant_homotopy.hpp
-/// Slot-aware batched homotopies over the multi-tenant fused evaluator:
+/// Slot-aware batched homotopies over the tenant-routed fused evaluator:
 /// the glue that lets ONE BatchPathTracker round carry live paths from
 /// SEVERAL solve requests.  Each tracker slot is assigned a tenant
 /// (assign_slot); the tracker announces which slots the next chunk's
@@ -20,7 +20,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/multitenant_evaluator.hpp"
+#include "core/fused_evaluator.hpp"
 #include "homotopy/projective.hpp"
 
 namespace polyeval::service {
@@ -37,7 +37,7 @@ class MultiTenantProjectiveHomotopy {
 
   /// `slot_capacity` is the owning tracker's max_paths: the widest
   /// bind_slots id the wrapper must translate.
-  MultiTenantProjectiveHomotopy(core::MultiTenantFusedEvaluator<S>& f,
+  MultiTenantProjectiveHomotopy(core::FusedGpuEvaluator<S>& f,
                                 std::size_t slot_capacity)
       : f_(f),
         max_batch_(f.batch_capacity()),
@@ -234,7 +234,7 @@ class MultiTenantProjectiveHomotopy {
     return *tenants_[id];
   }
 
-  core::MultiTenantFusedEvaluator<S>& f_;
+  core::FusedGpuEvaluator<S>& f_;
   std::size_t max_batch_;
   std::vector<std::optional<Tenant>> tenants_;
   std::vector<unsigned> slot_tenant_;
@@ -261,7 +261,7 @@ class MultiTenantAffineHomotopy {
  public:
   using BatchedHomotopyTag = void;
 
-  MultiTenantAffineHomotopy(core::MultiTenantFusedEvaluator<S>& f,
+  MultiTenantAffineHomotopy(core::FusedGpuEvaluator<S>& f,
                             std::size_t slot_capacity)
       : f_(f),
         max_batch_(f.batch_capacity()),
@@ -408,7 +408,7 @@ class MultiTenantAffineHomotopy {
     }
   }
 
-  core::MultiTenantFusedEvaluator<S>& f_;
+  core::FusedGpuEvaluator<S>& f_;
   std::size_t max_batch_;
   std::vector<std::optional<Tenant>> tenants_;
   std::vector<unsigned> slot_tenant_;

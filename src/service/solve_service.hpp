@@ -9,7 +9,7 @@
 /// Scheduling model.  Requests whose systems share one uniform
 /// (n, m, k, d) structure AND whose tracking/tuning options compare
 /// equal land in one *group*; a group owns, per device shard, a
-/// multi-tenant fused evaluator (one launch serves points of several
+/// tenant-routed fused evaluator (one launch serves points of several
 /// requests), a slot-aware batched homotopy and a BatchPathTracker.
 /// Each service tick runs one lockstep round on every shard with live
 /// paths -- shards advance in parallel (their devices are independent)
@@ -362,7 +362,7 @@ class SolveService {
     struct Shard {
       simt::Device& dev;
       unsigned device_index;
-      core::MultiTenantFusedEvaluator<S> eval;
+      core::FusedGpuEvaluator<S> eval;
       Homo homo;
       homotopy::BatchPathTracker<S, Homo> tracker;
       struct Owner {
@@ -377,7 +377,7 @@ class SolveService {
       Shard(simt::Device& d, unsigned dev_index,
             const poly::UniformStructure& st, unsigned max_tenants,
             unsigned capacity,
-            typename core::MultiTenantFusedEvaluator<S>::Options eopts,
+            typename core::FusedGpuEvaluator<S>::Options eopts,
             const homotopy::TrackOptions& topts, std::size_t slots)
           : dev(d),
             device_index(dev_index),
@@ -401,6 +401,7 @@ class SolveService {
     std::vector<unsigned> free_tenants;
     std::vector<std::unique_ptr<RunInfo>> active;
     std::size_t rr_cursor = 0;  ///< fairness rotation over active runs
+    std::vector<C> steal_x;     ///< steal()'s moved point, sized at creation
 
     [[nodiscard]] bool has_pending() const {
       for (const auto& run : active)
@@ -658,7 +659,7 @@ class SolveService {
       // block size wins over the cache's tuned geometry, as in the
       // single-tenant resolution rules.
       const auto* geom = entry.geometry_for(registry_.spec(i));
-      typename core::MultiTenantFusedEvaluator<S>::Options eopts;
+      typename core::FusedGpuEvaluator<S>::Options eopts;
       eopts.block_size = key.tuning.block_size != 0
                              ? key.tuning.block_size
                              : (geom != nullptr ? geom->block : 0);
@@ -685,6 +686,7 @@ class SolveService {
           });
       if (measured.has_value()) group->weights = *measured;
     }
+    group->steal_x.resize(group->shards.front()->tracker.dimension());
     group->free_tenants.reserve(config_.max_tenants);
     for (unsigned t = config_.max_tenants; t-- > 0;)
       group->free_tenants.push_back(t);
@@ -878,7 +880,7 @@ class SolveService {
   template <class G>
   void steal(G& g) {
     if (g.has_pending() || g.shards.size() < 2) return;
-    std::vector<C> x(g.shards.front()->tracker.dimension());
+    auto& x = g.steal_x;
     const auto load = [&](const auto& s, unsigned i) {
       return static_cast<double>(s.live) / g.weights[i];
     };

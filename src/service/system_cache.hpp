@@ -156,7 +156,7 @@ class SystemCache {
   /// already cover, one scratch single-tenant evaluator per DISTINCT
   /// uncovered spec -- probed on a device of that spec, so no shard
   /// inherits another geometry's winner.  Later same-structure
-  /// constructions (and every multi-tenant evaluator pinned from this
+  /// constructions (and every tenant-routed evaluator pinned from this
   /// entry) skip the probe.
   static void resolve_missing(Entry& entry, unsigned capacity,
                               tune::TuningMode mode,

@@ -7,11 +7,10 @@
 /// stream count), `tune::TuningMode`, `TrackGeometry`, `ShardTrackMode`
 /// and `ShardEvalBackend` now has exactly one spelling here, grouped
 /// into nested Tracking / Tuning / Sharding sections with validated
-/// defaults.  The old spellings remain as thin deprecated aliases (see
-/// the bottom of this header and `homotopy::ShardedSolveOptions`) for
-/// one release so existing code compiles unchanged; new code should
-/// construct a `solve::Options` and hand it to the service or the
-/// one-shot entry points.
+/// defaults.  `homotopy::ShardedSolveOptions` remains, bridged by
+/// to_sharded()/from_sharded(); new code should construct a
+/// `solve::Options` and hand it to the service or the one-shot entry
+/// points.
 
 #include <cstdint>
 #include <stdexcept>
@@ -141,16 +140,5 @@ struct Options {
     return n;
   }
 };
-
-/// Deprecated aliases of the old scattered spellings, kept one release
-/// so `using namespace` call sites compile unchanged while migrating.
-using TrackGeometry [[deprecated("use solve::Geometry")]] =
-    homotopy::TrackGeometry;
-using ShardTrackMode [[deprecated("use solve::TrackMode")]] =
-    homotopy::ShardTrackMode;
-using ShardEvalBackend [[deprecated("use solve::EvalBackend")]] =
-    homotopy::ShardEvalBackend;
-using ShardedSolveOptions [[deprecated("use solve::Options")]] =
-    homotopy::ShardedSolveOptions;
 
 }  // namespace polyeval::solve

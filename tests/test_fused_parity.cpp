@@ -2,7 +2,8 @@
 // the SoA interchange layout must reproduce the three-kernel AoS
 // baseline BITWISE (the arithmetic is identical in order and operation;
 // only storage and scheduling differ) -- across double, double-double
-// and quad-double.
+// and quad-double.  The tenant-routed fused kernels must reproduce each
+// point's own tenant's single-tenant evaluator, also bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,90 @@ void expect_bitwise(const std::vector<poly::EvalResult<S>>& want,
     EXPECT_EQ(poly::max_abs_diff(want[p], got[p]), 0.0) << label << ", point " << p;
 }
 
+/// A second system of `sys`'s structure: a different coefficient and
+/// support draw, the other tenant of the routed checks.
+poly::PolynomialSystem other_tenant(const poly::PolynomialSystem& sys) {
+  const auto s = core::pack_system(sys).structure;
+  return make_system(s.n, s.m, s.k, s.d, 1234);
+}
+
+/// A tenant-routed evaluator with race detection on and `systems`
+/// installed as tenants 0, 1, ...
+template <prec::RealScalar S>
+core::FusedGpuEvaluator<S> make_routed(simt::Device& device,
+                                       const std::vector<poly::PolynomialSystem>& systems,
+                                       unsigned batch) {
+  typename core::FusedGpuEvaluator<S>::Options opt;
+  opt.detect_races = true;
+  core::FusedGpuEvaluator<S> ev(device, core::pack_system(systems[0]).structure,
+                                static_cast<unsigned>(systems.size()), batch, opt);
+  for (unsigned t = 0; t < systems.size(); ++t) ev.set_tenant(t, systems[t]);
+  return ev;
+}
+
+/// Each tenant's single-tenant fused results at every point.
+template <prec::RealScalar S>
+std::vector<std::vector<poly::EvalResult<S>>> per_tenant_results(
+    const std::vector<poly::PolynomialSystem>& systems,
+    const std::vector<std::vector<cplx::Complex<S>>>& points) {
+  std::vector<std::vector<poly::EvalResult<S>>> want(systems.size());
+  for (std::size_t t = 0; t < systems.size(); ++t) {
+    simt::Device device;
+    core::FusedGpuEvaluator<S> single(device, systems[t],
+                                      static_cast<unsigned>(points.size()));
+    single.evaluate(points, want[t]);
+  }
+  return want;
+}
+
+/// Run `ev` over `points` routed by `tenants` (full and values-only) and
+/// require every point to equal its tenant's single-tenant result.
+template <prec::RealScalar S>
+void expect_routed_bitwise(core::FusedGpuEvaluator<S>& ev,
+                           const std::vector<std::vector<poly::EvalResult<S>>>& want,
+                           const std::vector<std::vector<cplx::Complex<S>>>& points,
+                           const std::vector<unsigned>& tenants, const char* label) {
+  using C = cplx::Complex<S>;
+  const std::size_t batch = points.size();
+  const unsigned n = ev.dimension();
+  ev.bind_tenants(std::span<const unsigned>(tenants));
+
+  std::vector<poly::EvalResult<S>> got(batch);
+  ev.evaluate_range(points, 0, batch, std::span<poly::EvalResult<S>>(got));
+  ASSERT_EQ(ev.last_log().kernels.size(), 1u) << label;
+  EXPECT_EQ(ev.last_log().kernels[0].kernel, "mt_fused") << label;
+  for (std::size_t p = 0; p < batch; ++p)
+    EXPECT_EQ(poly::max_abs_diff(want[tenants[p]][p], got[p]), 0.0)
+        << label << ", point " << p << " (tenant " << tenants[p] << ")";
+
+  std::vector<C> values(batch * n);
+  ev.evaluate_values_range(points, 0, batch, std::span<C>(values));
+  EXPECT_EQ(ev.last_log().kernels[0].kernel, "mt_fused_vals") << label;
+  for (std::size_t p = 0; p < batch; ++p)
+    for (unsigned q = 0; q < n; ++q)
+      EXPECT_EQ(cplx::max_abs_diff(want[tenants[p]][p].values[q], values[p * n + q]), 0.0)
+          << label << " values, point " << p << ", value " << q;
+}
+
+/// Two tenants of `sys`'s structure under interleaved routing, then the
+/// routing flipped so every point slot switches tenant between launches
+/// (the stale-derivative hazard the routed kernel re-zeroes against).
+template <prec::RealScalar S>
+void run_routed_parity(const poly::PolynomialSystem& sys,
+                       const std::vector<std::vector<cplx::Complex<S>>>& points) {
+  const std::vector<poly::PolynomialSystem> systems = {sys, other_tenant(sys)};
+  const auto want = per_tenant_results<S>(systems, points);
+  simt::Device device;
+  auto routed = make_routed<S>(device, systems, static_cast<unsigned>(points.size()));
+  std::vector<unsigned> tenants(points.size()), flipped(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    tenants[p] = static_cast<unsigned>(p % 2);
+    flipped[p] = 1 - tenants[p];
+  }
+  expect_routed_bitwise(routed, want, points, tenants, "routed");
+  expect_routed_bitwise(routed, want, points, flipped, "routed, flipped");
+}
+
 template <prec::RealScalar S>
 void run_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
   const auto sys = make_system(n, m, k, d);
@@ -100,6 +185,7 @@ void run_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
       EXPECT_EQ(gpu.last_log().kernels.size(), 1u) << "fused pipeline must be one launch";
     }
   }
+  run_routed_parity<S>(sys, points);
 }
 
 TEST(FusedParity, DoubleGeneralSystem) { run_parity<double>(8, 6, 4, 3); }
@@ -164,6 +250,8 @@ void run_values_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
   for (unsigned q = 0; q < n; ++q)
     EXPECT_EQ(cplx::max_abs_diff(values[std::size_t{2} * n + q], single[q]), 0.0)
         << "pipelined single-point value " << q;
+
+  run_routed_parity<S>(sys, points);
 }
 
 TEST(FusedValuesParity, DoubleGeneralSystem) { run_values_parity<double>(8, 6, 4, 3); }
@@ -176,6 +264,78 @@ TEST(FusedValuesParity, DoubleBivariateMonomials) {
 TEST(FusedValuesParity, DoubleDegreeOne) { run_values_parity<double>(6, 4, 3, 1); }
 TEST(FusedValuesParity, DoubleDouble) { run_values_parity<prec::DoubleDouble>(6, 4, 3, 2); }
 TEST(FusedValuesParity, QuadDouble) { run_values_parity<prec::QuadDouble>(5, 3, 2, 2); }
+
+TEST(MultiTenantEvaluator, MatchesSingleTenantEvaluatorsBitwise) {
+  // The coalescing primitive: one routed launch over interleaved tenant
+  // ids must reproduce each tenant's single-tenant evaluator bit for bit
+  // (same fold, same kernel arithmetic, tables selected by id).
+  const std::vector<poly::PolynomialSystem> systems = {make_system(3, 3, 2, 2, 99),
+                                                       make_system(3, 3, 2, 2, 1234)};
+  const auto points = points_for<double>(6, 3, 500);
+  const auto want = per_tenant_results<double>(systems, points);
+
+  simt::Device device;
+  auto routed = make_routed<double>(device, systems, 6);
+  expect_routed_bitwise(routed, want, points, {0, 1, 1, 0, 1, 0}, "interleaved");
+
+  // Structure mismatch is rejected at install time.
+  EXPECT_THROW(routed.set_tenant(1, make_system(4, 3, 2, 2, 5)), std::invalid_argument);
+}
+
+TEST(MultiTenantEvaluator, SetTenantReplacesAnOccupiedSlot) {
+  // Re-installing an occupied slot with a different system of the same
+  // structure: the next launches must see only the new tables.  Its
+  // monomials' supports differ from the old tenant's, so the derivative
+  // slots the old tenant wrote at these point slots are stale unless
+  // the routed kernel re-zeroes them.
+  const auto sys_a = make_system(8, 6, 4, 3, 77);
+  const auto sys_b = make_system(8, 6, 4, 3, 78);
+  const auto sys_c = make_system(8, 6, 4, 3, 79);
+  const auto points = points_for<double>(4, 8, 4400);
+  const std::vector<unsigned> tenants = {0, 1, 1, 0};
+
+  simt::Device device;
+  auto routed = make_routed<double>(device, {sys_a, sys_b}, 4);
+  expect_routed_bitwise(routed, per_tenant_results<double>({sys_a, sys_b}, points),
+                        points, tenants, "before replacement");
+  routed.set_tenant(1, sys_c);
+  expect_routed_bitwise(routed, per_tenant_results<double>({sys_a, sys_c}, points),
+                        points, tenants, "after replacement");
+}
+
+TEST(MultiTenantEvaluator, ValidatesTenantsAndRouting) {
+  const auto sys = make_system(6, 4, 3, 2);
+  const auto st = core::pack_system(sys).structure;
+  simt::Device device;
+  EXPECT_THROW(core::FusedGpuEvaluator<double>(device, st, 0, 2), std::invalid_argument);
+  EXPECT_THROW(core::FusedGpuEvaluator<double>(device, st, 2, 0), std::invalid_argument);
+  typename core::FusedGpuEvaluator<double>::Options nibble;
+  nibble.encoding = core::ExponentEncoding::kPacked4Bit;
+  EXPECT_THROW(core::FusedGpuEvaluator<double>(device, st, 2, 2, nibble),
+               std::invalid_argument);
+
+  core::FusedGpuEvaluator<double> routed(device, st, 2, 2);
+  EXPECT_THROW(routed.set_tenant(2, sys), std::invalid_argument);
+  routed.set_tenant(0, sys);
+  const auto points = points_for<double>(2, 6, 700);
+  std::vector<poly::EvalResult<double>> results(2);
+  const auto run = [&] {
+    routed.evaluate_range(points, 0, 2, std::span<poly::EvalResult<double>>(results));
+  };
+  EXPECT_THROW(run(), std::invalid_argument);  // nothing bound yet
+  const std::vector<unsigned> absent = {0, 1};
+  routed.bind_tenants(std::span<const unsigned>(absent));
+  EXPECT_THROW(run(), std::invalid_argument);  // tenant 1 never installed
+  const std::vector<unsigned> present = {0, 0};
+  routed.bind_tenants(std::span<const unsigned>(present));
+  EXPECT_NO_THROW(run());
+  routed.clear_tenant(0);
+  EXPECT_THROW(run(), std::invalid_argument);  // slot freed
+
+  // The system constructor has no tenant slots.
+  core::FusedGpuEvaluator<double> plain(device, sys, 2);
+  EXPECT_THROW(plain.set_tenant(0, sys), std::invalid_argument);
+}
 
 TEST(FusedParity, SinglePointApiMatchesBatchOfOne) {
   const auto sys = make_system(8, 6, 4, 3);

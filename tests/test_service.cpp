@@ -14,7 +14,6 @@
 #include <string>
 #include <thread>
 
-#include "core/multitenant_evaluator.hpp"
 #include "homotopy/sharded_solver.hpp"
 #include "newton/batch.hpp"
 #include "poly/random_system.hpp"
@@ -486,43 +485,6 @@ TEST(SolveService, AsyncSubmitPollCancelFromClientThreads) {
                              standalone(sys_a, opt).paths);
   expect_paths_bitwise_equal(tickets[1].report().paths,
                              standalone(sys_b, opt).paths);
-}
-
-TEST(MultiTenantEvaluator, MatchesSingleTenantEvaluatorsBitwise) {
-  // The coalescing primitive: one multi-tenant launch over interleaved
-  // tenant ids must reproduce each tenant's single-tenant evaluator bit
-  // for bit (same fold, same kernel arithmetic, tables selected by id).
-  const auto sys_a = small_system(99);
-  const auto sys_b = small_system(1234);
-  const unsigned batch = 6;
-
-  std::vector<std::vector<Cd>> points;
-  for (unsigned p = 0; p < batch; ++p)
-    points.push_back(poly::make_random_point<double>(3, 500 + p));
-
-  simt::Device dev_mt, dev_a, dev_b;
-  core::FusedGpuEvaluator<double> eval_a(dev_a, sys_a, batch);
-  core::FusedGpuEvaluator<double> eval_b(dev_b, sys_b, batch);
-  std::vector<poly::EvalResult<double>> want_a, want_b;
-  eval_a.evaluate(points, want_a);
-  eval_b.evaluate(points, want_b);
-
-  core::MultiTenantFusedEvaluator<double> mt(
-      dev_mt, core::pack_system(sys_a).structure, /*max_tenants=*/2, batch);
-  mt.set_tenant(0, sys_a);
-  mt.set_tenant(1, sys_b);
-  const std::vector<unsigned> tenants = {0, 1, 1, 0, 1, 0};
-  mt.bind_tenants(std::span<const unsigned>(tenants));
-
-  std::vector<poly::EvalResult<double>> got(batch);
-  mt.evaluate_range(points, 0, batch, std::span<poly::EvalResult<double>>(got));
-  for (unsigned p = 0; p < batch; ++p) {
-    const auto& want = tenants[p] == 0 ? want_a[p] : want_b[p];
-    EXPECT_EQ(poly::max_abs_diff(want, got[p]), 0.0) << "point " << p;
-  }
-
-  // Structure mismatch is rejected at install time.
-  EXPECT_THROW(mt.set_tenant(1, small_system(5, 4)), std::invalid_argument);
 }
 
 TEST(SolveService, MetricsExpositionCoversEveryInstrumentedLayer) {

@@ -75,9 +75,11 @@ solve::Options test_options() {
   return opt;
 }
 
-TEST(ServiceSteadyState, MidSolveTicksDoNotAllocate) {
+/// One warm solve, then a second solve of the same system stepped tick
+/// by tick under the allocation counter.
+void expect_mid_solve_ticks_do_not_allocate(unsigned shards) {
   service::SolveService<double>::Config config;
-  config.shards = 1;
+  config.shards = shards;
   config.trace = obs::TraceLevel::kOff;
   service::SolveService<double> svc(std::move(config));
   const auto sys = test_system();
@@ -122,6 +124,15 @@ TEST(ServiceSteadyState, MidSolveTicksDoNotAllocate) {
 
   svc.drain();
   ASSERT_TRUE(ticket.done());
+}
+
+TEST(ServiceSteadyState, MidSolveTicksDoNotAllocate) {
+  // One shard, and the default two: a multi-shard group also runs the
+  // per-tick steal pass and the parallel shard rounds.
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE(shards == 1 ? "1 shard" : "2 shards");
+    expect_mid_solve_ticks_do_not_allocate(shards);
+  }
 }
 
 TEST(ServiceSteadyState, LogKernelWatermarkPlateausAcrossIdenticalSolves) {

@@ -1,8 +1,7 @@
 // The unified request/response surface: solve::Options validates and
-// round-trips against the legacy ShardedSolveOptions spelling, the
-// deprecated aliases stay compilable, solve::Report tallies per-status
-// counts/extremes and converts to the legacy summary, and the enum
-// to_string helpers cover every value.
+// round-trips against the legacy ShardedSolveOptions spelling,
+// solve::Report tallies per-status counts/extremes and converts to the
+// legacy summary, and the enum to_string helpers cover every value.
 
 #include <gtest/gtest.h>
 
@@ -82,20 +81,6 @@ TEST(SolveOptions, RoundTripsThroughLegacySpelling) {
 
   const auto back = solve::Options::from_sharded(legacy);
   EXPECT_EQ(back, opt);  // defaulted operator== over every section
-}
-
-TEST(SolveOptions, DeprecatedAliasesCompile) {
-  // The old spellings still name the same types (one release of grace).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  static_assert(std::is_same_v<solve::TrackGeometry, homotopy::TrackGeometry>);
-  static_assert(
-      std::is_same_v<solve::ShardTrackMode, homotopy::ShardTrackMode>);
-  static_assert(
-      std::is_same_v<solve::ShardEvalBackend, homotopy::ShardEvalBackend>);
-  static_assert(
-      std::is_same_v<solve::ShardedSolveOptions, homotopy::ShardedSolveOptions>);
-#pragma GCC diagnostic pop
 }
 
 TEST(SolveReport, RetallyCountsEveryStatus) {

@@ -27,7 +27,6 @@
 #include "audit/kernel_auditor.hpp"
 #include "core/batch_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
-#include "core/multitenant_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "linalg/lu.hpp"
 #include "newton/batch.hpp"
@@ -225,11 +224,11 @@ void sweep_precision(std::vector<SweepEntry>& entries, const char* precision,
   });
 
   audited(ctx, "multi_tenant", [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
-    typename core::MultiTenantFusedEvaluator<S>::Options opt;
+    typename core::FusedGpuEvaluator<S>::Options opt;
     opt.block_size = geo.block_size;
     opt.interchange = geo.interchange;
-    core::MultiTenantFusedEvaluator<S> ev(dev, spec.structure(), /*max_tenants=*/2,
-                                          kBatch, opt);
+    core::FusedGpuEvaluator<S> ev(dev, spec.structure(), /*max_tenants=*/2, kBatch,
+                                  opt);
     poly::SystemSpec other = spec;
     other.seed += 1;
     ev.set_tenant(0, system);
