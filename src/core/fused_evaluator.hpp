@@ -47,6 +47,14 @@
 /// pipelined double-buffered variant (pipelined_evaluator.hpp) can
 /// share them while owning two X/Outputs buffer pairs.
 ///
+/// Memoized block statistics.  A fused block's memory-access pattern is
+/// fixed by its block index and its tenant's tables, never by the point
+/// (see build_fused), so each kernel carries a simt::BlockStatsMemo with
+/// one row per tenant slot: a (tenant, block) pair runs instrumented on
+/// its first launch and bare afterwards, and set_tenant forgets the
+/// tenant's row.  Unchecked launches pay the access bookkeeping once per
+/// pair instead of once per launch; detect_races launches bypass it.
+///
 /// Steady-state evaluate() calls perform zero heap allocations: the
 /// packed system, kernels, staging vectors and device buffers are all
 /// built once in the constructor, and tenant tables upload at
@@ -427,6 +435,15 @@ template <prec::RealScalar S>
 
 /// The three phases of one fused kernel over the given point/output
 /// buffer pair, `out_count` outputs per point.
+///
+/// The BlockStatsMemo contract: a block's access stream -- which
+/// addresses, shared words and constant entries each thread touches, in
+/// which order, and every operation it counts -- depends only on its
+/// block index and its tenant's tables (positions and exponents), never
+/// on the point's or the coefficients' values.  The evaluators key their
+/// memos on exactly that (tenant row, block index) pair; a phase that
+/// branched on a loaded value would break it, and the memo guard would
+/// throw at the first launch that took the other branch.
 template <prec::RealScalar S, bool kJacobian>
 [[nodiscard]] simt::Kernel build_fused(const FusedSystemState<S>& sys, const char* name,
                                        simt::GlobalBuffer<cplx::Complex<S>> x,
@@ -549,9 +566,9 @@ class FusedGpuEvaluator {
         capacity_(batch_capacity),
         sys_(device, structure, max_tenants, batch_capacity, options_.encoding,
              *options_.interchange) {
+    tenant_present_.assign(max_tenants, 0);
     build(/*routed=*/true);
     sys_.upload_tables(device_);
-    tenant_present_.assign(max_tenants, 0);
     staged_tenants_.resize(capacity_);
   }
 
@@ -574,11 +591,15 @@ class FusedGpuEvaluator {
   /// Install (or replace) tenant `tenant`'s system, which must share the
   /// evaluator's structure: fold it into the tenant's slot and re-upload
   /// the three tables.  An admission-time cost, not a per-round one.
-  /// Only the tenant constructor has tenant slots.
+  /// The tenant's memoized block statistics describe the old tables, so
+  /// its memo rows are forgotten.  Only the tenant constructor has
+  /// tenant slots.
   void set_tenant(unsigned tenant, const poly::PolynomialSystem& system) {
     if (tenant >= tenant_present_.size())
       throw std::invalid_argument("FusedGpuEvaluator: bad tenant");
     sys_.install(device_, tenant, pack_system(system));
+    memo_.invalidate_row(tenant);
+    values_memo_.invalidate_row(tenant);
     tenant_present_[tenant] = 1;
   }
 
@@ -617,7 +638,7 @@ class FusedGpuEvaluator {
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
     const unsigned batch = stage_range(points, first, count, out.size(), count);
-    launch(kernel_, batch);
+    launch(kernel_, memo_, batch);
 
     host_outputs_.resize(std::size_t{batch} * sys_.layout.num_outputs());
     device_.download(outputs_, std::span<C>(host_outputs_));
@@ -642,7 +663,7 @@ class FusedGpuEvaluator {
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
     const unsigned batch = stage_range(points, first, count, out.size(), count * s_n);
-    launch(values_kernel_, batch);
+    launch(values_kernel_, values_memo_, batch);
 
     device_.download(values_, out.subspan(0, std::size_t{batch} * s_n));
 
@@ -760,8 +781,9 @@ class FusedGpuEvaluator {
   }
 
   /// Shared constructor tail: the point/output buffers (plus the
-  /// per-point tenant ids when routed), the two kernels over them and
-  /// the reused host staging.
+  /// per-point tenant ids when routed), the two kernels over them, their
+  /// statistics memos (a row per tenant slot, one row unrouted) and the
+  /// reused host staging.
   void build(bool routed) {
     const unsigned n = dimension();
     const std::uint64_t outs = sys_.layout.num_outputs();
@@ -771,6 +793,9 @@ class FusedGpuEvaluator {
     if (routed) tenant_ids_ = device_.alloc_global<unsigned>(capacity_, "Tenants[batch]");
     kernel_ = detail::build_fused_kernel<S>(sys_, x_, outputs_, tenant_ids_);
     values_kernel_ = detail::build_fused_values_kernel<S>(sys_, x_, values_, tenant_ids_);
+    const unsigned rows = routed ? max_tenants() : 1;
+    memo_ = simt::BlockStatsMemo(rows, capacity_);
+    values_memo_ = simt::BlockStatsMemo(rows, capacity_);
 
     flat_.reserve(std::size_t{capacity_} * n);
     host_outputs_.reserve(std::size_t{capacity_} * outs);
@@ -815,9 +840,14 @@ class FusedGpuEvaluator {
     return batch;
   }
 
-  void launch(const simt::Kernel& kernel, unsigned batch) {
+  /// Launch `kernel` over the staged batch; routed blocks key `memo` by
+  /// their staged tenant id.
+  void launch(const simt::Kernel& kernel, simt::BlockStatsMemo& memo, unsigned batch) {
     simt::LaunchConfig cfg{batch, options_.block_size, sys_.shared_bytes};
     cfg.detect_races = options_.detect_races;
+    cfg.memo.table = &memo;
+    if (tenant_ids_.valid())
+      cfg.memo.rows = std::span<const unsigned>(staged_tenants_.data(), batch);
     (void)device_.launch(kernel, cfg);
   }
 
@@ -829,6 +859,7 @@ class FusedGpuEvaluator {
   simt::GlobalBuffer<C> x_, outputs_, values_;
   simt::GlobalBuffer<unsigned> tenant_ids_;  ///< valid only when routed
   simt::Kernel kernel_, values_kernel_;
+  simt::BlockStatsMemo memo_, values_memo_;  ///< one per kernel, beside it
   std::vector<C> flat_;          ///< packed upload staging, reused
   std::vector<C> host_outputs_;  ///< download staging, reused
   std::vector<std::vector<C>> single_point_;        ///< single-point staging

@@ -35,10 +35,12 @@
 /// The system state (constant tables, folded coefficients, Mons
 /// scratch) is the shared detail::FusedSystemState; only the X and
 /// Outputs buffers are doubled, with one fused kernel bound to each
-/// slot.  Every point's arithmetic is the fused kernel's, unchanged, so
-/// results are BITWISE identical to FusedGpuEvaluator (and to the
-/// synchronous sharded path) for every scalar type, chunk size and
-/// shard count -- the streams reorder *modeled time*, never data.
+/// slot, and each of the four kernels keeps its own block statistics
+/// memo (see fused_evaluator.hpp).  Every point's arithmetic is the
+/// fused kernel's, unchanged, so results are BITWISE identical to
+/// FusedGpuEvaluator (and to the synchronous sharded path) for every
+/// scalar type, chunk size and shard count -- the streams reorder
+/// *modeled time*, never data.
 ///
 /// Two clocks, as everywhere in this repo: on the HOST wall clock the
 /// simulator executes stream commands eagerly, so this evaluator costs
@@ -124,6 +126,8 @@ class PipelinedFusedEvaluator {
                                            b == 0 ? "Values[pipe0]" : "Values[pipe1]");
       kernels_[b] = detail::build_fused_kernel<S>(sys_, x_[b], outputs_[b]);
       values_kernels_[b] = detail::build_fused_values_kernel<S>(sys_, x_[b], values_[b]);
+      memos_[b] = simt::BlockStatsMemo(1, micro_);
+      values_memos_[b] = simt::BlockStatsMemo(1, micro_);
       flat_[b].reserve(std::size_t{micro_} * s.n);
       host_outputs_[b].reserve(std::size_t{micro_} * outs);
     }
@@ -174,7 +178,7 @@ class PipelinedFusedEvaluator {
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
 
-    run_pipeline(points, first, count, kernels_,
+    run_pipeline(points, first, count, kernels_, memos_,
                  [&](std::size_t c) { drain_chunk(c, count, out); });
 
     detail::snapshot_device_log(device_.log(), kernels_before, transfers_before,
@@ -198,7 +202,7 @@ class PipelinedFusedEvaluator {
     const std::size_t kernels_before = device_.log().kernels.size();
     const simt::TransferStats transfers_before = device_.log().transfers;
 
-    run_pipeline(points, first, count, values_kernels_,
+    run_pipeline(points, first, count, values_kernels_, values_memos_,
                  [&](std::size_t c) { drain_values_chunk(c, count, out); });
 
     detail::snapshot_device_log(device_.log(), kernels_before, transfers_before,
@@ -335,14 +339,14 @@ class PipelinedFusedEvaluator {
 
   /// The ONE copy of the two-stream double-buffer schedule, shared by
   /// the full and values-only ranges (they differ only in the kernel
-  /// pair and the drain): upload chunk c into slot c&1 behind the slot's
-  /// c-2 kernel (X reuse), launch behind the upload and the slot's c-2
-  /// download (output reuse), drain chunk c-1 under compute(c), then
-  /// drain the tail and record the modeled makespan.
+  /// pair, its memos and the drain): upload chunk c into slot c&1
+  /// behind the slot's c-2 kernel (X reuse), launch behind the upload
+  /// and the slot's c-2 download (output reuse), drain chunk c-1 under
+  /// compute(c), then drain the tail and record the modeled makespan.
   template <class DrainChunk>
   void run_pipeline(const std::vector<std::vector<C>>& points, std::size_t first,
                     std::size_t count, simt::Kernel (&kernels)[2],
-                    DrainChunk&& drain) {
+                    simt::BlockStatsMemo (&memos)[2], DrainChunk&& drain) {
     const unsigned s_n = sys_.layout.structure().n;
 
     // Fresh modeled timeline for this call (capacities kept).
@@ -380,6 +384,7 @@ class PipelinedFusedEvaluator {
       simt::LaunchConfig cfg{static_cast<unsigned>(cnt), options_.block_size,
                              sys_.shared_bytes};
       cfg.detect_races = options_.detect_races;
+      cfg.memo.table = &memos[buf];
       (void)compute_stream_.launch(kernels[buf], cfg);
       compute_stream_.record(kernel_done_[buf]);
 
@@ -442,6 +447,7 @@ class PipelinedFusedEvaluator {
 
   simt::GlobalBuffer<C> x_[2], outputs_[2], values_[2];
   simt::Kernel kernels_[2], values_kernels_[2];
+  simt::BlockStatsMemo memos_[2], values_memos_[2];  ///< one per kernel
   simt::Stream copy_stream_, compute_stream_, down_stream_;
   simt::Event up_done_[2], kernel_done_[2], down_done_[2];
   std::vector<C> flat_[2];          ///< per-slot upload staging, reused

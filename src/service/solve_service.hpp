@@ -973,13 +973,9 @@ class SolveService {
         for (const simt::KernelStats& k : log.kernels) {
           const double kus = simt::estimate_kernel_us(k, dev.spec(),
                                                       config_.cost);
-          metrics_.counter("polyeval_kernel_launches_total", "kernel",
-                           k.kernel)
-              .inc();
-          metrics_
-              .float_counter("polyeval_kernel_modeled_us_total", "kernel",
-                             k.kernel)
-              .add(kus);
+          const auto& ki = kernel_instruments(d, k.kernel);
+          ki.launches->inc();
+          ki.modeled_us->add(kus);
           if (full_trace)
             tracer_.add_device_slice(d, obs::Tracer::DeviceSlice::kCompute,
                                      k.kernel, cursor, cursor + kus, 0);
@@ -1151,9 +1147,17 @@ class SolveService {
 
   // ----- observability ----------------------------------------------
 
+  /// One kernel name's per-kernel instruments.
+  struct KernelInstruments {
+    std::string kernel;
+    obs::Counter* launches = nullptr;
+    obs::FloatCounter* modeled_us = nullptr;
+  };
+
   /// Pre-resolved registry handles for the service-level metrics (the
   /// tracker and Newton layers resolve theirs via obs::TrackerMetrics;
-  /// per-kernel families are resolved lazily in settle by name).
+  /// per-kernel families resolve on a kernel name's first settle, see
+  /// kernel_instruments).
   struct Instruments {
     obs::Counter* submitted = nullptr;
     obs::Counter* admitted = nullptr;
@@ -1184,7 +1188,26 @@ class SolveService {
     /// Per device index: modeled busy µs and utilization fraction.
     std::vector<obs::FloatCounter*> device_busy_us;
     std::vector<obs::Gauge*> device_util;
+    /// Per device index: the kernel names settled on it so far.
+    std::vector<std::vector<KernelInstruments>> kernels;
   };
+
+  /// Device `d`'s per-kernel instruments for `kernel`: a registry lookup
+  /// (its shared lock and two map finds) the first time the name settles
+  /// on the device, a short scan of resolved names after that.  Each
+  /// device's table is touched only by that device's tick thread.
+  const KernelInstruments& kernel_instruments(std::size_t d,
+                                              const std::string& kernel) {
+    auto& table = inst_.kernels[d];
+    for (const auto& ki : table)
+      if (ki.kernel == kernel) return ki;
+    table.push_back(
+        {kernel,
+         &metrics_.counter("polyeval_kernel_launches_total", "kernel", kernel),
+         &metrics_.float_counter("polyeval_kernel_modeled_us_total", "kernel",
+                                 kernel)});
+    return table.back();
+  }
 
   void resolve_instruments() {
     auto& r = metrics_;
@@ -1251,6 +1274,10 @@ class SolveService {
                      "host µs a request waited before activation");
     inst_.device_busy_us.reserve(registry_.size());
     inst_.device_util.reserve(registry_.size());
+    // Service devices run the routed evaluator's two kernels; the
+    // reserve keeps their first sightings off the allocator.
+    inst_.kernels.resize(registry_.size());
+    for (auto& table : inst_.kernels) table.reserve(4);
     for (unsigned d = 0; d < registry_.size(); ++d) {
       const std::string label = std::to_string(d);
       inst_.device_busy_us.push_back(

@@ -133,10 +133,34 @@ void WarpCollector::record_shared(std::size_t ordinal, std::uint32_t first_word,
   shared[ordinal].runs.push_back({first_word, static_cast<std::uint32_t>(words)});
 }
 
+void BlockCounters::merge(const BlockCounters& o) noexcept {
+  cmul += o.cmul;
+  cadd += o.cadd;
+  cmul_thread_max = std::max(cmul_thread_max, o.cmul_thread_max);
+  cadd_thread_max = std::max(cadd_thread_max, o.cadd_thread_max);
+  load_requests += o.load_requests;
+  load_transactions += o.load_transactions;
+  load_bytes += o.load_bytes;
+  store_requests += o.store_requests;
+  store_transactions += o.store_transactions;
+  store_bytes += o.store_bytes;
+  shared_requests += o.shared_requests;
+  shared_cycles += o.shared_cycles;
+  constant_reads += o.constant_reads;
+  inactive_lane_phases += o.inactive_lane_phases;
+}
+
+bool BlockCounters::same_work(const BlockCounters& o) const noexcept {
+  return cmul == o.cmul && cadd == o.cadd && cmul_thread_max == o.cmul_thread_max &&
+         cadd_thread_max == o.cadd_thread_max && constant_reads == o.constant_reads &&
+         load_bytes == o.load_bytes && store_bytes == o.store_bytes &&
+         inactive_lane_phases == o.inactive_lane_phases;
+}
+
 }  // namespace detail
 
 void BlockScratch::fold(const detail::WarpCollector& col, const DeviceSpec& spec,
-                        detail::BlockAccum& accum) {
+                        detail::BlockCounters& accum) {
   for (std::size_t i = 0; i < col.loads_used; ++i) {
     ++accum.load_requests;
     accum.load_transactions += col.loads[i].segments.size();
@@ -196,18 +220,64 @@ void BlockScratch::warm(const LaunchConfig& cfg, const DeviceSpec& spec,
   collector.warm(shape);
 }
 
-/// Runs the blocks of one launch; also the ThreadContext befriender.
+/// Runs the blocks of one launch; also the ThreadContext and
+/// BlockStatsMemo befriender.
 struct BlockRunner {
   const Kernel& kernel;
   const LaunchConfig& cfg;
   const DeviceSpec& spec;
   detail::GlobalRaceJournal* global_races;
+  /// The launch's memo, or null when this launch may not use one.
+  BlockStatsMemo* memo;
 
   detail::BlockAccum totals;
   std::mutex merge_mutex;
 
+  /// Check the launch against its memo: the (row, block) bounds, and
+  /// the geometry the entries were filled under (recorded on first use).
+  void bind_memo() {
+    const auto fail = [&](const std::string& why) {
+      throw LaunchError(kernel.name + ": block statistics memo " + why);
+    };
+    if (memo->rows_ == 0 || cfg.grid_blocks > memo->blocks_)
+      fail("holds " + std::to_string(memo->rows_) + " rows of " +
+           std::to_string(memo->blocks_) + " blocks, launched with " +
+           std::to_string(cfg.grid_blocks) + " blocks");
+    const auto rows = cfg.memo.rows;
+    if (!rows.empty() && rows.size() < cfg.grid_blocks)
+      fail("rows span is shorter than the grid");
+    for (std::size_t b = 0; b < rows.size() && b < cfg.grid_blocks; ++b)
+      if (rows[b] >= memo->rows_)
+        fail("has no row " + std::to_string(rows[b]) + " (block " +
+             std::to_string(b) + ")");
+    if (memo->block_threads_ == 0) {
+      memo->block_threads_ = cfg.block_threads;
+      memo->shared_bytes_ = cfg.shared_bytes;
+    } else if (memo->block_threads_ != cfg.block_threads ||
+               memo->shared_bytes_ != cfg.shared_bytes) {
+      fail("was filled under " + std::to_string(memo->block_threads_) +
+           " threads and " + std::to_string(memo->shared_bytes_) +
+           " shared bytes per block, launched with " +
+           std::to_string(cfg.block_threads) + " and " +
+           std::to_string(cfg.shared_bytes));
+    }
+  }
+
+  /// Run one block and merge its counters into the range tally.  With a
+  /// memo, a filled (row, block) entry runs the block bare and supplies
+  /// the counters; otherwise the block runs instrumented, and fills its
+  /// entry when there is one.
   void run_block(unsigned block_index, BlockScratch& scratch,
                  detail::BlockAccum& accum) {
+    BlockStatsMemo::Entry* entry = nullptr;
+    if (memo != nullptr) {
+      const unsigned row = cfg.memo.rows.empty() ? 0u : cfg.memo.rows[block_index];
+      entry = &memo->entry(row, block_index);
+    }
+    const bool bare = entry != nullptr && entry->filled;
+    detail::WarpCollector* collector = bare ? nullptr : &scratch.collector;
+
+    detail::BlockCounters block;
     scratch.shared.reset(cfg.shared_bytes);
     scratch.cmul_per_thread.assign(cfg.block_threads, 0);
     scratch.cadd_per_thread.assign(cfg.block_threads, 0);
@@ -217,33 +287,48 @@ struct BlockRunner {
       scratch.shared_races.clear();  // phases are barriers: accesses across them order
       for (unsigned warp_start = 0; warp_start < cfg.block_threads;
            warp_start += spec.warp_size) {
-        scratch.collector.reset();
+        if (!bare) scratch.collector.reset();
         const unsigned warp_end =
             std::min(warp_start + spec.warp_size, cfg.block_threads);
         for (unsigned t = warp_start; t < warp_end; ++t) {
           ThreadContext ctx(block_index, t, phase_index, cfg, spec, scratch.shared,
-                            scratch.collector,
+                            collector,
                             cfg.detect_races ? &scratch.shared_races : nullptr,
                             cfg.detect_races ? global_races : nullptr,
                             cfg.detect_races ? &accum.first_hazard : nullptr);
           phase(ctx);
           scratch.cmul_per_thread[t] += ctx.cmul_;
           scratch.cadd_per_thread[t] += ctx.cadd_;
-          accum.cmul += ctx.cmul_;
-          accum.cadd += ctx.cadd_;
-          accum.constant_reads += ctx.const_reads_;
-          accum.inactive_lane_phases += ctx.inactive_;
-          accum.load_bytes += ctx.load_bytes_;
-          accum.store_bytes += ctx.store_bytes_;
+          block.cmul += ctx.cmul_;
+          block.cadd += ctx.cadd_;
+          block.constant_reads += ctx.const_reads_;
+          block.inactive_lane_phases += ctx.inactive_;
+          block.load_bytes += ctx.load_bytes_;
+          block.store_bytes += ctx.store_bytes_;
           accum.race_hazards += ctx.race_hazards_;
         }
-        scratch.fold(scratch.collector, spec, accum);
+        if (!bare) scratch.fold(scratch.collector, spec, block);
       }
     }
     for (unsigned t = 0; t < cfg.block_threads; ++t) {
-      accum.cmul_thread_max = std::max(accum.cmul_thread_max, scratch.cmul_per_thread[t]);
-      accum.cadd_thread_max = std::max(accum.cadd_thread_max, scratch.cadd_per_thread[t]);
+      block.cmul_thread_max = std::max(block.cmul_thread_max, scratch.cmul_per_thread[t]);
+      block.cadd_thread_max = std::max(block.cadd_thread_max, scratch.cadd_per_thread[t]);
     }
+
+    if (bare) {
+      // The guard: the counters a bare run still sums must match the
+      // entry, or the kernel broke the memo's contract.  Ranges run in
+      // block order, so the first stale block is the range's lowest.
+      if (!accum.stale_block && !entry->counters.same_work(block))
+        accum.stale_block = block_index;
+      accum.merge(entry->counters);
+      return;
+    }
+    if (entry != nullptr) {
+      entry->counters = block;
+      entry->filled = true;
+    }
+    accum.merge(block);
   }
 
   /// Run a contiguous range of blocks on one participant's scratch and
@@ -254,23 +339,13 @@ struct BlockRunner {
       run_block(static_cast<unsigned>(b), scratch, accum);
 
     const std::lock_guard lock(merge_mutex);
-    totals.cmul += accum.cmul;
-    totals.cadd += accum.cadd;
-    totals.cmul_thread_max = std::max(totals.cmul_thread_max, accum.cmul_thread_max);
-    totals.cadd_thread_max = std::max(totals.cadd_thread_max, accum.cadd_thread_max);
-    totals.load_requests += accum.load_requests;
-    totals.load_transactions += accum.load_transactions;
-    totals.load_bytes += accum.load_bytes;
-    totals.store_requests += accum.store_requests;
-    totals.store_transactions += accum.store_transactions;
-    totals.store_bytes += accum.store_bytes;
-    totals.shared_requests += accum.shared_requests;
-    totals.shared_cycles += accum.shared_cycles;
-    totals.constant_reads += accum.constant_reads;
-    totals.inactive_lane_phases += accum.inactive_lane_phases;
+    totals.merge(accum);
     totals.race_hazards += accum.race_hazards;
     if (!totals.first_hazard.valid && accum.first_hazard.valid)
       totals.first_hazard = accum.first_hazard;
+    if (accum.stale_block && (!totals.stale_block ||
+                              *accum.stale_block < *totals.stale_block))
+      totals.stale_block = accum.stale_block;
   }
 };
 
@@ -295,7 +370,12 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
   // The journal is only consulted by checked launches; the production
   // path skips even its 16 per-shard epoch bumps.
   if (cfg.detect_races) scratch.global_races.begin_launch();
-  BlockRunner runner{kernel, cfg, spec, &scratch.global_races, {}, {}};
+  // Checked and audited launches keep the full path: the memo is
+  // neither read nor written, so journals and auditors see every access.
+  BlockStatsMemo* memo =
+      cfg.detect_races || cfg.audit != nullptr ? nullptr : cfg.memo.table;
+  BlockRunner runner{kernel, cfg, spec, &scratch.global_races, memo, {}, {}};
+  if (memo != nullptr) runner.bind_memo();
   if (cfg.audit != nullptr) {
     // Audited launches run serially on the calling thread: the auditor
     // sees every access in deterministic program order (blocks, then
@@ -330,6 +410,15 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
              std::to_string(h.thread_a) + " and " + std::to_string(h.thread_b);
     }
     throw LaunchError(msg);
+  }
+  if (runner.totals.stale_block) {
+    const unsigned b = *runner.totals.stale_block;
+    throw LaunchError(kernel.name + ": block " + std::to_string(b) +
+                      " (memo row " +
+                      std::to_string(cfg.memo.rows.empty() ? 0u : cfg.memo.rows[b]) +
+                      ") did different work than its memoized statistics record: "
+                      "its access stream depends on more than the block index "
+                      "and the row's tables");
   }
 
   const auto& t = runner.totals;

@@ -17,11 +17,22 @@
 /// launch: long-running users must call Device::clear_log()
 /// periodically (it keeps capacity) for the hot path to stay
 /// allocation-free end to end.
+///
+/// Collecting and folding the accesses is most of a launch's host cost.
+/// A kernel whose access stream depends only on its block index and on
+/// caller-keyed tables (the fused evaluators') can hand the launch a
+/// BlockStatsMemo: each (row, block) runs instrumented once, and later
+/// launches run it bare -- no collection, no fold -- merging the stored
+/// counters instead.  The modeled clock is unchanged, because every
+/// charge comes from the same counters; checked and audited launches
+/// never consult the memo.
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +46,14 @@ namespace polyeval::simt {
 
 class ThreadPool;
 class ThreadContext;
+class BlockStatsMemo;
+
+/// A launch's key into a BlockStatsMemo: block b of the launch uses
+/// entry (rows[b], b); empty `rows` keys every block to row 0.
+struct MemoRef {
+  BlockStatsMemo* table = nullptr;
+  std::span<const unsigned> rows;
+};
 
 /// Grid/block geometry plus the block's shared-memory allocation.
 struct LaunchConfig {
@@ -53,6 +72,9 @@ struct LaunchConfig {
   /// inject their attached auditor here (see Device::set_audit); tests
   /// can also set it directly for one-off audited launches.
   AccessAudit* audit = nullptr;
+  /// Per-block statistics memo (see BlockStatsMemo).  Consulted only by
+  /// unchecked, unaudited launches; the others neither read nor write it.
+  MemoRef memo{};
 };
 
 using Phase = std::function<void(ThreadContext&)>;
@@ -212,8 +234,9 @@ struct RaceDetail {
   std::uint64_t thread_b = 0;  ///< the prior conflicting accessor
 };
 
-/// Per-block tallies, merged into the launch totals when the block retires.
-struct BlockAccum {
+/// The counters blocks contribute to KernelStats -- everything but the
+/// race state, so also exactly what a BlockStatsMemo entry stores.
+struct BlockCounters {
   std::uint64_t cmul = 0, cadd = 0;
   std::uint64_t cmul_thread_max = 0, cadd_thread_max = 0;
   std::uint64_t load_requests = 0, load_transactions = 0, load_bytes = 0;
@@ -221,11 +244,73 @@ struct BlockAccum {
   std::uint64_t shared_requests = 0, shared_cycles = 0;
   std::uint64_t constant_reads = 0;
   std::uint64_t inactive_lane_phases = 0;
+
+  /// Add `other`'s totals; keep the larger per-thread maxima.
+  void merge(const BlockCounters& other) noexcept;
+  /// Whether the counters ThreadContext keeps without collecting any
+  /// access (work, constant reads, bytes moved, idle lanes) agree --
+  /// the memo guard's comparison.
+  [[nodiscard]] bool same_work(const BlockCounters& other) const noexcept;
+};
+
+/// Per-participant tallies over a range of blocks, merged into the
+/// launch totals when the range retires.
+struct BlockAccum : BlockCounters {
   std::uint64_t race_hazards = 0;
   RaceDetail first_hazard;
+  /// Lowest block whose bare run disagreed with its memo entry.
+  std::optional<unsigned> stale_block;
 };
 
 }  // namespace detail
+
+/// Per-block kernel statistics, memoized for kernels whose access stream
+/// depends only on the block index and on tables the caller keys as a
+/// *row* (the routed fused kernel's tenant).  Such a block contributes
+/// the same counters to KernelStats on every launch, so the engine
+/// collects them once -- on the first instrumented run of (row, block)
+/// -- and on later launches runs the block bare: the phases execute
+/// with no access collection and no fold, and the stored counters are
+/// merged instead.  The caller owns the memo beside the kernel it
+/// describes, sizes it at construction and invalidates a row whenever
+/// that row's tables change.
+///
+/// A guard, not a knob: a bare block still sums the counters
+/// ThreadContext keeps without collecting, and any difference from the
+/// stored entry throws LaunchError naming the kernel and the block.  A
+/// launch whose geometry (block threads, shared bytes) differs from the
+/// one the memo was filled under throws too.  Only unchecked, unaudited
+/// launches consult the memo; detect_races = true is the reference path.
+class BlockStatsMemo {
+ public:
+  BlockStatsMemo() = default;
+  BlockStatsMemo(unsigned rows, unsigned blocks)
+      : rows_(rows), blocks_(blocks), entries_(std::size_t{rows} * blocks) {}
+
+  /// Forget `row` (its tables changed): its blocks run instrumented
+  /// again on their next launch.
+  void invalidate_row(unsigned row) noexcept {
+    for (unsigned b = 0; b < blocks_; ++b) entry(row, b).filled = false;
+  }
+
+ private:
+  friend struct BlockRunner;
+
+  struct Entry {
+    detail::BlockCounters counters;
+    bool filled = false;
+  };
+
+  [[nodiscard]] Entry& entry(unsigned row, unsigned block) noexcept {
+    return entries_[std::size_t{row} * blocks_ + block];
+  }
+
+  unsigned rows_ = 0, blocks_ = 0;
+  std::vector<Entry> entries_;
+  /// Geometry the entries were filled under; 0 threads until first use.
+  unsigned block_threads_ = 0;
+  std::size_t shared_bytes_ = 0;
+};
 
 /// Everything one engine participant (pool worker or the caller) reuses
 /// across the blocks it executes: the simulated shared-memory arena, the
@@ -244,7 +329,7 @@ struct BlockScratch {
   /// Fold a retired warp-phase collector into `accum`, computing
   /// transactions and bank-conflict cycles.
   void fold(const detail::WarpCollector& col, const DeviceSpec& spec,
-            detail::BlockAccum& accum);
+            detail::BlockCounters& accum);
 
   /// Deterministically size everything this launch shape needs, so a
   /// participant that sat out earlier launches does not allocate when a
@@ -298,8 +383,9 @@ class ThreadContext {
   template <class T>
   [[nodiscard]] T load(const GlobalBuffer<T>& buf, std::size_t i) {
     const std::uint64_t address = buf.device_address() + i * sizeof(T);
-    collector_->record_global(false, load_ord_++, address, sizeof(T),
-                              spec_->global_transaction_bytes);
+    if (collector_ != nullptr)
+      collector_->record_global(false, load_ord_++, address, sizeof(T),
+                                spec_->global_transaction_bytes);
     load_bytes_ += sizeof(T);
     // The audit verdict gates the raw access: a squashed out-of-bounds
     // load must never touch host memory past the allocation's storage.
@@ -313,12 +399,15 @@ class ThreadContext {
   template <class T>
   void store(const GlobalBuffer<T>& buf, std::size_t i, const T& v) {
     const std::uint64_t address = buf.device_address() + i * sizeof(T);
-    collector_->record_global(true, store_ord_++, address, sizeof(T),
-                              spec_->global_transaction_bytes);
+    if (collector_ != nullptr)
+      collector_->record_global(true, store_ord_++, address, sizeof(T),
+                                spec_->global_transaction_bytes);
     store_bytes_ += sizeof(T);
+    bool hazard = false;
     if (global_races_ != nullptr) {
       std::uint64_t other = 0;
-      if (global_races_->record_write(address, global_thread_index(), &other)) {
+      hazard = global_races_->record_write(address, global_thread_index(), &other);
+      if (hazard) {
         ++race_hazards_;
         note_race(false, address, global_thread_index(), other);
       }
@@ -327,6 +416,9 @@ class ThreadContext {
         !audit_->on_global_store(audit_site(), address, sizeof(T),
                                  buf.device_address(), buf.size() * sizeof(T)))
       return;
+    // The checked launch throws on the hazard anyway; dropping the write
+    // that completed it keeps two host threads off one word.
+    if (hazard) return;
     buf.raw()[i] = v;
   }
 
@@ -377,14 +469,17 @@ class ThreadContext {
  private:
   friend struct BlockRunner;
 
+  /// A null `collector` runs the thread bare (a BlockStatsMemo hit):
+  /// accesses execute and ThreadContext's own counters still sum, but
+  /// nothing is collected for the fold.
   ThreadContext(unsigned block, unsigned thread, unsigned phase,
                 const LaunchConfig& cfg, const DeviceSpec& spec,
-                SharedSpace& shared, detail::WarpCollector& collector,
+                SharedSpace& shared, detail::WarpCollector* collector,
                 detail::SharedRaceJournal* shared_races,
                 detail::GlobalRaceJournal* global_races,
                 detail::RaceDetail* race_detail) noexcept
       : block_(block), thread_(thread), phase_(phase), cfg_(&cfg), spec_(&spec),
-        shared_(&shared), collector_(&collector), shared_races_(shared_races),
+        shared_(&shared), collector_(collector), shared_races_(shared_races),
         global_races_(global_races), race_detail_(race_detail),
         audit_(cfg.audit) {}
 
@@ -401,6 +496,8 @@ class ThreadContext {
 
   /// Returns false when an attached auditor squashed the access.
   bool record_shared_access(std::size_t byte_offset, std::size_t bytes, bool is_write) {
+    // Bare runs are unchecked and unaudited: nothing to record or squash.
+    if (collector_ == nullptr) return true;
     const auto first_word = static_cast<std::uint32_t>(byte_offset / spec_->shared_bank_width_bytes);
     const std::size_t words =
         (byte_offset % spec_->shared_bank_width_bytes + bytes +
@@ -428,7 +525,7 @@ class ThreadContext {
   const LaunchConfig* cfg_;
   const DeviceSpec* spec_;
   SharedSpace* shared_;
-  detail::WarpCollector* collector_;
+  detail::WarpCollector* collector_;  ///< null on a bare (memo-hit) run
   detail::SharedRaceJournal* shared_races_;
   detail::GlobalRaceJournal* global_races_;
   detail::RaceDetail* race_detail_;

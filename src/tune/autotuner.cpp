@@ -81,11 +81,20 @@ std::string Autotuner::profile_dump() const {
 
 std::size_t Autotuner::fold_profiles_into(obs::MetricsRegistry& registry,
                                           std::size_t from) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = std::min(from, decisions_.size());
-       i < decisions_.size(); ++i)
-    decisions_[i].report.fold_into(registry);
-  return decisions_.size();
+  // Copy the pending reports under the lock and fold them after it: the
+  // fold takes the registry's lock, and holding ours across it would
+  // order this mutex before the registry's while a submit orders the
+  // caller's mutexes before ours (a lock-order inversion).
+  std::vector<ProfileReport> pending;
+  std::size_t count = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    count = decisions_.size();
+    for (std::size_t i = std::min(from, count); i < count; ++i)
+      pending.push_back(decisions_[i].report);
+  }
+  for (const auto& report : pending) report.fold_into(registry);
+  return count;
 }
 
 }  // namespace polyeval::tune

@@ -3,7 +3,9 @@
 // baseline BITWISE (the arithmetic is identical in order and operation;
 // only storage and scheduling differ) -- across double, double-double
 // and quad-double.  The tenant-routed fused kernels must reproduce each
-// point's own tenant's single-tenant evaluator, also bit for bit.
+// point's own tenant's single-tenant evaluator, also bit for bit.  The
+// memoized launches (simt::BlockStatsMemo) must report exactly the
+// statistics of the checked, fully instrumented path.
 
 #include <gtest/gtest.h>
 
@@ -141,6 +143,122 @@ void run_routed_parity(const poly::PolynomialSystem& sys,
   expect_routed_bitwise(routed, want, points, flipped, "routed, flipped");
 }
 
+/// Every KernelStats field of `got` equals `want`'s.
+void expect_same_stats(const simt::KernelStats& want, const simt::KernelStats& got,
+                       const std::string& label) {
+#define POLYEVAL_EXPECT_FIELD(f) EXPECT_EQ(want.f, got.f) << label << ": " #f
+  POLYEVAL_EXPECT_FIELD(kernel);
+  POLYEVAL_EXPECT_FIELD(blocks);
+  POLYEVAL_EXPECT_FIELD(threads);
+  POLYEVAL_EXPECT_FIELD(warps);
+  POLYEVAL_EXPECT_FIELD(complex_mul_total);
+  POLYEVAL_EXPECT_FIELD(complex_add_total);
+  POLYEVAL_EXPECT_FIELD(complex_mul_per_thread_max);
+  POLYEVAL_EXPECT_FIELD(complex_add_per_thread_max);
+  POLYEVAL_EXPECT_FIELD(global_load_requests);
+  POLYEVAL_EXPECT_FIELD(global_load_transactions);
+  POLYEVAL_EXPECT_FIELD(global_store_requests);
+  POLYEVAL_EXPECT_FIELD(global_store_transactions);
+  POLYEVAL_EXPECT_FIELD(global_bytes_loaded);
+  POLYEVAL_EXPECT_FIELD(global_bytes_stored);
+  POLYEVAL_EXPECT_FIELD(shared_requests);
+  POLYEVAL_EXPECT_FIELD(shared_cycles);
+  POLYEVAL_EXPECT_FIELD(constant_reads);
+  POLYEVAL_EXPECT_FIELD(inactive_lane_phases);
+  POLYEVAL_EXPECT_FIELD(race_hazards);
+  POLYEVAL_EXPECT_FIELD(warps_per_block);
+  POLYEVAL_EXPECT_FIELD(concurrent_blocks_per_sm);
+  POLYEVAL_EXPECT_FIELD(waves);
+  POLYEVAL_EXPECT_FIELD(warps_on_busiest_sm);
+  POLYEVAL_EXPECT_FIELD(shared_bytes_per_block);
+#undef POLYEVAL_EXPECT_FIELD
+}
+
+/// The two logs launched the same kernels with the same statistics.
+void expect_same_logs(const simt::LaunchLog& want, const simt::LaunchLog& got,
+                      const std::string& label) {
+  ASSERT_EQ(want.kernels.size(), got.kernels.size()) << label;
+  for (std::size_t i = 0; i < want.kernels.size(); ++i)
+    expect_same_stats(want.kernels[i], got.kernels[i],
+                      label + ", launch " + std::to_string(i));
+}
+
+/// Run the full and values kernels of `memo` (unchecked: memoized) and
+/// `checked` (detect_races: the reference path) over points [0, count)
+/// three times -- the first launch fills the memo, the others hit it --
+/// and require identical statistics every time.  Returns the checked
+/// full-kernel log of the last round.
+template <class Evaluator, prec::RealScalar S>
+simt::LaunchLog expect_memo_matches_checked(
+    Evaluator& memo, Evaluator& checked,
+    const std::vector<std::vector<cplx::Complex<S>>>& points, std::size_t count,
+    const std::string& label) {
+  std::vector<poly::EvalResult<S>> results(count);
+  std::vector<cplx::Complex<S>> values(count * memo.dimension());
+  simt::LaunchLog full;
+  for (int launch = 0; launch < 3; ++launch) {
+    const std::string at = label + ", launch " + std::to_string(launch);
+    memo.evaluate_range(points, 0, count, std::span<poly::EvalResult<S>>(results));
+    checked.evaluate_range(points, 0, count, std::span<poly::EvalResult<S>>(results));
+    expect_same_logs(checked.last_log(), memo.last_log(), at);
+    full = checked.last_log();
+    memo.evaluate_values_range(points, 0, count, std::span<cplx::Complex<S>>(values));
+    checked.evaluate_values_range(points, 0, count, std::span<cplx::Complex<S>>(values));
+    expect_same_logs(checked.last_log(), memo.last_log(), at + " values");
+  }
+  return full;
+}
+
+/// Memoized statistics against the checked path for `sys`: the plain
+/// evaluator (AoS and SoA, the full batch and then a partial one), the
+/// routed evaluator under interleaved and then flipped routing, and the
+/// pipelined evaluator with a partial tail chunk.
+template <prec::RealScalar S>
+void run_memo_parity(const poly::PolynomialSystem& sys,
+                     const std::vector<std::vector<cplx::Complex<S>>>& points) {
+  const auto batch = static_cast<unsigned>(points.size());
+  for (const auto layout : {core::InterchangeLayout::kAoS, core::InterchangeLayout::kSoA}) {
+    const std::string label =
+        layout == core::InterchangeLayout::kSoA ? "memo SoA" : "memo AoS";
+    simt::Device memo_device, checked_device;
+    typename core::FusedGpuEvaluator<S>::Options opt;
+    opt.interchange = layout;
+    core::FusedGpuEvaluator<S> memo(memo_device, sys, batch, opt);
+    opt.detect_races = true;
+    core::FusedGpuEvaluator<S> checked(checked_device, sys, batch, opt);
+    expect_memo_matches_checked(memo, checked, points, batch, label);
+    expect_memo_matches_checked(memo, checked, points, batch - 1, label + " partial");
+  }
+  {
+    const std::vector<poly::PolynomialSystem> systems = {sys, other_tenant(sys)};
+    const auto st = core::pack_system(sys).structure;
+    simt::Device memo_device, checked_device;
+    core::FusedGpuEvaluator<S> memo(memo_device, st, 2, batch);
+    auto checked = make_routed<S>(checked_device, systems, batch);
+    for (unsigned t = 0; t < 2; ++t) memo.set_tenant(t, systems[t]);
+    std::vector<unsigned> tenants(batch), flipped(batch);
+    for (unsigned p = 0; p < batch; ++p) {
+      tenants[p] = p % 2;
+      flipped[p] = 1 - tenants[p];
+    }
+    for (const auto* routing : {&tenants, &flipped}) {
+      memo.bind_tenants(std::span<const unsigned>(*routing));
+      checked.bind_tenants(std::span<const unsigned>(*routing));
+      expect_memo_matches_checked(memo, checked, points, batch,
+                                  routing == &tenants ? "memo routed" : "memo flipped");
+    }
+  }
+  {
+    simt::Device memo_device, checked_device;
+    typename core::PipelinedFusedEvaluator<S>::Options popt;
+    popt.micro_chunk = 2;  // a partial tail chunk on batch 3
+    core::PipelinedFusedEvaluator<S> memo(memo_device, sys, batch, popt);
+    popt.detect_races = true;
+    core::PipelinedFusedEvaluator<S> checked(checked_device, sys, batch, popt);
+    expect_memo_matches_checked(memo, checked, points, batch, "memo pipelined");
+  }
+}
+
 template <prec::RealScalar S>
 void run_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
   const auto sys = make_system(n, m, k, d);
@@ -186,6 +304,7 @@ void run_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
     }
   }
   run_routed_parity<S>(sys, points);
+  run_memo_parity<S>(sys, points);
 }
 
 TEST(FusedParity, DoubleGeneralSystem) { run_parity<double>(8, 6, 4, 3); }
@@ -252,6 +371,7 @@ void run_values_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
         << "pipelined single-point value " << q;
 
   run_routed_parity<S>(sys, points);
+  run_memo_parity<S>(sys, points);
 }
 
 TEST(FusedValuesParity, DoubleGeneralSystem) { run_values_parity<double>(8, 6, 4, 3); }
@@ -301,6 +421,39 @@ TEST(MultiTenantEvaluator, SetTenantReplacesAnOccupiedSlot) {
   routed.set_tenant(1, sys_c);
   expect_routed_bitwise(routed, per_tenant_results<double>({sys_a, sys_c}, points),
                         points, tenants, "after replacement");
+}
+
+TEST(MultiTenantEvaluator, SetTenantInvalidatesMemoizedStatistics) {
+  // A slot re-installed with a system of another support must not
+  // replay the old tenant's memoized statistics: its blocks touch other
+  // shared words and derivative slots, so every launch after set_tenant
+  // must again match the checked path.
+  const auto sys_a = make_system(8, 6, 4, 3, 77);
+  const auto sys_b = make_system(8, 6, 4, 3, 78);
+  const auto sys_c = make_system(8, 6, 4, 3, 79);
+  const auto st = core::pack_system(sys_a).structure;
+  const auto points = points_for<double>(4, 8, 4500);
+  const std::vector<unsigned> tenants = {0, 1, 1, 0};
+
+  simt::Device memo_device, checked_device;
+  core::FusedGpuEvaluator<double> memo(memo_device, st, 2, 4);
+  auto checked = make_routed<double>(checked_device, {sys_a, sys_b}, 4);
+  memo.set_tenant(0, sys_a);
+  memo.set_tenant(1, sys_b);
+  memo.bind_tenants(std::span<const unsigned>(tenants));
+  checked.bind_tenants(std::span<const unsigned>(tenants));
+  const auto before =
+      expect_memo_matches_checked(memo, checked, points, 4, "before replacement");
+
+  memo.set_tenant(1, sys_c);
+  checked.set_tenant(1, sys_c);
+  const auto after =
+      expect_memo_matches_checked(memo, checked, points, 4, "after replacement");
+  // The replacement must move the statistics, or this test proves nothing.
+  const auto& b = before.kernels.at(0);
+  const auto& a = after.kernels.at(0);
+  EXPECT_TRUE(b.shared_cycles != a.shared_cycles ||
+              b.global_store_transactions != a.global_store_transactions);
 }
 
 TEST(MultiTenantEvaluator, ValidatesTenantsAndRouting) {

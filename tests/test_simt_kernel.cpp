@@ -1,5 +1,6 @@
 // The SIMT engine: launch geometry, phase barriers, coalescing analysis,
-// shared-memory bank conflicts, divergence accounting and occupancy.
+// shared-memory bank conflicts, divergence accounting, occupancy and the
+// per-block statistics memo.
 
 #include <gtest/gtest.h>
 
@@ -376,6 +377,110 @@ TEST(Launch, PartialLastWarpStillGrouped) {
   const auto stats = device.launch(kernel, {1, 40, 0});
   EXPECT_EQ(stats.global_load_requests, 2u);   // two warps
   EXPECT_EQ(stats.global_load_transactions, 3u);  // 2 + 1 segments
+}
+
+/// A kernel whose work branches on a loaded value -- the pattern a
+/// BlockStatsMemo forbids: block b multiplies once per lane when
+/// flag[b] > 0, and loads a strided (scattered) word per lane.
+Kernel make_branchy(const GlobalBuffer<int>& flag, const GlobalBuffer<double>& data) {
+  return Kernel{"branchy", {[flag, data](ThreadContext& ctx) {
+                  (void)ctx.load(data, std::size_t{ctx.thread_index()} * 16);
+                  if (ctx.load(flag, ctx.block_index()) > 0) ctx.op_cmul();
+                }}};
+}
+
+LaunchConfig memo_config(BlockStatsMemo& memo, unsigned blocks, unsigned threads) {
+  LaunchConfig cfg{blocks, threads, 0};
+  cfg.detect_races = false;
+  cfg.memo.table = &memo;
+  return cfg;
+}
+
+TEST(BlockStatsMemo, HitsReportTheInstrumentedStatistics) {
+  Device device;
+  auto flag = device.alloc_global<int>(2, "flag");
+  auto data = device.alloc_global<double>(32 * 16, "data");
+  device.fill(flag, 1);
+  const Kernel kernel = make_branchy(flag, data);
+  BlockStatsMemo memo(1, 2);
+  const auto reference = device.launch(kernel, {2, 32, 0});  // checked, no memo
+  for (int launch = 0; launch < 3; ++launch) {
+    const auto stats = device.launch(kernel, memo_config(memo, 2, 32));
+    EXPECT_EQ(stats.complex_mul_total, reference.complex_mul_total);
+    EXPECT_EQ(stats.global_load_requests, reference.global_load_requests);
+    EXPECT_EQ(stats.global_load_transactions, reference.global_load_transactions);
+    EXPECT_EQ(stats.global_bytes_loaded, reference.global_bytes_loaded);
+  }
+}
+
+TEST(BlockStatsMemo, HitWithDifferentWorkThrows) {
+  Device device;
+  auto flag = device.alloc_global<int>(2, "flag");
+  auto data = device.alloc_global<double>(32 * 16, "data");
+  device.fill(flag, 1);
+  const Kernel kernel = make_branchy(flag, data);
+  BlockStatsMemo memo(1, 2);
+  const LaunchConfig cfg = memo_config(memo, 2, 32);
+  (void)device.launch(kernel, cfg);  // fills both blocks' entries
+
+  const std::vector<int> flipped = {1, 0};
+  device.upload(flag, std::span<const int>(flipped));
+  try {
+    (void)device.launch(kernel, cfg);
+    FAIL() << "a hit whose work changed must throw";
+  } catch (const LaunchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("branchy"), std::string::npos) << what;
+    EXPECT_NE(what.find("block 1"), std::string::npos) << what;
+  }
+
+  // The checked path never consults the memo ...
+  LaunchConfig checked = cfg;
+  checked.detect_races = true;
+  EXPECT_NO_THROW((void)device.launch(kernel, checked));
+  // ... and a forgotten row is filled afresh.
+  memo.invalidate_row(0);
+  EXPECT_EQ(device.launch(kernel, cfg).complex_mul_total, 32u);
+  EXPECT_EQ(device.launch(kernel, cfg).complex_mul_total, 32u);
+}
+
+TEST(BlockStatsMemo, KeysBlocksByRow) {
+  // Row r's entry of block b is independent of row r' != r: launching
+  // block 0 under row 1 after it ran under row 0 fills row 1 afresh.
+  Device device;
+  auto flag = device.alloc_global<int>(2, "flag");
+  auto data = device.alloc_global<double>(32 * 16, "data");
+  device.fill(flag, 1);
+  const Kernel kernel = make_branchy(flag, data);
+  BlockStatsMemo memo(2, 1);
+  LaunchConfig cfg = memo_config(memo, 1, 32);
+  const std::vector<unsigned> row0 = {0}, row1 = {1};
+  cfg.memo.rows = std::span<const unsigned>(row0);
+  (void)device.launch(kernel, cfg);
+  device.fill(flag, 0);
+  cfg.memo.rows = std::span<const unsigned>(row1);
+  EXPECT_EQ(device.launch(kernel, cfg).complex_mul_total, 0u);  // a miss
+  cfg.memo.rows = std::span<const unsigned>(row0);
+  EXPECT_THROW((void)device.launch(kernel, cfg), LaunchError);  // a stale hit
+  const std::vector<unsigned> no_such_row = {2};
+  cfg.memo.rows = std::span<const unsigned>(no_such_row);
+  EXPECT_THROW((void)device.launch(kernel, cfg), LaunchError);
+}
+
+TEST(BlockStatsMemo, RejectsAnotherGeometry) {
+  Device device;
+  auto flag = device.alloc_global<int>(4, "flag");
+  auto data = device.alloc_global<double>(64 * 16, "data");
+  device.fill(flag, 1);
+  const Kernel kernel = make_branchy(flag, data);
+  BlockStatsMemo memo(1, 2);
+  (void)device.launch(kernel, memo_config(memo, 2, 32));
+  EXPECT_THROW((void)device.launch(kernel, memo_config(memo, 2, 64)), LaunchError);
+  LaunchConfig more_shared = memo_config(memo, 2, 32);
+  more_shared.shared_bytes = 64;
+  EXPECT_THROW((void)device.launch(kernel, more_shared), LaunchError);
+  EXPECT_THROW((void)device.launch(kernel, memo_config(memo, 3, 32)), LaunchError);
+  EXPECT_NO_THROW((void)device.launch(kernel, memo_config(memo, 1, 32)));
 }
 
 }  // namespace

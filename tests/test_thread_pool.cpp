@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <numeric>
@@ -75,12 +76,13 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 TEST(ThreadPool, MutableCallablesAreAccepted) {
   ThreadPool pool(2);
   std::atomic<int> sum{0};
-  int local = 5;
-  pool.parallel_for(10, [&sum, local](std::size_t) mutable {
-    ++local;
-    sum.fetch_add(1);
+  // Every worker calls the one closure, so its mutable state is per
+  // call: call i owns slot i alone.
+  pool.parallel_for(10, [&sum, seen = std::array<int, 10>{}](std::size_t i) mutable {
+    seen[i] += 5;
+    sum.fetch_add(seen[i]);
   });
-  EXPECT_EQ(sum.load(), 10);
+  EXPECT_EQ(sum.load(), 50);
 }
 
 TEST(ThreadPool, PropagatesTheFirstException) {
