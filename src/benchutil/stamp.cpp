@@ -2,12 +2,21 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "benchutil/json.hpp"
 
 namespace polyeval::benchutil {
 
 namespace {
+
+// The root CMakeLists.txt defines POLYEVAL_BUILD_TYPE from
+// CMAKE_BUILD_TYPE; builds that compile src/ on their own may not.
+#ifdef POLYEVAL_BUILD_TYPE
+constexpr const char* kBuildType = POLYEVAL_BUILD_TYPE;
+#else
+constexpr const char* kBuildType = "unknown";
+#endif
 
 std::string resolve_git_sha() {
   if (const char* env = std::getenv("GITHUB_SHA"); env != nullptr && *env)
@@ -40,6 +49,8 @@ void emit_stamp(JsonWriter& json) {
   json.begin_object()
       .field("schema_version", kBenchSchemaVersion)
       .field("git_sha", git_sha())
+      .field("host_cores", std::thread::hardware_concurrency())
+      .field("build_type", kBuildType)
       .end_object();
 }
 

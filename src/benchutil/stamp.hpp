@@ -2,9 +2,10 @@
 
 /// \file stamp.hpp
 /// Provenance stamp for the BENCH_*.json artifacts: every emitted file
-/// carries a "meta" object with the bench JSON schema version and the
-/// git commit it was built from, so a downloaded artifact (or a stale
-/// committed baseline) identifies itself without archaeology.  The
+/// carries a "meta" object with the bench JSON schema version, the git
+/// commit it was built from, the host's core count and the build type,
+/// so a downloaded artifact (or a stale committed baseline) identifies
+/// itself and the machine that measured it without archaeology.  The
 /// stamp adds no gated leaves -- check_bench_regression.py keys on
 /// wall_us / per_sec / solved_frac / tuned_speedup substrings, none of
 /// which appear here -- so stamped files compare cleanly against
@@ -26,8 +27,11 @@ inline constexpr unsigned kBenchSchemaVersion = 1;
 /// mid-run).
 [[nodiscard]] const std::string& git_sha();
 
-/// Write `"meta": {"schema_version": ..., "git_sha": ...}` into an
-/// open JSON object.  Call once, right after begin_object() of the
+/// Write `"meta": {"schema_version": ..., "git_sha": ..., "host_cores":
+/// ..., "build_type": ...}` into an open JSON object: host_cores is
+/// std::thread::hardware_concurrency() (0 when unknown), build_type the
+/// CMake build type the library was compiled under ("unknown" outside
+/// the root build).  Call once, right after begin_object() of the
 /// document root.
 void emit_stamp(JsonWriter& json);
 

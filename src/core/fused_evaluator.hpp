@@ -54,6 +54,8 @@
 /// its first launch and bare afterwards, and set_tenant forgets the
 /// tenant's row.  Unchecked launches pay the access bookkeeping once per
 /// pair instead of once per launch; detect_races launches bypass it.
+/// The phases are generic lambdas, so a bare block runs the same phase
+/// code over the lean simt::BareThread context.
 ///
 /// Steady-state evaluate() calls perform zero heap allocations: the
 /// packed system, kernels, staging vectors and device buffers are all
@@ -220,7 +222,7 @@ template <prec::RealScalar S>
                                           std::size_t svars_off,
                                           std::size_t powers_off) {
   using C = cplx::Complex<S>;
-  return [x, n, d, svars_off, powers_off](simt::ThreadContext& ctx) {
+  return [x, n, d, svars_off, powers_off](auto& ctx) {
     const std::size_t point = ctx.block_index();
     auto svars = ctx.template shared_array<C>(svars_off, n);
     auto powers = ctx.template shared_array<C>(powers_off, std::size_t{n} * d);
@@ -280,7 +282,7 @@ template <prec::RealScalar S, bool kJacobian>
 
   return [mons, coeffs, positions, exponents, tenant_ids, enc, layout, n, d, k,
           monomials, support_stride, coeff_stride, routed, svars_off,
-          powers_off](simt::ThreadContext& ctx) {
+          powers_off](auto& ctx) {
     const std::size_t point = ctx.block_index();
     std::uint64_t support_base = 0, coeff_base = 0;
     if (routed) {
@@ -415,7 +417,7 @@ template <prec::RealScalar S>
                                               SystemLayout layout, unsigned m,
                                               std::uint64_t out_count) {
   using C = cplx::Complex<S>;
-  return [mons, out_buf, layout, m, out_count](simt::ThreadContext& ctx) {
+  return [mons, out_buf, layout, m, out_count](auto& ctx) {
     const std::size_t point = ctx.block_index();
     const std::size_t mons_base = point * layout.mons_size();
     bool worked = false;
@@ -443,7 +445,10 @@ template <prec::RealScalar S>
 /// on the point's or the coefficients' values.  The evaluators key their
 /// memos on exactly that (tenant row, block index) pair; a phase that
 /// branched on a loaded value would break it, and the memo guard would
-/// throw at the first launch that took the other branch.
+/// throw at the first launch that took the other branch.  The phase
+/// builders return generic lambdas (`auto& ctx`): simt::Phase compiles
+/// each over ThreadContext for checked and memo-miss launches and over
+/// BareThread for memo hits, one body for both.
 template <prec::RealScalar S, bool kJacobian>
 [[nodiscard]] simt::Kernel build_fused(const FusedSystemState<S>& sys, const char* name,
                                        simt::GlobalBuffer<cplx::Complex<S>> x,

@@ -39,7 +39,9 @@ namespace polyeval::core {
 /// SoA layout (a re plane followed by an im plane), selected at
 /// allocation time by the layout.hpp-level InterchangeLayout switch.
 /// Device-side access goes through load/store so the engine's coalescing
-/// instrumentation sees the actual per-layout memory instructions.
+/// instrumentation sees the actual per-layout memory instructions; both
+/// take any thread context (ThreadContext or, in a fused kernel's bare
+/// entry, BareThread).
 template <prec::RealScalar S>
 struct InterchangeBuffer {
   using C = cplx::Complex<S>;
@@ -68,14 +70,14 @@ struct InterchangeBuffer {
       device.fill(planes, S(0.0));
   }
 
-  [[nodiscard]] C load(simt::ThreadContext& ctx, std::size_t i) const {
+  [[nodiscard]] C load(auto& ctx, std::size_t i) const {
     if (layout == InterchangeLayout::kAoS) return ctx.load(aos, i);
     const S re = ctx.load(planes, i);
     const S im = ctx.load(planes, count + i);
     return C(re, im);
   }
 
-  void store(simt::ThreadContext& ctx, std::size_t i, const C& v) const {
+  void store(auto& ctx, std::size_t i, const C& v) const {
     if (layout == InterchangeLayout::kAoS) {
       ctx.store(aos, i, v);
       return;
@@ -108,10 +110,11 @@ struct DeviceBuffers {
 
 namespace detail {
 
-/// Exponent-minus-one of support entry `index`, via the constant cache.
-[[nodiscard]] inline unsigned load_exponent(
-    simt::ThreadContext& ctx, const simt::ConstantBuffer<unsigned char>& exponents,
-    ExponentEncoding enc, std::uint64_t index) {
+/// Exponent-minus-one of support entry `index`, via the constant cache
+/// of any thread context.
+[[nodiscard]] unsigned load_exponent(auto& ctx,
+                                     const simt::ConstantBuffer<unsigned char>& exponents,
+                                     ExponentEncoding enc, std::uint64_t index) {
   if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
   const unsigned char byte = ctx.load_constant(exponents, index / 2);
   return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);

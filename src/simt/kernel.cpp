@@ -220,7 +220,7 @@ void BlockScratch::warm(const LaunchConfig& cfg, const DeviceSpec& spec,
   collector.warm(shape);
 }
 
-/// Runs the blocks of one launch; also the ThreadContext and
+/// Runs the blocks of one launch; also the ThreadContext, BareBlock and
 /// BlockStatsMemo befriender.
 struct BlockRunner {
   const Kernel& kernel;
@@ -250,6 +250,10 @@ struct BlockRunner {
       if (rows[b] >= memo->rows_)
         fail("has no row " + std::to_string(rows[b]) + " (block " +
              std::to_string(b) + ")");
+    for (std::size_t p = 0; p < kernel.phases.size(); ++p)
+      if (!kernel.phases[p].bare)
+        fail("needs a bare entry for every phase, and phase " + std::to_string(p) +
+             " takes only ThreadContext&");
     if (memo->block_threads_ == 0) {
       memo->block_threads_ = cfg.block_threads;
       memo->shared_bytes_ = cfg.shared_bytes;
@@ -263,36 +267,21 @@ struct BlockRunner {
     }
   }
 
-  /// Run one block and merge its counters into the range tally.  With a
-  /// memo, a filled (row, block) entry runs the block bare and supplies
-  /// the counters; otherwise the block runs instrumented, and fills its
-  /// entry when there is one.
-  void run_block(unsigned block_index, BlockScratch& scratch,
-                 detail::BlockAccum& accum) {
-    BlockStatsMemo::Entry* entry = nullptr;
-    if (memo != nullptr) {
-      const unsigned row = cfg.memo.rows.empty() ? 0u : cfg.memo.rows[block_index];
-      entry = &memo->entry(row, block_index);
-    }
-    const bool bare = entry != nullptr && entry->filled;
-    detail::WarpCollector* collector = bare ? nullptr : &scratch.collector;
-
-    detail::BlockCounters block;
-    scratch.shared.reset(cfg.shared_bytes);
-    scratch.cmul_per_thread.assign(cfg.block_threads, 0);
-    scratch.cadd_per_thread.assign(cfg.block_threads, 0);
-
+  /// Run every phase of one block over ThreadContext: warp by warp, each
+  /// warp's accesses collected and then folded into `block`.
+  void run_instrumented(unsigned block_index, BlockScratch& scratch,
+                        detail::BlockAccum& accum, detail::BlockCounters& block) {
     for (unsigned phase_index = 0; phase_index < kernel.phases.size(); ++phase_index) {
-      const auto& phase = kernel.phases[phase_index];
+      const auto& phase = kernel.phases[phase_index].checked;
       scratch.shared_races.clear();  // phases are barriers: accesses across them order
       for (unsigned warp_start = 0; warp_start < cfg.block_threads;
            warp_start += spec.warp_size) {
-        if (!bare) scratch.collector.reset();
+        scratch.collector.reset();
         const unsigned warp_end =
             std::min(warp_start + spec.warp_size, cfg.block_threads);
         for (unsigned t = warp_start; t < warp_end; ++t) {
           ThreadContext ctx(block_index, t, phase_index, cfg, spec, scratch.shared,
-                            collector,
+                            scratch.collector,
                             cfg.detect_races ? &scratch.shared_races : nullptr,
                             cfg.detect_races ? global_races : nullptr,
                             cfg.detect_races ? &accum.first_hazard : nullptr);
@@ -307,8 +296,37 @@ struct BlockRunner {
           block.store_bytes += ctx.store_bytes_;
           accum.race_hazards += ctx.race_hazards_;
         }
-        if (!bare) scratch.fold(scratch.collector, spec, block);
+        scratch.fold(scratch.collector, spec, block);
       }
+    }
+  }
+
+  /// Run one block and merge its counters into the range tally.  With a
+  /// memo, a filled (row, block) entry runs each phase's bare entry once
+  /// and supplies the counters; otherwise the block runs instrumented,
+  /// and fills its entry when there is one.
+  void run_block(unsigned block_index, BlockScratch& scratch,
+                 detail::BlockAccum& accum) {
+    BlockStatsMemo::Entry* entry = nullptr;
+    if (memo != nullptr) {
+      const unsigned row = cfg.memo.rows.empty() ? 0u : cfg.memo.rows[block_index];
+      entry = &memo->entry(row, block_index);
+    }
+    const bool bare = entry != nullptr && entry->filled;
+
+    detail::BlockCounters block;
+    scratch.shared.reset(cfg.shared_bytes);
+    scratch.cmul_per_thread.assign(cfg.block_threads, 0);
+    scratch.cadd_per_thread.assign(cfg.block_threads, 0);
+
+    if (bare) {
+      // bind_memo checked that every phase has a bare entry.
+      BareBlock bare_block(block_index, cfg.block_threads, scratch.shared,
+                           scratch.cmul_per_thread.data(),
+                           scratch.cadd_per_thread.data(), block);
+      for (const auto& phase : kernel.phases) phase.bare(bare_block);
+    } else {
+      run_instrumented(block_index, scratch, accum, block);
     }
     for (unsigned t = 0; t < cfg.block_threads; ++t) {
       block.cmul_thread_max = std::max(block.cmul_thread_max, scratch.cmul_per_thread[t]);

@@ -22,12 +22,17 @@
 /// A kernel whose access stream depends only on its block index and on
 /// caller-keyed tables (the fused evaluators') can hand the launch a
 /// BlockStatsMemo: each (row, block) runs instrumented once, and later
-/// launches run it bare -- no collection, no fold -- merging the stored
-/// counters instead.  The modeled clock is unchanged, because every
-/// charge comes from the same counters; checked and audited launches
-/// never consult the memo.
+/// launches run it bare, merging the stored counters instead.  A bare
+/// block calls each phase's bare entry once: the same phase code,
+/// compiled over the lean BareThread context and looped over the block's
+/// threads in the instrumented order, with no collection and no fold.
+/// So a memoized kernel's phases must be generic (`auto& ctx`).  The
+/// modeled clock is unchanged, because every charge comes from the same
+/// counters; checked and audited launches never consult the memo, and
+/// ThreadContext always collects.
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -46,6 +51,8 @@ namespace polyeval::simt {
 
 class ThreadPool;
 class ThreadContext;
+class BareThread;
+class BareBlock;
 class BlockStatsMemo;
 
 /// A launch's key into a BlockStatsMemo: block b of the launch uses
@@ -77,7 +84,24 @@ struct LaunchConfig {
   MemoRef memo{};
 };
 
-using Phase = std::function<void(ThreadContext&)>;
+/// One phase of a kernel, built implicitly from the callable that
+/// implements it.  A callable that accepts only ThreadContext& gets the
+/// checked entry alone; a generic one (`auto& ctx`) is compiled a second
+/// time over BareThread into the bare entry, so the instrumented and the
+/// memo-hit paths run the same phase code.
+struct Phase {
+  /// Per-thread entry over the instrumented context: checked, audited
+  /// and memo-miss launches run it for every thread of every block.
+  std::function<void(ThreadContext&)> checked;
+  /// Per-block entry a memo hit runs: every thread of the block over a
+  /// BareThread (see BareBlock::run).  Empty unless the callable also
+  /// accepts BareThread&.
+  std::function<void(BareBlock&)> bare;
+
+  template <class F>
+    requires(!std::same_as<F, Phase> && std::invocable<F&, ThreadContext&>)
+  Phase(F f);
+};
 
 struct Kernel {
   std::string name;
@@ -247,9 +271,8 @@ struct BlockCounters {
 
   /// Add `other`'s totals; keep the larger per-thread maxima.
   void merge(const BlockCounters& other) noexcept;
-  /// Whether the counters ThreadContext keeps without collecting any
-  /// access (work, constant reads, bytes moved, idle lanes) agree --
-  /// the memo guard's comparison.
+  /// Whether the counters a BareThread keeps (work, constant reads,
+  /// bytes moved, idle lanes) agree -- the memo guard's comparison.
   [[nodiscard]] bool same_work(const BlockCounters& other) const noexcept;
 };
 
@@ -269,18 +292,20 @@ struct BlockAccum : BlockCounters {
 /// *row* (the routed fused kernel's tenant).  Such a block contributes
 /// the same counters to KernelStats on every launch, so the engine
 /// collects them once -- on the first instrumented run of (row, block)
-/// -- and on later launches runs the block bare: the phases execute
-/// with no access collection and no fold, and the stored counters are
-/// merged instead.  The caller owns the memo beside the kernel it
-/// describes, sizes it at construction and invalidates a row whenever
-/// that row's tables change.
+/// -- and on later launches runs the block bare: each phase's bare entry
+/// runs the block over BareThread, with no access collection and no
+/// fold, and the stored counters are merged instead.  Every phase of a
+/// memoized kernel must have a bare entry (be generic), or the launch
+/// throws.  The caller owns the memo beside the kernel it describes,
+/// sizes it at construction and invalidates a row whenever that row's
+/// tables change.
 ///
-/// A guard, not a knob: a bare block still sums the counters
-/// ThreadContext keeps without collecting, and any difference from the
-/// stored entry throws LaunchError naming the kernel and the block.  A
-/// launch whose geometry (block threads, shared bytes) differs from the
-/// one the memo was filled under throws too.  Only unchecked, unaudited
-/// launches consult the memo; detect_races = true is the reference path.
+/// A guard, not a knob: a bare block still sums the counters BareThread
+/// keeps, and any difference from the stored entry throws LaunchError
+/// naming the kernel and the block.  A launch whose geometry (block
+/// threads, shared bytes) differs from the one the memo was filled
+/// under throws too.  Only unchecked, unaudited launches consult the
+/// memo; detect_races = true is the reference path.
 class BlockStatsMemo {
  public:
   BlockStatsMemo() = default;
@@ -383,9 +408,8 @@ class ThreadContext {
   template <class T>
   [[nodiscard]] T load(const GlobalBuffer<T>& buf, std::size_t i) {
     const std::uint64_t address = buf.device_address() + i * sizeof(T);
-    if (collector_ != nullptr)
-      collector_->record_global(false, load_ord_++, address, sizeof(T),
-                                spec_->global_transaction_bytes);
+    collector_.record_global(false, load_ord_++, address, sizeof(T),
+                             spec_->global_transaction_bytes);
     load_bytes_ += sizeof(T);
     // The audit verdict gates the raw access: a squashed out-of-bounds
     // load must never touch host memory past the allocation's storage.
@@ -399,9 +423,8 @@ class ThreadContext {
   template <class T>
   void store(const GlobalBuffer<T>& buf, std::size_t i, const T& v) {
     const std::uint64_t address = buf.device_address() + i * sizeof(T);
-    if (collector_ != nullptr)
-      collector_->record_global(true, store_ord_++, address, sizeof(T),
-                                spec_->global_transaction_bytes);
+    collector_.record_global(true, store_ord_++, address, sizeof(T),
+                             spec_->global_transaction_bytes);
     store_bytes_ += sizeof(T);
     bool hazard = false;
     if (global_races_ != nullptr) {
@@ -469,12 +492,9 @@ class ThreadContext {
  private:
   friend struct BlockRunner;
 
-  /// A null `collector` runs the thread bare (a BlockStatsMemo hit):
-  /// accesses execute and ThreadContext's own counters still sum, but
-  /// nothing is collected for the fold.
   ThreadContext(unsigned block, unsigned thread, unsigned phase,
                 const LaunchConfig& cfg, const DeviceSpec& spec,
-                SharedSpace& shared, detail::WarpCollector* collector,
+                SharedSpace& shared, detail::WarpCollector& collector,
                 detail::SharedRaceJournal* shared_races,
                 detail::GlobalRaceJournal* global_races,
                 detail::RaceDetail* race_detail) noexcept
@@ -496,14 +516,12 @@ class ThreadContext {
 
   /// Returns false when an attached auditor squashed the access.
   bool record_shared_access(std::size_t byte_offset, std::size_t bytes, bool is_write) {
-    // Bare runs are unchecked and unaudited: nothing to record or squash.
-    if (collector_ == nullptr) return true;
     const auto first_word = static_cast<std::uint32_t>(byte_offset / spec_->shared_bank_width_bytes);
     const std::size_t words =
         (byte_offset % spec_->shared_bank_width_bytes + bytes +
          spec_->shared_bank_width_bytes - 1) /
         spec_->shared_bank_width_bytes;
-    collector_->record_shared(shared_ord_++, first_word, words);
+    collector_.record_shared(shared_ord_++, first_word, words);
     if (shared_races_ != nullptr) {
       for (std::size_t w = 0; w < words; ++w) {
         unsigned other = 0;
@@ -525,7 +543,7 @@ class ThreadContext {
   const LaunchConfig* cfg_;
   const DeviceSpec* spec_;
   SharedSpace* shared_;
-  detail::WarpCollector* collector_;  ///< null on a bare (memo-hit) run
+  detail::WarpCollector& collector_;
   detail::SharedRaceJournal* shared_races_;
   detail::GlobalRaceJournal* global_races_;
   detail::RaceDetail* race_detail_;
@@ -537,6 +555,131 @@ class ThreadContext {
   std::uint64_t load_bytes_ = 0, store_bytes_ = 0;
   std::uint64_t race_hazards_ = 0;
 };
+
+/// The lean thread context of a memo-hit block: raw global, constant and
+/// shared accesses, plus only the counters the memo guard compares
+/// (BlockCounters::same_work).  Memo hits are unchecked and unaudited,
+/// so nothing is collected, journaled or reported.  A BareThread is a
+/// local of BareBlock::run, which lets the compiler keep the counters in
+/// registers and inline the phase body into the thread loop.
+class BareThread {
+ public:
+  [[nodiscard]] unsigned block_index() const noexcept { return block_; }
+  [[nodiscard]] unsigned thread_index() const noexcept { return thread_; }
+  [[nodiscard]] unsigned block_dim() const noexcept { return block_dim_; }
+
+  void op_cmul(std::uint64_t n = 1) noexcept { cmul_ += n; }
+  void op_cadd(std::uint64_t n = 1) noexcept { cadd_ += n; }
+  void mark_inactive() noexcept { ++inactive_; }
+
+  template <class T>
+  [[nodiscard]] T load(const GlobalBuffer<T>& buf, std::size_t i) noexcept {
+    load_bytes_ += sizeof(T);
+    return buf.raw()[i];
+  }
+
+  template <class T>
+  void store(const GlobalBuffer<T>& buf, std::size_t i, const T& v) noexcept {
+    store_bytes_ += sizeof(T);
+    buf.raw()[i] = v;
+  }
+
+  template <class T>
+  [[nodiscard]] T load_constant(const ConstantBuffer<T>& buf, std::size_t i) noexcept {
+    ++const_reads_;
+    return buf.raw()[i];
+  }
+
+  template <class T>
+  class SharedView {
+   public:
+    [[nodiscard]] T get(std::size_t i) const noexcept { return base_[i]; }
+    void set(std::size_t i, const T& v) const noexcept { base_[i] = v; }
+
+   private:
+    friend class BareThread;
+    explicit SharedView(T* base) noexcept : base_(base) {}
+    T* base_;
+  };
+
+  /// Carve a typed view out of the block's shared allocation; bounds
+  /// checked like ThreadContext's (throws LaunchError).
+  template <class T>
+  [[nodiscard]] SharedView<T> shared_array(std::size_t byte_offset, std::size_t count) {
+    return SharedView<T>(shared_->typed<T>(byte_offset, count));
+  }
+
+ private:
+  friend class BareBlock;
+
+  BareThread(unsigned block, unsigned thread, unsigned block_dim,
+             SharedSpace& shared) noexcept
+      : block_(block), thread_(thread), block_dim_(block_dim), shared_(&shared) {}
+
+  unsigned block_;
+  unsigned thread_;
+  unsigned block_dim_;
+  SharedSpace* shared_;
+
+  std::uint64_t cmul_ = 0, cadd_ = 0;
+  std::uint64_t const_reads_ = 0, inactive_ = 0;
+  std::uint64_t load_bytes_ = 0, store_bytes_ = 0;
+};
+
+/// One memo-hit block as the phases' bare entries see it: the block's
+/// identity and shared arena, and where its threads' counters go.
+class BareBlock {
+ public:
+  /// Run `phase` for threads 0..block_dim-1 -- the order the instrumented
+  /// path runs them, warp by warp and lane by lane, so shared memory and
+  /// global stores see the same sequence -- and add each thread's
+  /// counters to the block's and to its per-thread work tallies.
+  /// Flattened: the phase body and the scalar arithmetic it calls are
+  /// inlined into the thread loop, so the counters stay in registers and
+  /// double-double products are scheduled in place instead of called.
+  template <class F>
+  [[gnu::flatten]] void run(const F& phase) {
+    detail::BlockCounters sum;
+    for (unsigned t = 0; t < block_dim_; ++t) {
+      BareThread ctx(block_, t, block_dim_, *shared_);
+      phase(ctx);
+      cmul_per_thread_[t] += ctx.cmul_;
+      cadd_per_thread_[t] += ctx.cadd_;
+      sum.cmul += ctx.cmul_;
+      sum.cadd += ctx.cadd_;
+      sum.constant_reads += ctx.const_reads_;
+      sum.inactive_lane_phases += ctx.inactive_;
+      sum.load_bytes += ctx.load_bytes_;
+      sum.store_bytes += ctx.store_bytes_;
+    }
+    counters_->merge(sum);
+  }
+
+ private:
+  friend struct BlockRunner;
+
+  BareBlock(unsigned block, unsigned block_dim, SharedSpace& shared,
+            std::uint64_t* cmul_per_thread, std::uint64_t* cadd_per_thread,
+            detail::BlockCounters& counters) noexcept
+      : block_(block), block_dim_(block_dim), shared_(&shared),
+        cmul_per_thread_(cmul_per_thread), cadd_per_thread_(cadd_per_thread),
+        counters_(&counters) {}
+
+  unsigned block_;
+  unsigned block_dim_;
+  SharedSpace* shared_;
+  std::uint64_t* cmul_per_thread_;
+  std::uint64_t* cadd_per_thread_;
+  detail::BlockCounters* counters_;
+};
+
+template <class F>
+  requires(!std::same_as<F, Phase> && std::invocable<F&, ThreadContext&>)
+Phase::Phase(F f) {
+  if constexpr (std::invocable<const F&, BareThread&>)
+    bare = [f](BareBlock& block) { block.run(f); };
+  checked = std::move(f);
+}
 
 /// Execute a kernel on the simulated device, distributing contiguous
 /// chunks of blocks over the host pool, and return its statistics.

@@ -4,8 +4,9 @@
 // only storage and scheduling differ) -- across double, double-double
 // and quad-double.  The tenant-routed fused kernels must reproduce each
 // point's own tenant's single-tenant evaluator, also bit for bit.  The
-// memoized launches (simt::BlockStatsMemo) must report exactly the
-// statistics of the checked, fully instrumented path.
+// memoized launches (simt::BlockStatsMemo), whose hits run bare, must
+// report exactly the statistics and produce exactly the outputs of the
+// checked, fully instrumented path.
 
 #include <gtest/gtest.h>
 
@@ -185,34 +186,50 @@ void expect_same_logs(const simt::LaunchLog& want, const simt::LaunchLog& got,
 
 /// Run the full and values kernels of `memo` (unchecked: memoized) and
 /// `checked` (detect_races: the reference path) over points [0, count)
-/// three times -- the first launch fills the memo, the others hit it --
-/// and require identical statistics every time.  Returns the checked
-/// full-kernel log of the last round.
+/// three times -- the first launch fills the memo, the others hit it and
+/// run bare -- and require identical statistics and bit-identical
+/// results and values every time.  Each side writes its own buffers, and
+/// each launch scales the points by its own factor, so an output a bare
+/// launch failed to write cannot pass as the one an earlier launch left.
+/// Returns the checked full-kernel log of the last round.
 template <class Evaluator, prec::RealScalar S>
 simt::LaunchLog expect_memo_matches_checked(
     Evaluator& memo, Evaluator& checked,
     const std::vector<std::vector<cplx::Complex<S>>>& points, std::size_t count,
     const std::string& label) {
-  std::vector<poly::EvalResult<S>> results(count);
-  std::vector<cplx::Complex<S>> values(count * memo.dimension());
+  using C = cplx::Complex<S>;
+  std::vector<poly::EvalResult<S>> memo_results(count), checked_results(count);
+  std::vector<C> memo_values(count * memo.dimension()),
+      checked_values(count * memo.dimension());
   simt::LaunchLog full;
   for (int launch = 0; launch < 3; ++launch) {
     const std::string at = label + ", launch " + std::to_string(launch);
-    memo.evaluate_range(points, 0, count, std::span<poly::EvalResult<S>>(results));
-    checked.evaluate_range(points, 0, count, std::span<poly::EvalResult<S>>(results));
+    auto scaled = points;
+    const S factor = prec::ScalarTraits<S>::from_double(1.0 + 0.25 * launch);
+    for (auto& x : scaled)
+      for (auto& z : x) z = z * factor;
+
+    memo.evaluate_range(scaled, 0, count, std::span<poly::EvalResult<S>>(memo_results));
+    checked.evaluate_range(scaled, 0, count,
+                           std::span<poly::EvalResult<S>>(checked_results));
     expect_same_logs(checked.last_log(), memo.last_log(), at);
+    expect_bitwise(checked_results, memo_results, at.c_str());
     full = checked.last_log();
-    memo.evaluate_values_range(points, 0, count, std::span<cplx::Complex<S>>(values));
-    checked.evaluate_values_range(points, 0, count, std::span<cplx::Complex<S>>(values));
+
+    memo.evaluate_values_range(scaled, 0, count, std::span<C>(memo_values));
+    checked.evaluate_values_range(scaled, 0, count, std::span<C>(checked_values));
     expect_same_logs(checked.last_log(), memo.last_log(), at + " values");
+    for (std::size_t i = 0; i < memo_values.size(); ++i)
+      EXPECT_EQ(cplx::max_abs_diff(checked_values[i], memo_values[i]), 0.0)
+          << at << " values, entry " << i;
   }
   return full;
 }
 
-/// Memoized statistics against the checked path for `sys`: the plain
-/// evaluator (AoS and SoA, the full batch and then a partial one), the
-/// routed evaluator under interleaved and then flipped routing, and the
-/// pipelined evaluator with a partial tail chunk.
+/// Memoized statistics and outputs against the checked path for `sys`:
+/// the plain evaluator (AoS and SoA, the full batch and then a partial
+/// one), the routed evaluator under interleaved and then flipped
+/// routing, and the pipelined evaluator with a partial tail chunk.
 template <prec::RealScalar S>
 void run_memo_parity(const poly::PolynomialSystem& sys,
                      const std::vector<std::vector<cplx::Complex<S>>>& points) {

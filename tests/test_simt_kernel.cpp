@@ -1,6 +1,6 @@
 // The SIMT engine: launch geometry, phase barriers, coalescing analysis,
 // shared-memory bank conflicts, divergence accounting, occupancy and the
-// per-block statistics memo.
+// per-block statistics memo with its bare (BareThread) path.
 
 #include <gtest/gtest.h>
 
@@ -381,9 +381,10 @@ TEST(Launch, PartialLastWarpStillGrouped) {
 
 /// A kernel whose work branches on a loaded value -- the pattern a
 /// BlockStatsMemo forbids: block b multiplies once per lane when
-/// flag[b] > 0, and loads a strided (scattered) word per lane.
+/// flag[b] > 0, and loads a strided (scattered) word per lane.  The
+/// phase is generic, so memo hits run it over BareThread.
 Kernel make_branchy(const GlobalBuffer<int>& flag, const GlobalBuffer<double>& data) {
-  return Kernel{"branchy", {[flag, data](ThreadContext& ctx) {
+  return Kernel{"branchy", {[flag, data](auto& ctx) {
                   (void)ctx.load(data, std::size_t{ctx.thread_index()} * 16);
                   if (ctx.load(flag, ctx.block_index()) > 0) ctx.op_cmul();
                 }}};
@@ -481,6 +482,53 @@ TEST(BlockStatsMemo, RejectsAnotherGeometry) {
   EXPECT_THROW((void)device.launch(kernel, more_shared), LaunchError);
   EXPECT_THROW((void)device.launch(kernel, memo_config(memo, 3, 32)), LaunchError);
   EXPECT_NO_THROW((void)device.launch(kernel, memo_config(memo, 1, 32)));
+}
+
+TEST(BlockStatsMemo, PhaseWithoutBareEntryThrows) {
+  // A phase that takes only ThreadContext& has no bare entry, so a
+  // memoized launch of its kernel is refused before any block runs.
+  Device device;
+  Kernel checked_only{"checked_only", {[](auto& ctx) { ctx.op_cmul(); },
+                                       [](ThreadContext& ctx) { ctx.op_cadd(); }}};
+  BlockStatsMemo memo(1, 1);
+  try {
+    (void)device.launch(checked_only, memo_config(memo, 1, 32));
+    FAIL() << "a memoized phase without a bare entry must throw";
+  } catch (const LaunchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("checked_only"), std::string::npos) << what;
+    EXPECT_NE(what.find("phase 1"), std::string::npos) << what;
+  }
+  // Without a memo, or on the checked path, the kernel runs as before.
+  LaunchConfig unmemoized{1, 32, 0};
+  unmemoized.detect_races = false;
+  EXPECT_EQ(device.launch(checked_only, unmemoized).complex_add_total, 32u);
+  LaunchConfig checked = memo_config(memo, 1, 32);
+  checked.detect_races = true;
+  EXPECT_EQ(device.launch(checked_only, checked).complex_mul_total, 32u);
+}
+
+TEST(BlockStatsMemo, BareSharedArrayOutOfBoundsThrows) {
+  // The view's extent is a loaded value: in bounds while the memo
+  // fills, one element past the block's shared allocation on the hit.
+  Device device;
+  auto extent = device.alloc_global<unsigned>(1, "extent");
+  device.fill(extent, 1u);
+  Kernel kernel{"shared_extent", {[extent](auto& ctx) {
+                  auto sh = ctx.template shared_array<int>(0, ctx.load(extent, 0));
+                  if (ctx.thread_index() == 0) sh.set(0, 1);
+                }}};
+  BlockStatsMemo memo(1, 1);
+  LaunchConfig cfg = memo_config(memo, 1, 32);
+  cfg.shared_bytes = sizeof(int);
+  (void)device.launch(kernel, cfg);  // fills the entry
+  device.fill(extent, 2u);
+  try {
+    (void)device.launch(kernel, cfg);
+    FAIL() << "a bare block's out-of-bounds shared view must throw";
+  } catch (const LaunchError& e) {
+    EXPECT_NE(std::string(e.what()).find("out of bounds"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
