@@ -201,8 +201,9 @@ class BatchPathTracker {
       std::conditional_t<kExternalHomo, TargetOrHomo, BatchedHomotopy<S, TargetOrHomo>>;
 
  private:
-  /// Multi-tenant homotopies (the solve service's) need the slot id of
-  /// every staged point to route it to its own system tables...
+  /// Tenant-routed homotopies (the solve service's
+  /// BatchedProjectiveHomotopy over a routed FusedGpuEvaluator) need the
+  /// slot id of every staged point to route it to its own system...
   static constexpr bool kSlotAware = newton::SlotAwareEvaluator<Homo>;
   /// ...and take the slot id in their projective hooks too.
   static constexpr bool kSlotProjective =
@@ -720,14 +721,14 @@ class BatchPathTracker {
     cancel_mask_.assign(max_paths_, 0);
   }
 
-  /// Point -> slot routing for multi-tenant homotopies: before a staged
-  /// launch whose point i came from slot ids[i], hand the id list to a
-  /// slot-aware homotopy (no-op for single-tenant homotopies).
+  /// Point -> slot routing for tenant-routed homotopies: before a
+  /// staged launch whose point i came from slot ids[i], hand the id list
+  /// to a slot-aware homotopy (no-op for the others).
   void bind_ids([[maybe_unused]] const std::vector<std::size_t>& ids) {
     if constexpr (kSlotAware) h_.bind_slots(std::span<const std::size_t>(ids));
   }
 
-  /// The projective hooks, routed per slot on multi-tenant homotopies
+  /// The projective hooks, routed per slot on tenant-routed homotopies
   /// (each tenant has its own patch).
   void renormalize_slot([[maybe_unused]] std::size_t id,
                         [[maybe_unused]] std::span<C> z) {

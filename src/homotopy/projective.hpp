@@ -41,6 +41,7 @@
 /// affine pair holds.
 
 #include <limits>
+#include <optional>
 
 #include "ad/cpu_evaluator.hpp"
 #include "homotopy/homogenize.hpp"
@@ -339,9 +340,29 @@ class ProjectiveHomotopy {
 /// evaluate_values_range on the device at the pullback points; the
 /// patched start system and the lift/blend run per point on the CPU,
 /// repeating ProjectiveHomotopy's arithmetic exactly.
+///
+/// Tenant routing (the solve service's cross-request batching): over a
+/// tenant-routed FusedGpuEvaluator, the (f, slot_capacity) constructor
+/// holds up to f.max_tenants() systems of one structure, each with its
+/// own {ProjectiveSystem, patched start evaluator, gamma}.  Each tracker
+/// slot is assigned a tenant (assign_slot); the tracker announces which
+/// slots the next chunk's points belong to (bind_slots,
+/// newton::SlotAwareEvaluator), and every point runs its tenant's
+/// objects while the device launch is routed per point.  A routed point
+/// runs exactly the single-system arithmetic, so a path tracks bitwise
+/// identically whether its request rides alone or coalesced.  Routing
+/// is on exactly when that constructor built the homotopy; the
+/// single-system constructor stores its system as tenant 0.
 template <prec::RealScalar S, class TargetEval>
 class BatchedProjectiveHomotopy {
   using C = cplx::Complex<S>;
+
+  /// Whether TargetEval can route points to tenants (FusedGpuEvaluator).
+  static constexpr bool kRoutable =
+      requires(TargetEval& f, std::span<const unsigned> ids) {
+        f.bind_tenants(ids);
+        f.max_tenants();
+      };
 
  public:
   /// Marks this type as an externally-constructed batched homotopy for
@@ -352,35 +373,73 @@ class BatchedProjectiveHomotopy {
                             const poly::PolynomialSystem& start_system,
                             cplx::Complex<double> gamma,
                             std::span<const cplx::Complex<double>> patch)
-      : f_(f),
-        ps_(target, patch),
-        g_(homogenize(start_system, patch)),
-        gamma_(C::from_double(gamma)),
-        max_batch_(f.batch_capacity()),
-        s_eval_(target.dimension() + 1),
-        s_vals_(target.dimension() + 1) {
+      : BatchedProjectiveHomotopy(f, /*tenants=*/1, /*slot_capacity=*/0,
+                                  /*routed=*/false) {
     if (f.dimension() != target.dimension())
       throw std::invalid_argument("BatchedProjectiveHomotopy: dimension mismatch");
-    if (start_system.degrees() != target.degrees())
-      throw std::invalid_argument(
-          "BatchedProjectiveHomotopy: start system degrees must match the target's");
-    const unsigned n = ps_.affine_dimension();
-    x_pts_.resize(max_batch_);
-    for (auto& p : x_pts_) p.resize(n);
-    f_chunk_.resize(max_batch_);
-    for (auto& r : f_chunk_) r.resize(n);
-    f_values_.resize(max_batch_ * std::size_t{n});
-    fhat_.resize(max_batch_ * std::size_t{n});
-    ghat_.resize(max_batch_ * std::size_t{n});
-    fhat_jac_.resize(std::size_t{n} * (n + 1));
-    fhat_v_.resize(n);
+    check_degrees(target, start_system);
+    tenants_[0].emplace(target, start_system, gamma, patch);
   }
 
-  [[nodiscard]] unsigned dimension() const noexcept { return ps_.dimension(); }
-  [[nodiscard]] unsigned affine_dimension() const noexcept {
-    return ps_.affine_dimension();
+  /// The tenant-routed homotopy over a routed evaluator; `slot_capacity`
+  /// is the owning tracker's max_paths, the widest slot id bind_slots
+  /// may carry.  Tenants are installed by set_tenant.
+  BatchedProjectiveHomotopy(TargetEval& f, std::size_t slot_capacity)
+    requires kRoutable
+      : BatchedProjectiveHomotopy(f, f.max_tenants(), slot_capacity, /*routed=*/true) {
+    if (tenants_.empty())
+      throw std::invalid_argument(
+          "BatchedProjectiveHomotopy: routing needs a tenant-routed evaluator");
   }
+
+  [[nodiscard]] unsigned dimension() const noexcept { return f_.dimension() + 1; }
+  [[nodiscard]] unsigned affine_dimension() const noexcept { return f_.dimension(); }
   [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
+
+  /// Install (or replace) tenant `tenant`: its target's tables on the
+  /// device evaluator plus its CPU-side projective state.
+  void set_tenant(unsigned tenant, const poly::PolynomialSystem& target,
+                  const poly::PolynomialSystem& start_system,
+                  cplx::Complex<double> gamma,
+                  std::span<const cplx::Complex<double>> patch)
+    requires kRoutable
+  {
+    if (!routed_ || tenant >= tenants_.size())
+      throw std::invalid_argument("BatchedProjectiveHomotopy: bad tenant");
+    check_degrees(target, start_system);
+    f_.set_tenant(tenant, target);
+    tenants_[tenant].emplace(target, start_system, gamma, patch);
+  }
+
+  void clear_tenant(unsigned tenant)
+    requires kRoutable
+  {
+    if (!routed_) throw std::logic_error("BatchedProjectiveHomotopy: not routed");
+    if (tenant < tenants_.size()) tenants_[tenant].reset();
+    f_.clear_tenant(tenant);
+  }
+
+  /// Declare that tracker slot `slot` carries a path of `tenant`.
+  void assign_slot(std::size_t slot, unsigned tenant)
+    requires kRoutable
+  {
+    if (slot >= slot_tenant_.size())
+      throw std::invalid_argument("BatchedProjectiveHomotopy: bad slot");
+    if (tenant >= tenants_.size() || !tenants_[tenant])
+      throw std::invalid_argument(
+          "BatchedProjectiveHomotopy: slot bound to absent tenant");
+    slot_tenant_[slot] = tenant;
+  }
+
+  /// SlotAwareEvaluator hook: points[first+i] of the following evaluate
+  /// calls belongs to tracker slot ids[first+i].  The span must outlive
+  /// those calls (the tracker binds its own id vectors).  Ignored unless
+  /// routed.
+  void bind_slots(std::span<const std::size_t> ids)
+    requires kRoutable
+  {
+    bound_ = ids;
+  }
 
   /// H(z_{first+i}, ts_{first+i}) for i in [0, count), count <=
   /// max_batch(): chunk-local values (count*(n+1)) and row-major
@@ -390,24 +449,23 @@ class BatchedProjectiveHomotopy {
   void evaluate_range(const std::vector<std::vector<C>>& points,
                       std::span<const C> ts, std::size_t first, std::size_t count,
                       std::span<C> values, std::span<C> jacobians) {
-    const unsigned n = ps_.affine_dimension();
+    const unsigned n = affine_dimension();
     const unsigned np1 = n + 1;
     const std::size_t nn1 = std::size_t{np1} * np1;
     if (count > max_batch_ || ts.size() < first + count ||
         values.size() < count * np1 || jacobians.size() < count * nn1)
       throw std::invalid_argument("BatchedProjectiveHomotopy: bad batch spans");
 
-    for (std::size_t i = 0; i < count; ++i)
-      ps_.dehomogenize_into(std::span<const C>(points[first + i]),
-                            std::span<C>(x_pts_[i]));
+    stage(points, first, count, chunk_tenants_);
     f_.evaluate_range(x_pts_, 0, count,
                       std::span<poly::EvalResult<S>>(f_chunk_).subspan(0, count));
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t slot = first + i;
+      const Tenant& ten = *tenants_[chunk_tenants_[i]];
       const auto z = std::span<const C>(points[slot]);
-      g_.evaluate(z, s_eval_);
+      ten.g.evaluate(z, s_eval_);
       detail::assemble_projective<S>(
-          ps_, gamma_, ts[slot], z, std::span<const C>(x_pts_[i]),
+          ten.ps, ten.gamma, ts[slot], z, std::span<const C>(x_pts_[i]),
           std::span<const C>(f_chunk_[i].values),
           std::span<const C>(f_chunk_[i].jacobian),
           std::span<const C>(s_eval_.values), std::span<const C>(s_eval_.jacobian),
@@ -422,24 +480,23 @@ class BatchedProjectiveHomotopy {
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::span<const C> ts, std::size_t first,
                              std::size_t count, std::span<C> values) {
-    const unsigned n = ps_.affine_dimension();
+    const unsigned n = affine_dimension();
     const unsigned np1 = n + 1;
     if (ts.size() < first + count || values.size() < count * np1)
       throw std::invalid_argument("BatchedProjectiveHomotopy: bad batch spans");
 
     for (std::size_t c0 = 0; c0 < count; c0 += max_batch_) {
       const std::size_t cnt = std::min(max_batch_, count - c0);
-      for (std::size_t i = 0; i < cnt; ++i)
-        ps_.dehomogenize_into(std::span<const C>(points[first + c0 + i]),
-                              std::span<C>(x_pts_[i]));
+      stage(points, first + c0, cnt, values_tenants_);
       f_.evaluate_values_range(x_pts_, 0, cnt,
                                std::span<C>(f_values_).subspan(0, cnt * n));
       for (std::size_t i = 0; i < cnt; ++i) {
         const std::size_t slot = c0 + i;
+        const Tenant& ten = *tenants_[values_tenants_[i]];
         const auto z = std::span<const C>(points[first + slot]);
-        g_.evaluate_values(z, std::span<C>(s_vals_));
+        ten.g.evaluate_values(z, std::span<C>(s_vals_));
         detail::assemble_projective_values<S>(
-            ps_, gamma_, ts[first + slot], z,
+            ten.ps, ten.gamma, ts[first + slot], z,
             std::span<const C>(f_values_).subspan(i * n, n),
             std::span<const C>(s_vals_), std::span<C>(fhat_v_),
             values.subspan(slot * np1, np1));
@@ -448,25 +505,125 @@ class BatchedProjectiveHomotopy {
   }
 
   /// Davidenko right-hand side of chunk slot i of the most recent
-  /// evaluate_range call; the patch row is zero.
+  /// evaluate_range call, with that point's gamma; the patch row is
+  /// zero.
   void rhs_from_last(std::size_t i, std::span<C> out) const {
-    const unsigned n = ps_.affine_dimension();
+    const unsigned n = affine_dimension();
+    const C gamma = tenants_[chunk_tenants_[i]]->gamma;
     for (unsigned q = 0; q < n; ++q)
-      out[q] = detail::davidenko_rhs(gamma_, fhat_[i * n + q], ghat_[i * n + q]);
+      out[q] = detail::davidenko_rhs(gamma, fhat_[i * n + q], ghat_[i * n + q]);
     out[n] = C{};
   }
 
-  void renormalize(std::span<C> z) const { ps_.renormalize(z); }
+  /// The projective hooks of the single-system form.
+  void renormalize(std::span<C> z) const { single().ps.renormalize(z); }
   [[nodiscard]] double infinity_ratio(std::span<const C> z) const {
-    return ps_.infinity_ratio(z);
+    return single().ps.infinity_ratio(z);
+  }
+
+  /// Slot forms (BatchPathTracker::kSlotProjective): each slot
+  /// renormalizes onto its tenant's patch.
+  void renormalize(std::size_t slot, std::span<C> z) const
+    requires kRoutable
+  {
+    slot_tenant(slot).ps.renormalize(z);
+  }
+  [[nodiscard]] double infinity_ratio(std::size_t slot, std::span<const C> z) const
+    requires kRoutable
+  {
+    return slot_tenant(slot).ps.infinity_ratio(z);
   }
 
  private:
+  static constexpr unsigned kUnassigned = ~0u;
+
+  struct Tenant {
+    Tenant(const poly::PolynomialSystem& target,
+           const poly::PolynomialSystem& start_system, cplx::Complex<double> gamma_in,
+           std::span<const cplx::Complex<double>> patch)
+        : ps(target, patch),
+          g(homogenize(start_system, patch)),
+          gamma(C::from_double(gamma_in)) {}
+
+    detail::ProjectiveSystem<S> ps;
+    ad::CpuEvaluator<S> g;  ///< patched homogenized start system
+    C gamma;
+  };
+
+  BatchedProjectiveHomotopy(TargetEval& f, unsigned tenants, std::size_t slot_capacity,
+                            bool routed)
+      : f_(f),
+        max_batch_(f.batch_capacity()),
+        routed_(routed),
+        tenants_(tenants),
+        slot_tenant_(slot_capacity, kUnassigned),
+        chunk_tenants_(max_batch_),
+        values_tenants_(max_batch_),
+        s_eval_(f.dimension() + 1),
+        s_vals_(f.dimension() + 1) {
+    const unsigned n = f.dimension();
+    x_pts_.resize(max_batch_);
+    for (auto& p : x_pts_) p.resize(n);
+    f_chunk_.resize(max_batch_);
+    for (auto& r : f_chunk_) r.resize(n);
+    f_values_.resize(max_batch_ * std::size_t{n});
+    fhat_.resize(max_batch_ * std::size_t{n});
+    ghat_.resize(max_batch_ * std::size_t{n});
+    fhat_jac_.resize(std::size_t{n} * (n + 1));
+    fhat_v_.resize(n);
+  }
+
+  static void check_degrees(const poly::PolynomialSystem& target,
+                            const poly::PolynomialSystem& start_system) {
+    if (start_system.degrees() != target.degrees())
+      throw std::invalid_argument(
+          "BatchedProjectiveHomotopy: start system degrees must match the target's");
+  }
+
+  [[nodiscard]] const Tenant& single() const {
+    if (routed_)
+      throw std::logic_error("BatchedProjectiveHomotopy: routed hooks take the slot");
+    return *tenants_[0];
+  }
+  [[nodiscard]] unsigned tenant_of_slot(std::size_t slot) const {
+    if (slot >= slot_tenant_.size() || slot_tenant_[slot] == kUnassigned)
+      throw std::logic_error("BatchedProjectiveHomotopy: unassigned slot evaluated");
+    return slot_tenant_[slot];
+  }
+  [[nodiscard]] const Tenant& slot_tenant(std::size_t slot) const {
+    return *tenants_[routed_ ? tenant_of_slot(slot) : 0];
+  }
+
+  /// Pull points[first + i] (i < count) back to the affine chunk, each
+  /// with its own tenant's system, recording the tenants in `tenants`;
+  /// when routed, the device launch that follows is routed by them.
+  void stage(const std::vector<std::vector<C>>& points, std::size_t first,
+             std::size_t count, std::vector<unsigned>& tenants) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (routed_) {
+        if (bound_.size() <= first + i)
+          throw std::logic_error(
+              "BatchedProjectiveHomotopy: evaluate without bind_slots");
+        tenants[i] = tenant_of_slot(bound_[first + i]);
+      } else {
+        tenants[i] = 0;
+      }
+      tenants_[tenants[i]]->ps.dehomogenize_into(std::span<const C>(points[first + i]),
+                                                 std::span<C>(x_pts_[i]));
+    }
+    if constexpr (kRoutable)
+      if (routed_) f_.bind_tenants(std::span<const unsigned>(tenants.data(), count));
+  }
+
   TargetEval& f_;
-  detail::ProjectiveSystem<S> ps_;
-  ad::CpuEvaluator<S> g_;  ///< patched homogenized start system
-  C gamma_;
   std::size_t max_batch_;
+  bool routed_;
+  std::vector<std::optional<Tenant>> tenants_;  ///< tenant 0 alone unless routed
+  std::vector<unsigned> slot_tenant_;           ///< by tracker slot (routed)
+  std::span<const std::size_t> bound_;          ///< slot ids of the next chunk
+  std::vector<unsigned> chunk_tenants_;   ///< tenant per point of the last full chunk
+  std::vector<unsigned> values_tenants_;  ///< tenant per point of a values chunk
+
   poly::EvalResult<S> s_eval_;             ///< per-point start scratch
   std::vector<C> s_vals_;                  ///< per-point values-only scratch
   std::vector<std::vector<C>> x_pts_;      ///< pullback chunk staging

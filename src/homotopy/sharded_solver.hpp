@@ -23,6 +23,12 @@
 /// untouched.  The affine mode remains behind TrackGeometry::kAffine as
 /// the parity/escape hatch; its paths to infinity stall as before.
 ///
+/// Routes: projective lockstep on the fused backend is a one-shot call
+/// into the solve service (projective only); every other combination --
+/// affine lockstep, the pipelined backend, per-path mode -- runs the
+/// dedicated loops below.  Options are validated once at entry, so every
+/// route rejects the same bad options with std::invalid_argument.
+///
 /// Reproducibility: a path's trajectory depends only on its start root,
 /// gamma, the patch and the evaluators, all identical across shards, so
 /// solutions are BITWISE reproducible across shard counts (the sharded
@@ -170,8 +176,8 @@ SolveSummary<S> track_lockstep_loop(
                                 options.workers_per_shard);
   const std::size_t per_shard =
       (paths + registry.size() - 1) / registry.size();  // last slice may be short
-  const unsigned capacity = static_cast<unsigned>(
-      std::min<std::size_t>(std::max(1u, options.lockstep_batch), per_shard));
+  const unsigned capacity =
+      static_cast<unsigned>(std::min<std::size_t>(options.lockstep_batch, per_shard));
   // Shards past the last slice (more shards than paths) own nothing;
   // skip their evaluator/tracker construction entirely.
   const std::size_t used = (paths + per_shard - 1) / per_shard;
@@ -242,9 +248,9 @@ SolveSummary<S> track_perpath_loop(
     for (std::uint64_t p = 0; p < paths; ++p) track_one(0, p);
   } else {
     simt::ThreadPool manager(registry.size() - 1);
-    const std::size_t chunk = options.chunk_paths == 0 ? 1 : options.chunk_paths;
     manager.parallel_for_ranges(
-        paths, chunk, [&](unsigned participant, std::size_t begin, std::size_t end) {
+        paths, options.chunk_paths,
+        [&](unsigned participant, std::size_t begin, std::size_t end) {
           for (std::size_t p = begin; p < end; ++p) track_one(participant, p);
         });
   }
@@ -317,14 +323,14 @@ SolveSummary<S> track_paths_sharded_with(
 /// affine chart) and its status classifies the endpoint.
 namespace detail {
 
-/// The fused lockstep path, re-expressed as a one-shot call into the
-/// solve service: one request carrying every path, a service sized so
-/// the whole per-shard slice is resident (slots_per_shard), drained to
-/// completion.  Endpoints are bitwise identical to the former dedicated
-/// loop -- a path's trajectory depends only on its start root, gamma,
-/// patch and evaluators, all of which the service reproduces exactly --
-/// so the pipelined/per-path loops below remain as independent parity
-/// baselines.
+/// The fused projective lockstep path, re-expressed as a one-shot call
+/// into the solve service: one request carrying every path, a service
+/// sized so the whole per-shard slice is resident (slots_per_shard),
+/// drained to completion.  Endpoints are bitwise identical to the
+/// dedicated loop -- a path's trajectory depends only on its start
+/// root, gamma, patch and evaluators, all of which the service
+/// reproduces exactly -- so the pipelined/per-path loops remain
+/// independent parity baselines.
 template <prec::RealScalar S>
 SolveSummary<S> track_lockstep_via_service(
     const poly::PolynomialSystem& target, const poly::PolynomialSystem& start_system,
@@ -339,8 +345,8 @@ SolveSummary<S> track_lockstep_via_service(
   typename service::SolveService<S>::Config config;
   config.shards = options.shards;
   config.workers_per_shard = options.workers_per_shard;
-  config.lockstep_batch = static_cast<unsigned>(
-      std::min<std::size_t>(std::max(1u, options.lockstep_batch), per_shard));
+  config.lockstep_batch =
+      static_cast<unsigned>(std::min<std::size_t>(options.lockstep_batch, per_shard));
   config.slots_per_shard = per_shard;
   config.max_tenants = 1;
   config.max_queued = 1;
@@ -366,8 +372,10 @@ SolveSummary<S> track_paths_sharded(
     const poly::PolynomialSystem& target, const poly::PolynomialSystem& start_system,
     const std::vector<std::vector<cplx::Complex<S>>>& start_roots,
     cplx::Complex<double> gamma, const ShardedSolveOptions& options = {}) {
+  solve::Options::from_sharded(options).validate();
   if (options.mode == ShardTrackMode::kLockstep &&
-      options.backend == ShardEvalBackend::kFused)
+      options.backend == ShardEvalBackend::kFused &&
+      options.geometry == TrackGeometry::kProjective)
     return detail::track_lockstep_via_service<S>(target, start_system, start_roots,
                                                  gamma, options);
   if (options.backend == ShardEvalBackend::kPipelined)

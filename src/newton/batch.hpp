@@ -121,8 +121,9 @@ struct RefineBatchScratch {
 };
 
 /// Evaluators that need to know which caller-side slot each compacted
-/// batch position belongs to (the multi-tenant evaluators of the solve
-/// service, which route each point to its own system tables).  The
+/// batch position belongs to (the solve service's tenant-routed
+/// BatchedProjectiveHomotopy, which routes each point to its own
+/// system).  The
 /// bound span is indexed exactly like the points of the evaluate calls
 /// that follow it: bound[first + i] owns points[first + i].
 template <class E>
@@ -141,7 +142,7 @@ concept SlotAwareEvaluator = requires(E e, std::span<const std::size_t> ids) {
 ///
 /// `slot_ids` (optional, size >= count when non-empty): caller-side
 /// slot of each path, forwarded through compaction to a SlotAwareEvaluator
-/// so multi-tenant evaluators can route every point to its own system.
+/// so tenant-routed homotopies can route every point to its own system.
 /// `masked` (optional, size >= count when non-empty): nonzero entries
 /// are excluded up front -- the cooperative-cancellation mask.  Their
 /// status is reset but never probed, and when ALL paths are masked the

@@ -69,7 +69,7 @@ struct SolveRequest {
   solve::Options options;
 
   /// Explicit start data (optional).  `roots` are AFFINE start points;
-  /// the service embeds them into the patch in projective geometry.
+  /// the service embeds them into the patch (it tracks projectively).
   struct StartData {
     poly::PolynomialSystem system;
     std::vector<std::vector<cplx::Complex<S>>> roots;

@@ -10,7 +10,11 @@
 /// (n, m, k, d) structure AND whose tracking/tuning options compare
 /// equal land in one *group*; a group owns, per device shard, a
 /// tenant-routed fused evaluator (one launch serves points of several
-/// requests), a slot-aware batched homotopy and a BatchPathTracker.
+/// requests), the routed homotopy::BatchedProjectiveHomotopy over it and
+/// a BatchPathTracker.  The service tracks in projective geometry only:
+/// admission rejects affine requests, as it rejects the per-path mode
+/// and the pipelined backend (all three stay on track_paths_sharded's
+/// dedicated loops).
 /// Each service tick runs one lockstep round on every shard with live
 /// paths -- shards advance in parallel (their devices are independent)
 /// -- then a single coordinator phase drains retired slots into
@@ -66,14 +70,15 @@
 #include <vector>
 
 #include "audit/kernel_auditor.hpp"
+#include "core/fused_evaluator.hpp"
 #include "homotopy/batch_tracker.hpp"
 #include "homotopy/homogenize.hpp"
+#include "homotopy/projective.hpp"
 #include "homotopy/solver.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "poly/random_system.hpp"
-#include "service/multitenant_homotopy.hpp"
 #include "service/request.hpp"
 #include "service/system_cache.hpp"
 #include "simt/device_registry.hpp"
@@ -269,7 +274,7 @@ class SolveService {
     std::lock_guard<std::mutex> lk(mu_);
     inst_.queue_depth->set(static_cast<double>(queued_.size()));
     std::size_t active = 0;
-    for_each_group([&](auto& g) { active += g.active.size(); });
+    for (const auto& g : groups_) active += g->active.size();
     inst_.active_requests->set(static_cast<double>(active));
     inst_.cache_hits->set(static_cast<double>(cache_.hits()));
     inst_.cache_misses->set(static_cast<double>(cache_.misses()));
@@ -354,10 +359,10 @@ class SolveService {
     friend bool operator==(const GroupKey&, const GroupKey&) = default;
   };
 
-  template <class Homo>
+  /// One structure group: per shard, a tenant-routed fused evaluator,
+  /// the routed batched projective homotopy over it and a tracker.
   struct Group {
-    static constexpr bool kProjective =
-        std::is_same_v<Homo, MultiTenantProjectiveHomotopy<S>>;
+    using Homo = homotopy::BatchedProjectiveHomotopy<S, core::FusedGpuEvaluator<S>>;
 
     struct Shard {
       simt::Device& dev;
@@ -391,7 +396,7 @@ class SolveService {
     };
 
     GroupKey key;
-    std::vector<cplx::Complex<double>> patch_d;  ///< projective only
+    std::vector<cplx::Complex<double>> patch_d;
     std::vector<C> patch_s;
     std::vector<std::unique_ptr<Shard>> shards;
     /// Placement weights by shard index (fastest == 1.0): measured via
@@ -409,9 +414,6 @@ class SolveService {
       return false;
     }
   };
-
-  using ProjGroup = Group<MultiTenantProjectiveHomotopy<S>>;
-  using AffGroup = Group<MultiTenantAffineHomotopy<S>>;
 
   // ----- admission --------------------------------------------------
 
@@ -449,10 +451,11 @@ class SolveService {
     } catch (const std::invalid_argument&) {
       return AdmissionVerdict::kInvalid;
     }
-    // The service IS the fused lockstep engine; other modes stay on the
-    // one-shot sharded API.
+    // The service IS the fused projective lockstep engine; other modes,
+    // backends and the affine geometry stay on the one-shot sharded API.
     if (req.options.tracking.mode != solve::TrackMode::kLockstep ||
-        req.options.sharding.backend != solve::EvalBackend::kFused)
+        req.options.sharding.backend != solve::EvalBackend::kFused ||
+        req.options.tracking.geometry != solve::Geometry::kProjective)
       return AdmissionVerdict::kInvalid;
     const std::size_t misses_before = cache_.misses();
     try {
@@ -546,29 +549,21 @@ class SolveService {
                            stats_.total_modeled_us, obs::TraceLevel::kRounds);
     activate_queued();
     process_cancellations();
-    for_each_group([&](auto& g) { fill_slots(g); });
-    for_each_group([&](auto& g) { steal(g); });
+    for (auto& g : groups_) fill_slots(*g);
+    for (auto& g : groups_) steal(*g);
     run_rounds();
     settle_tick();
-    for_each_group([&](auto& g) { drain_retirements(g); });
-    for_each_group([&](auto& g) { finalize_done(g); });
+    for (auto& g : groups_) drain_retirements(*g);
+    for (auto& g : groups_) finalize_done(*g);
     tracer_.end_span(tick_span, stats_.total_modeled_us);
     const bool more = work_remaining_locked();
     cv_.notify_all();
     return more;
   }
 
-  template <class Fn>
-  void for_each_group(Fn&& fn) {
-    for (auto& g : proj_groups_) fn(*g);
-    for (auto& g : aff_groups_) fn(*g);
-  }
-
   [[nodiscard]] bool work_remaining_locked() const {
     if (!queued_.empty()) return true;
-    for (const auto& g : proj_groups_)
-      if (!g->active.empty()) return true;
-    for (const auto& g : aff_groups_)
+    for (const auto& g : groups_)
       if (!g->active.empty()) return true;
     return false;
   }
@@ -583,21 +578,15 @@ class SolveService {
         it = queued_.erase(it);
         continue;
       }
-      const bool activated =
-          it->state->request.options.tracking.geometry ==
-                  solve::Geometry::kProjective
-              ? try_activate(proj_groups_, *it)
-              : try_activate(aff_groups_, *it);
-      it = activated ? queued_.erase(it) : std::next(it);
+      it = try_activate(*it) ? queued_.erase(it) : std::next(it);
     }
   }
 
-  template <class GroupVec>
-  bool try_activate(GroupVec& groups, QueuedItem& item) {
+  bool try_activate(QueuedItem& item) {
     auto& req = item.state->request;
     GroupKey key{item.entry->packed.structure, req.options.tracking,
                  req.options.tuning};
-    auto* group = find_or_create(groups, key, *item.entry);
+    Group* group = find_or_create(key, *item.entry);
     if (group->free_tenants.empty()) return false;  // stays queued
     const unsigned tenant = group->free_tenants.back();
     group->free_tenants.pop_back();
@@ -606,7 +595,11 @@ class SolveService {
                                  : homotopy::random_gamma(req.options.gamma_seed);
     const poly::PolynomialSystem& start_system =
         req.start ? req.start->system : item.entry->start.system();
-    install_tenant(*group, tenant, req.target, start_system, gamma);
+    // Register the tenant on EVERY shard of the group, so path
+    // trajectories are shard-independent and stealing stays parity-safe.
+    for (auto& shard : group->shards)
+      shard->homo.set_tenant(tenant, req.target, start_system, gamma,
+                             std::span<const cplx::Complex<double>>(group->patch_d));
 
     auto run = std::make_unique<RunInfo>();
     run->state = item.state;
@@ -637,21 +630,17 @@ class SolveService {
     return true;
   }
 
-  template <class GroupVec>
-  auto* find_or_create(GroupVec& groups, const GroupKey& key,
-                       const typename SystemCache<S>::Entry& entry) {
-    for (auto& g : groups)
+  Group* find_or_create(const GroupKey& key,
+                        const typename SystemCache<S>::Entry& entry) {
+    for (auto& g : groups_)
       if (g->key == key) return g.get();
-    using G = typename GroupVec::value_type::element_type;
-    auto group = std::make_unique<G>();
+    auto group = std::make_unique<Group>();
     group->key = key;
-    if constexpr (G::kProjective) {
-      group->patch_d = homotopy::random_patch(key.structure.n + 1,
-                                              key.tracking.patch_seed);
-      group->patch_s.reserve(group->patch_d.size());
-      for (const auto& c : group->patch_d)
-        group->patch_s.push_back(C::from_double(c));
-    }
+    group->patch_d = homotopy::random_patch(key.structure.n + 1,
+                                            key.tracking.patch_seed);
+    group->patch_s.reserve(group->patch_d.size());
+    for (const auto& c : group->patch_d)
+      group->patch_s.push_back(C::from_double(c));
     group->shards.reserve(registry_.size());
     for (unsigned i = 0; i < registry_.size(); ++i) {
       // Each shard pins the geometry the cache resolved for ITS spec --
@@ -665,7 +654,7 @@ class SolveService {
                              : (geom != nullptr ? geom->block : 0);
       if (geom != nullptr) eopts.interchange = geom->interchange;
       eopts.detect_races = key.tuning.detect_races;
-      group->shards.push_back(std::make_unique<typename G::Shard>(
+      group->shards.push_back(std::make_unique<typename Group::Shard>(
           registry_.device(i), i, key.structure, config_.max_tenants,
           config_.lockstep_batch, eopts, key.tracking.track,
           config_.slots_per_shard));
@@ -695,29 +684,12 @@ class SolveService {
     // shard rounds compose.
     for (auto& shard : group->shards)
       shard->tracker.set_metrics(&tracker_metrics_);
-    groups.push_back(std::move(group));
-    return groups.back().get();
+    groups_.push_back(std::move(group));
+    return groups_.back().get();
   }
 
-  /// Register the tenant's tables on EVERY shard of the group, so path
-  /// trajectories are shard-independent and stealing stays parity-safe.
-  template <class G>
-  void install_tenant(G& group, unsigned tenant,
-                      const poly::PolynomialSystem& target,
-                      const poly::PolynomialSystem& start_system,
-                      cplx::Complex<double> gamma) {
-    for (auto& shard : group.shards) {
-      if constexpr (G::kProjective)
-        shard->homo.set_tenant(tenant, target, start_system, gamma,
-                               std::span<const cplx::Complex<double>>(
-                                   group.patch_d));
-      else
-        shard->homo.set_tenant(tenant, target, start_system, gamma);
-    }
-  }
-
-  template <class G>
-  std::vector<C> start_point(const G& group, const SolveRequest<S>& req,
+  /// Path `path`'s start root, embedded in the group's patch.
+  std::vector<C> start_point(const Group& group, const SolveRequest<S>& req,
                              const typename SystemCache<S>::Entry& entry,
                              std::uint64_t path) const {
     std::vector<C> affine;
@@ -728,11 +700,8 @@ class SolveService {
       affine.reserve(root_d.size());
       for (const auto& z : root_d) affine.push_back(C::from_double(z));
     }
-    if constexpr (G::kProjective)
-      return homotopy::embed_in_patch<S>(std::span<const C>(affine),
-                                         std::span<const C>(group.patch_s));
-    else
-      return affine;
+    return homotopy::embed_in_patch<S>(std::span<const C>(affine),
+                                       std::span<const C>(group.patch_s));
   }
 
   void finalize_cancelled_in_queue(QueuedItem& item) {
@@ -754,8 +723,8 @@ class SolveService {
   /// consume point, costing no launches) and unstarted paths are
   /// synthesized as kCancelled right here.
   void process_cancellations() {
-    for_each_group([&](auto& g) {
-      for (auto& run : g.active) {
+    for (auto& g : groups_) {
+      for (auto& run : g->active) {
         if (run->cancelling) continue;
         const auto& req = run->state->request;
         const bool wants =
@@ -776,12 +745,12 @@ class SolveService {
           run->state->paths_retired.fetch_add(1, std::memory_order_relaxed);
         }
         run->pending_paths.clear();
-        for (auto& shard : g.shards)
+        for (auto& shard : g->shards)
           for (std::size_t slot = 0; slot < shard->owners.size(); ++slot)
             if (shard->owners[slot].run == run.get())
               shard->tracker.cancel(slot);
       }
-    });
+    }
   }
 
   /// The shard the next pulled path should land on.  Uniform fleets
@@ -789,15 +758,13 @@ class SolveService {
   /// shard 0 packs before shard 1 touches work); mixed fleets pick the
   /// free-slotted shard with the lowest occupancy-per-weight, so a 2x
   /// device ends up carrying twice the live paths.
-  template <class G>
-  [[nodiscard]] auto* pick_fill_shard(G& g) {
-    using Shard = typename G::Shard;
+  [[nodiscard]] typename Group::Shard* pick_fill_shard(Group& g) {
     if (!registry_.heterogeneous()) {
       for (auto& s : g.shards)
         if (!s->free_slots.empty()) return s.get();
-      return static_cast<Shard*>(nullptr);
+      return nullptr;
     }
-    Shard* best = nullptr;
+    typename Group::Shard* best = nullptr;
     double best_score = 0.0;
     for (unsigned i = 0; i < g.shards.size(); ++i) {
       auto& s = g.shards[i];
@@ -814,8 +781,7 @@ class SolveService {
 
   /// Move up to `limit` of `run`'s pending paths into free tracker
   /// slots; returns how many were placed.
-  template <class G>
-  std::uint64_t place_pending(G& g, RunInfo& run, std::uint64_t limit) {
+  std::uint64_t place_pending(Group& g, RunInfo& run, std::uint64_t limit) {
     std::uint64_t placed = 0;
     while (placed < limit && !run.pending_paths.empty()) {
       auto* shard = pick_fill_shard(g);
@@ -836,8 +802,7 @@ class SolveService {
     return placed;
   }
 
-  template <class G>
-  void fill_slots(G& g) {
+  void fill_slots(Group& g) {
     if (g.active.empty()) return;
     if (config_.fairness == 0) {
       // FIFO: drain runs in activation order -- byte-for-byte the old
@@ -877,8 +842,7 @@ class SolveService {
   /// idle + 2 <= busy), on a mixed fleet a slow shard counts as "busy"
   /// with fewer paths.  Termination: each move strictly decreases
   /// sum(live^2 / weight), so the loop cannot ping-pong.
-  template <class G>
-  void steal(G& g) {
+  void steal(Group& g) {
     if (g.has_pending() || g.shards.size() < 2) return;
     auto& x = g.steal_x;
     const auto load = [&](const auto& s, unsigned i) {
@@ -994,10 +958,10 @@ class SolveService {
         dev.clear_log();
       };
       settle();  // tenant installs / evaluator builds since last tick
-      const auto round_shard = [&](auto& g) {
-        auto& shard = *g.shards[d];
+      for (auto& g : groups_) {
+        auto& shard = *g->shards[d];
         shard.rounded = false;
-        if (shard.live == 0) return;
+        if (shard.live == 0) continue;
         const double round_start = stats_.total_modeled_us + charge;
         shard.tracker.round();
         shard.rounded = true;
@@ -1006,9 +970,7 @@ class SolveService {
           tracer_.add_device_slice(d, obs::Tracer::DeviceSlice::kRound,
                                    "shard round", round_start,
                                    stats_.total_modeled_us + charge, 0);
-      };
-      for (auto& g : proj_groups_) round_shard(*g);
-      for (auto& g : aff_groups_) round_shard(*g);
+      }
     };
     if (pool_ && registry_.size() > 1) {
       pool_->parallel_for(registry_.size(), device_tick);
@@ -1039,9 +1001,9 @@ class SolveService {
 
     for (unsigned d = 0; d < registry_.size(); ++d) {
       scratch_device_runs_.clear();
-      for_each_group([&](auto& g) {
-        auto& shard = *g.shards[d];
-        if (!shard.rounded) return;
+      for (auto& g : groups_) {
+        auto& shard = *g->shards[d];
+        if (!shard.rounded) continue;
         ++stats_.shard_rounds;
         inst_.shard_rounds->inc();
         scratch_round_runs_.clear();
@@ -1070,7 +1032,7 @@ class SolveService {
                         rp) == scratch_device_runs_.end())
             scratch_device_runs_.push_back(rp);
         }
-      });
+      }
       if (!scratch_device_runs_.empty()) {
         const double share =
             device_charge_[d] / static_cast<double>(scratch_device_runs_.size());
@@ -1079,13 +1041,11 @@ class SolveService {
       }
     }
 
-    for_each_group([&](auto& g) {
-      for (auto& run : g.active) ++run->ticks_tracking;
-    });
+    for (auto& g : groups_)
+      for (auto& run : g->active) ++run->ticks_tracking;
   }
 
-  template <class G>
-  void drain_retirements(G& g) {
+  void drain_retirements(Group& g) {
     for (auto& shard : g.shards) {
       if (shard->live == 0) continue;
       for (std::size_t slot = 0; slot < shard->owners.size(); ++slot) {
@@ -1102,8 +1062,7 @@ class SolveService {
     }
   }
 
-  template <class G>
-  void finalize_done(G& g) {
+  void finalize_done(Group& g) {
     for (auto it = g.active.begin(); it != g.active.end();) {
       RunInfo& run = **it;
       if (run.retired < run.total) {
@@ -1314,8 +1273,7 @@ class SolveService {
 
   SystemCache<S> cache_;
   std::deque<QueuedItem> queued_;
-  std::vector<std::unique_ptr<ProjGroup>> proj_groups_;
-  std::vector<std::unique_ptr<AffGroup>> aff_groups_;
+  std::vector<std::unique_ptr<Group>> groups_;
 
   std::vector<double> device_charge_;
   std::vector<double> device_busy_us_;  ///< summed charges per device

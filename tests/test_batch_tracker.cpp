@@ -59,34 +59,45 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
   }
 }
 
+/// Lockstep vs per-path in one geometry.  Projective lockstep runs
+/// through the solve service, affine lockstep through the dedicated
+/// loop; both must reproduce the scalar tracker.
 template <prec::RealScalar S>
-void run_mode_parity(std::initializer_list<unsigned> shard_counts) {
+void run_mode_parity(std::initializer_list<unsigned> shard_counts,
+                     homotopy::TrackGeometry geometry) {
   const auto sys = uniform_target();
-  const auto want = homotopy::solve_total_degree_sharded<S>(
-      sys, base_options(1, homotopy::ShardTrackMode::kPerPath));
+  auto opt = base_options(1, homotopy::ShardTrackMode::kPerPath);
+  opt.geometry = geometry;
+  const auto want = homotopy::solve_total_degree_sharded<S>(sys, opt);
   ASSERT_EQ(want.attempted, 6u);
   EXPECT_GE(want.successes, 1u);
 
+  const char* name =
+      geometry == homotopy::TrackGeometry::kAffine ? "affine" : "projective";
   for (const unsigned shards : shard_counts) {
-    const auto got = homotopy::solve_total_degree_sharded<S>(
-        sys, base_options(shards, homotopy::ShardTrackMode::kLockstep));
+    opt = base_options(shards, homotopy::ShardTrackMode::kLockstep);
+    opt.geometry = geometry;
+    const auto got = homotopy::solve_total_degree_sharded<S>(sys, opt);
     expect_paths_bitwise(want, got,
-                         (std::string("lockstep, ") + std::to_string(shards) +
-                          " shard(s)")
+                         (std::string(name) + " lockstep, " +
+                          std::to_string(shards) + " shard(s)")
                              .c_str());
   }
 }
 
 TEST(BatchTracker, LockstepMatchesPerPathAcrossShardCounts) {
-  run_mode_parity<double>({1u, 2u, 4u});
+  run_mode_parity<double>({1u, 2u, 4u}, homotopy::TrackGeometry::kProjective);
+  run_mode_parity<double>({1u, 2u}, homotopy::TrackGeometry::kAffine);
 }
 
 TEST(BatchTracker, LockstepMatchesPerPathDoubleDouble) {
-  run_mode_parity<prec::DoubleDouble>({1u, 2u});
+  run_mode_parity<prec::DoubleDouble>({1u, 2u}, homotopy::TrackGeometry::kProjective);
+  run_mode_parity<prec::DoubleDouble>({1u, 2u}, homotopy::TrackGeometry::kAffine);
 }
 
 TEST(BatchTracker, LockstepMatchesPerPathQuadDouble) {
-  run_mode_parity<prec::QuadDouble>({1u, 2u});
+  run_mode_parity<prec::QuadDouble>({1u, 2u}, homotopy::TrackGeometry::kProjective);
+  run_mode_parity<prec::QuadDouble>({1u, 2u}, homotopy::TrackGeometry::kAffine);
 }
 
 TEST(BatchTracker, PipelinedBackendBitwiseIdentical) {

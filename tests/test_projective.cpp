@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "core/fused_evaluator.hpp"
 #include "homotopy/sharded_solver.hpp"
 #include "poly/random_system.hpp"
@@ -331,6 +334,134 @@ TEST(ProjectiveParity, PipelinedBackendBitwiseIdentical) {
   opt.backend = homotopy::ShardEvalBackend::kPipelined;
   const auto piped = homotopy::solve_total_degree_sharded<double>(sys, opt);
   expect_paths_bitwise(fused, piped, "projective pipelined backend");
+}
+
+// -- the tenant-routed batched homotopy ----------------------------------
+
+using FusedProjective =
+    homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>;
+
+void expect_same_bits(std::span<const Cd> want, std::span<const Cd> got,
+                      const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].re(), got[i].re()) << what << ", entry " << i;
+    EXPECT_EQ(want[i].im(), got[i].im()) << what << ", entry " << i;
+  }
+}
+
+TEST(RoutedProjectiveHomotopy, InterleavedTenantsMatchSingleSystemBitwise) {
+  // Two tenants of one structure, each with its own gamma and patch,
+  // their slots interleaved (and permuted) in one call: every routed
+  // output must equal its own system's single-system homotopy bit for
+  // bit.  Capacity 4 under 6 points: the full evaluation walks two
+  // chunks (the second at first = 4) and the values-only call walks
+  // two device launches.
+  const std::array<poly::PolynomialSystem, 2> sys = {uniform_target(3, 99),
+                                                     uniform_target(3, 123)};
+  const auto st = core::pack_system(sys[0]).structure;
+  ASSERT_EQ(st, core::pack_system(sys[1]).structure);
+  const unsigned n = st.n;
+  const unsigned np1 = n + 1;
+  const std::size_t nn1 = std::size_t{np1} * np1;
+  constexpr unsigned kCap = 4;
+  constexpr std::size_t kPoints = 6;
+
+  const homotopy::TotalDegreeStart start0(sys[0]), start1(sys[1]);
+  const std::array<const homotopy::TotalDegreeStart*, 2> starts = {&start0, &start1};
+  const std::array<Cd, 2> gammas = {homotopy::random_gamma(1), homotopy::random_gamma(2)};
+  const std::array<std::vector<Cd>, 2> patches = {homotopy::random_patch(np1, 2),
+                                                  homotopy::random_patch(np1, 3)};
+
+  simt::Device device;
+  core::FusedGpuEvaluator<double> f0(device, sys[0], kCap), f1(device, sys[1], kCap);
+  FusedProjective h0(f0, sys[0], starts[0]->system(), gammas[0],
+                     std::span<const Cd>(patches[0]));
+  FusedProjective h1(f1, sys[1], starts[1]->system(), gammas[1],
+                     std::span<const Cd>(patches[1]));
+  const std::array<FusedProjective*, 2> single = {&h0, &h1};
+
+  // Three tenant slots, two installed: tenant 2 stays absent.
+  core::FusedGpuEvaluator<double> routed(device, st, /*max_tenants=*/3, kCap);
+  FusedProjective hr(routed, /*slot_capacity=*/8);
+  EXPECT_EQ(hr.dimension(), np1);
+  EXPECT_EQ(hr.max_batch(), kCap);
+  for (unsigned t = 0; t < 2; ++t)
+    hr.set_tenant(t, sys[t], starts[t]->system(), gammas[t],
+                  std::span<const Cd>(patches[t]));
+
+  // Point i rides slot ids[i]; slot s belongs to tenant slot_tenant[s].
+  const std::vector<std::size_t> ids = {4, 0, 3, 2, 5, 1};
+  const std::array<unsigned, 6> slot_tenant = {0, 1, 1, 0, 1, 0};
+  for (std::size_t s = 0; s < slot_tenant.size(); ++s) hr.assign_slot(s, slot_tenant[s]);
+  std::vector<std::vector<Cd>> points;
+  std::vector<Cd> ts;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const unsigned t = slot_tenant[ids[i]];
+    const auto x = poly::make_random_point<double>(n, 40 + i);
+    points.push_back(homotopy::embed_in_patch<double>(
+        std::span<const Cd>(x), std::span<const Cd>(patches[t])));
+    ts.push_back(Cd(0.15 * static_cast<double>(i + 1), 0.02 * static_cast<double>(i)));
+  }
+
+  std::vector<Cd> values(kCap * np1), jacs(kCap * nn1), rhs(np1);
+  std::vector<Cd> want_v(np1), want_j(nn1), want_rhs(np1);
+  EXPECT_THROW(hr.evaluate_range(points, std::span<const Cd>(ts), 0, kCap,
+                                 std::span<Cd>(values), std::span<Cd>(jacs)),
+               std::logic_error)
+      << "evaluate without bind_slots";
+  hr.bind_slots(std::span<const std::size_t>(ids));
+
+  for (std::size_t first = 0; first < kPoints; first += kCap) {
+    const std::size_t count = std::min<std::size_t>(kCap, kPoints - first);
+    hr.evaluate_range(points, std::span<const Cd>(ts), first, count,
+                      std::span<Cd>(values), std::span<Cd>(jacs));
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t p = first + i;
+      FusedProjective& h = *single[slot_tenant[ids[p]]];
+      h.evaluate_range(points, std::span<const Cd>(ts), p, 1, std::span<Cd>(want_v),
+                       std::span<Cd>(want_j));
+      h.rhs_from_last(0, std::span<Cd>(want_rhs));
+      hr.rhs_from_last(i, std::span<Cd>(rhs));
+      const std::string at = "point " + std::to_string(p);
+      expect_same_bits(want_v, std::span<const Cd>(values).subspan(i * np1, np1),
+                       at + " values");
+      expect_same_bits(want_j, std::span<const Cd>(jacs).subspan(i * nn1, nn1),
+                       at + " Jacobian");
+      expect_same_bits(want_rhs, rhs, at + " rhs_from_last");
+    }
+  }
+
+  // Values-only over all six points: two device launches of capacity 4.
+  std::vector<Cd> all_values(kPoints * np1);
+  hr.evaluate_values_range(points, std::span<const Cd>(ts), 0, kPoints,
+                           std::span<Cd>(all_values));
+  for (std::size_t p = 0; p < kPoints; ++p) {
+    const unsigned t = slot_tenant[ids[p]];
+    single[t]->evaluate_values_range(points, std::span<const Cd>(ts), p, 1,
+                                     std::span<Cd>(want_v));
+    expect_same_bits(want_v, std::span<const Cd>(all_values).subspan(p * np1, np1),
+                     "values-only point " + std::to_string(p));
+
+    // The slot hooks use the slot's own tenant patch.
+    auto want_z = points[p], got_z = points[p];
+    single[t]->renormalize(std::span<Cd>(want_z));
+    hr.renormalize(ids[p], std::span<Cd>(got_z));
+    expect_same_bits(want_z, got_z, "renormalize point " + std::to_string(p));
+    EXPECT_EQ(single[t]->infinity_ratio(std::span<const Cd>(points[p])),
+              hr.infinity_ratio(ids[p], std::span<const Cd>(points[p])))
+        << "point " << p;
+  }
+
+  // Error paths.
+  EXPECT_THROW(hr.assign_slot(6, 2), std::invalid_argument) << "absent tenant";
+  EXPECT_THROW(hr.assign_slot(8, 0), std::invalid_argument) << "slot out of range";
+  const std::vector<std::size_t> unassigned = {7};
+  hr.bind_slots(std::span<const std::size_t>(unassigned));
+  EXPECT_THROW(hr.evaluate_values_range(points, std::span<const Cd>(ts), 0, 1,
+                                        std::span<Cd>(want_v)),
+               std::logic_error)
+      << "unassigned slot";
 }
 
 // -- the shared step-control arithmetic ----------------------------------

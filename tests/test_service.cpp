@@ -266,7 +266,7 @@ TEST(SolveService, DeadlineExpiryReportsCancelledNotDiverged) {
 TEST(SolveService, AdmissionControlVerdicts) {
   const auto sys = small_system(99);
 
-  {  // Non-lockstep / non-fused modes belong to the one-shot API.
+  {  // Non-lockstep / non-fused / affine solves belong to the one-shot API.
     service::SolveService<double> svc;
     auto opt = small_options();
     opt.tracking.mode = solve::TrackMode::kPerPath;
@@ -278,6 +278,11 @@ TEST(SolveService, AdmissionControlVerdicts) {
 
     opt = small_options();
     opt.sharding.backend = solve::EvalBackend::kPipelined;
+    EXPECT_EQ(svc.submit({sys, opt, {}, 0, 0.0}).verdict(),
+              service::AdmissionVerdict::kInvalid);
+
+    opt = small_options();
+    opt.tracking.geometry = solve::Geometry::kAffine;  // projective only
     EXPECT_EQ(svc.submit({sys, opt, {}, 0, 0.0}).verdict(),
               service::AdmissionVerdict::kInvalid);
 

@@ -102,6 +102,29 @@ TEST(ShardedTracker, AffineEscapeHatchStillStalls) {
   }
 }
 
+TEST(ShardedTracker, ZeroShardsThrowsOnEveryRoute) {
+  // Options are validated once at entry, so every route rejects a bad
+  // shard count the same way instead of dividing by it.
+  const auto sys = uniform_target();
+  const auto expect_rejected = [&](homotopy::ShardedSolveOptions opt,
+                                   const char* route) {
+    opt.shards = 0;
+    EXPECT_THROW((void)homotopy::solve_total_degree_sharded<double>(sys, opt),
+                 std::invalid_argument)
+        << route;
+  };
+  auto opt = base_options(2);
+  expect_rejected(opt, "lockstep fused projective");
+  opt.geometry = homotopy::TrackGeometry::kAffine;
+  expect_rejected(opt, "lockstep fused affine");
+  opt = base_options(2);
+  opt.backend = homotopy::ShardEvalBackend::kPipelined;
+  expect_rejected(opt, "pipelined");
+  opt = base_options(2);
+  opt.mode = homotopy::ShardTrackMode::kPerPath;
+  expect_rejected(opt, "per-path");
+}
+
 TEST(ShardedTracker, ExplicitStartRootsLandInOrder) {
   // track_paths_sharded with hand-picked start roots: result i must
   // correspond to root i (deterministic merge), independent of shards.
