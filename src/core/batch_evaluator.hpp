@@ -7,6 +7,14 @@
 /// the PCIe round trip); path trackers that can batch predictor points
 /// or track many paths in lockstep amortize that floor.  Grids grow by
 /// the batch factor: block index = point * blocks_per_point + chunk.
+///
+/// The kernels are kernels.hpp's three builders, launched with
+/// blocks_per_point; at batch 1 with GpuEvaluator's block and layout, a
+/// launch log equals GpuEvaluator's.  The two hosts differ in what they
+/// expose, not in arithmetic: this one picks its block size and layout
+/// by measured tuning and backs ShardedEvaluator's three-kernel shards,
+/// while GpuEvaluator pins the paper's 32-thread block and carries the
+/// paper-table ablations.
 
 #include <optional>
 #include <span>
@@ -54,36 +62,8 @@ class BatchGpuEvaluator {
     resolve_options(system);
     const auto s = packed_.structure;
 
-    const auto encoded = encode_exponents(options_.encoding, packed_.exponents);
-    positions_ =
-        device_.alloc_constant<unsigned char>(packed_.positions.size(), "Positions");
-    exponents_ = device_.alloc_constant<unsigned char>(encoded.size(), "Exponents");
-    device_.upload_constant(positions_,
-                            std::span<const unsigned char>(packed_.positions));
-    device_.upload_constant(exponents_, std::span<const unsigned char>(encoded));
-
-    x_ = device_.alloc_global<C>(std::size_t{capacity_} * s.n, "X[batch]");
-    coeffs_ = device_.alloc_global<C>(layout_.coeffs_size(), "Coeffs");
-    common_factors_.allocate(device_,
-                             std::size_t{capacity_} * layout_.total_monomials(),
-                             "CommonFactors[batch]", *options_.interchange);
-    mons_.allocate(device_, std::size_t{capacity_} * layout_.mons_size(),
-                   "Mons[batch]", *options_.interchange);
-    outputs_ = device_.alloc_global<C>(std::size_t{capacity_} * layout_.num_outputs(),
-                                       "Outputs[batch]");
-
-    // exponent factors folded in the working precision, as in GpuEvaluator
-    std::vector<C> coeffs(packed_.coeffs.size());
-    for (std::uint64_t t = 0; t < layout_.total_monomials(); ++t) {
-      const auto raw = C::from_double(packed_.coeffs[layout_.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed_.exponents[layout_.support_index(t, j)] + 1.0;
-        coeffs[layout_.coeff_index(j, t)] = raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      coeffs[layout_.coeff_index(s.k, t)] = raw;
-    }
-    device_.upload(coeffs_, std::span<const C>(coeffs));
-    mons_.fill_zero(device_);
+    bufs_ = detail::make_device_buffers<S>(device_, packed_, layout_, options_.encoding,
+                                           *options_.interchange, capacity_, "[batch]");
 
     // Persistent host-side scratch: steady-state evaluate() calls reuse
     // these and perform zero heap allocations.
@@ -94,7 +74,12 @@ class BatchGpuEvaluator {
         (layout_.total_monomials() + options_.block_size - 1) / options_.block_size);
     out_blocks_per_point_ = static_cast<unsigned>(
         (layout_.num_outputs() + options_.block_size - 1) / options_.block_size);
-    build_kernels();
+    shared1_ = std::size_t{s.n} * s.d * sizeof(C);
+    shared2_ = (std::size_t{s.n} + std::size_t{options_.block_size} * (s.k + 1)) * sizeof(C);
+    kernel1_ = make_common_factor_kernel<S>(bufs_, layout_, options_.encoding,
+                                            blocks_per_point_);
+    kernel2_ = make_speelpenning_kernel<S>(bufs_, layout_, blocks_per_point_);
+    kernel3_ = make_summation_kernel<S>(bufs_, layout_, out_blocks_per_point_);
   }
 
   [[nodiscard]] unsigned dimension() const noexcept { return packed_.structure.n; }
@@ -146,7 +131,7 @@ class BatchGpuEvaluator {
     for (unsigned p = 0; p < batch; ++p)
       std::copy(points[first + p].begin(), points[first + p].end(),
                 flat_.begin() + std::size_t{p} * s_n);
-    device_.upload(x_, std::span<const C>(flat_));
+    device_.upload(bufs_.x, std::span<const C>(flat_));
 
     (void)device_.launch(kernel1_,
                          {batch * blocks_per_point_, options_.block_size, shared1_});
@@ -156,7 +141,7 @@ class BatchGpuEvaluator {
                          {batch * out_blocks_per_point_, options_.block_size, 0});
 
     host_outputs_.resize(std::size_t{batch} * layout_.num_outputs());
-    device_.download(outputs_, std::span<C>(host_outputs_));
+    device_.download(bufs_.outputs, std::span<C>(host_outputs_));
 
     for (unsigned p = 0; p < batch; ++p)
       detail::unpack_outputs<S>(layout_, std::span<const C>(host_outputs_),
@@ -222,207 +207,13 @@ class BatchGpuEvaluator {
     options_.interchange = decision.choice.interchange;
   }
 
-  void build_kernels() {
-    const auto s = packed_.structure;
-    const unsigned n = s.n, d = s.d, k = s.k;
-    const std::uint64_t monomials = layout_.total_monomials();
-    const auto layout = layout_;
-    const auto enc = options_.encoding;
-    const unsigned bpp = blocks_per_point_;
-    const unsigned obpp = out_blocks_per_point_;
-    const auto x = x_;
-    const auto coeffs = coeffs_;
-    const auto cf_buf = common_factors_;
-    const auto mons = mons_;
-    const auto outputs_buf = outputs_;
-    const auto positions = positions_;
-    const auto exponents = exponents_;
-
-    shared1_ = std::size_t{n} * d * sizeof(C);
-    shared2_ = (std::size_t{n} + std::size_t{options_.block_size} * (k + 1)) * sizeof(C);
-
-    const auto decode = [exponents, enc](simt::ThreadContext& ctx,
-                                         std::uint64_t index) -> unsigned {
-      if (enc == ExponentEncoding::kChar) return ctx.load_constant(exponents, index);
-      const unsigned char byte = ctx.load_constant(exponents, index / 2);
-      return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
-    };
-
-    // Kernel names stay <= 15 chars: KernelStats copies them per launch
-    // and SSO-sized strings keep those copies off the allocator (the
-    // zero-alloc steady-state guarantee).
-    kernel1_.name = "batch_cfactors";
-    kernel1_.phases = {
-        [x, n, d, bpp](simt::ThreadContext& ctx) {
-          const std::size_t point = ctx.block_index() / bpp;
-          auto powers = ctx.template shared_array<C>(0, std::size_t{n} * d);
-          bool worked = false;
-          for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
-            worked = true;
-            powers.set(v, C(S(1.0)));
-            if (d >= 2) {
-              const C xv = ctx.load(x, point * n + v);
-              powers.set(std::size_t{n} + v, xv);
-              for (unsigned e = 2; e < d; ++e) {
-                const C next = powers.get(std::size_t{e - 1} * n + v) * xv;
-                ctx.op_cmul();
-                powers.set(std::size_t{e} * n + v, next);
-              }
-            }
-          }
-          if (!worked) ctx.mark_inactive();
-        },
-        [cf_buf, positions, decode, layout, n, d, k, monomials,
-         bpp](simt::ThreadContext& ctx) {
-          const std::size_t point = ctx.block_index() / bpp;
-          const std::uint64_t g =
-              std::uint64_t{ctx.block_index() % bpp} * ctx.block_dim() +
-              ctx.thread_index();
-          if (g >= monomials) {
-            ctx.mark_inactive();
-            return;
-          }
-          auto powers = ctx.template shared_array<C>(0, std::size_t{n} * d);
-          C cf(S(1.0));
-          for (unsigned j = 0; j < k; ++j) {
-            const auto idx = layout.support_index(g, j);
-            const unsigned pos = ctx.load_constant(positions, idx);
-            const unsigned em1 = decode(ctx, idx);
-            const C val = powers.get(std::size_t{em1} * n + pos);
-            if (j == 0) {
-              cf = val;
-            } else {
-              cf = cf * val;
-              ctx.op_cmul();
-            }
-          }
-          cf_buf.store(ctx, point * monomials + g, cf);
-        },
-    };
-
-    kernel2_.name = "batch_speel";
-    kernel2_.phases = {
-        [x, n, bpp](simt::ThreadContext& ctx) {
-          const std::size_t point = ctx.block_index() / bpp;
-          auto svars = ctx.template shared_array<C>(0, n);
-          bool worked = false;
-          for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
-            worked = true;
-            svars.set(v, ctx.load(x, point * n + v));
-          }
-          if (!worked) ctx.mark_inactive();
-        },
-        [cf_buf, coeffs, mons, positions, decode, layout, n, k, monomials,
-         bpp](simt::ThreadContext& ctx) {
-          const std::size_t point = ctx.block_index() / bpp;
-          const std::uint64_t g =
-              std::uint64_t{ctx.block_index() % bpp} * ctx.block_dim() +
-              ctx.thread_index();
-          if (g >= monomials) {
-            ctx.mark_inactive();
-            return;
-          }
-          auto svars = ctx.template shared_array<C>(0, n);
-          auto ell = ctx.template shared_array<C>(
-              std::size_t{n} * sizeof(C), std::size_t{ctx.block_dim()} * (k + 1));
-          const std::size_t base = std::size_t{ctx.thread_index()} * (k + 1);
-          const std::size_t mons_base = point * layout.mons_size();
-
-          std::array<unsigned, 256> pos{};
-          for (unsigned j = 0; j < k; ++j)
-            pos[j] = ctx.load_constant(positions, layout.support_index(g, j));
-          const auto var = [&](unsigned j) { return svars.get(pos[j]); };
-
-          if (k == 2) {
-            ell.set(base + 0, var(1));
-            ell.set(base + 1, var(0));
-          } else if (k >= 3) {
-            ell.set(base + 1, var(0));
-            for (unsigned r = 2; r < k; ++r) {
-              const C fwd = ell.get(base + r - 1) * var(r - 1);
-              ctx.op_cmul();
-              ell.set(base + r, fwd);
-            }
-            C q = var(k - 1);
-            {
-              const C v2 = ell.get(base + k - 2) * q;
-              ctx.op_cmul();
-              ell.set(base + k - 2, v2);
-            }
-            for (unsigned r = 1; r + 2 < k; ++r) {
-              q = q * var(k - 1 - r);
-              ctx.op_cmul();
-              const C v2 = ell.get(base + k - 2 - r) * q;
-              ctx.op_cmul();
-              ell.set(base + k - 2 - r, v2);
-            }
-            const C first = q * var(1);
-            ctx.op_cmul();
-            ell.set(base + 0, first);
-          }
-
-          const C cf = cf_buf.load(ctx, point * monomials + g);
-          if (k == 1) {
-            ell.set(base + 0, cf);
-          } else {
-            for (unsigned j = 0; j < k; ++j) {
-              const C v2 = ell.get(base + j) * cf;
-              ctx.op_cmul();
-              ell.set(base + j, v2);
-            }
-          }
-          {
-            const C value = ell.get(base + k - 1) * var(k - 1);
-            ctx.op_cmul();
-            ell.set(base + k, value);
-          }
-          for (unsigned j = 0; j <= k; ++j) {
-            const C c = ctx.load(coeffs, layout.coeff_index(j, g));
-            const C v2 = ell.get(base + j) * c;
-            ctx.op_cmul();
-            ell.set(base + j, v2);
-          }
-
-          mons.store(ctx, mons_base + layout.mons_value_index(g), ell.get(base + k));
-          for (unsigned j = 0; j < k; ++j)
-            mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]),
-                       ell.get(base + j));
-        },
-    };
-
-    kernel3_.name = "batch_sum";
-    const unsigned m = s.m;
-    const std::uint64_t outs = layout_.num_outputs();
-    kernel3_.phases = {
-        [mons, outputs_buf, layout, m, outs, obpp](simt::ThreadContext& ctx) {
-          const std::size_t point = ctx.block_index() / obpp;
-          const std::uint64_t out =
-              std::uint64_t{ctx.block_index() % obpp} * ctx.block_dim() +
-              ctx.thread_index();
-          if (out >= outs) {
-            ctx.mark_inactive();
-            return;
-          }
-          const std::size_t mons_base = point * layout.mons_size();
-          C sum = mons.load(ctx, mons_base + layout.mons_index(out, 0));
-          for (unsigned j = 1; j < m; ++j) {
-            sum += mons.load(ctx, mons_base + layout.mons_index(out, j));
-            ctx.op_cadd();
-          }
-          ctx.store(outputs_buf, point * outs + out, sum);
-        },
-    };
-  }
-
   simt::Device& device_;
   Options options_;
   unsigned capacity_;
   PackedSystem packed_;
   SystemLayout layout_;
 
-  simt::GlobalBuffer<C> x_, coeffs_, outputs_;
-  InterchangeBuffer<S> common_factors_, mons_;
-  simt::ConstantBuffer<unsigned char> positions_, exponents_;
+  DeviceBuffers<S> bufs_;
   simt::Kernel kernel1_, kernel2_, kernel3_;
   std::size_t shared1_ = 0, shared2_ = 0;
   unsigned blocks_per_point_ = 0, out_blocks_per_point_ = 0;

@@ -192,15 +192,8 @@ struct FusedSystemState {
               host_positions.begin() + tenant * support_stride);
     std::copy(encoded.begin(), encoded.end(),
               host_exponents.begin() + tenant * encoded.size());
-    const auto folded = host_coeffs.begin() + tenant * layout.coeffs_size();
-    for (std::uint64_t t = 0; t < layout.total_monomials(); ++t) {
-      const auto raw = C::from_double(packed.coeffs[layout.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed.exponents[layout.support_index(t, j)] + 1.0;
-        folded[layout.coeff_index(j, t)] = raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      folded[layout.coeff_index(s.k, t)] = raw;
-    }
+    const std::size_t stride = layout.coeffs_size();
+    fold_coefficients(packed, layout, std::span<C>(host_coeffs).subspan(tenant * stride, stride));
     upload_tables(device);
   }
 

@@ -56,41 +56,10 @@ class GpuEvaluator {
     if (options_.block_size == 0)
       throw std::invalid_argument("GpuEvaluator: block size must be positive");
 
-    const auto encoded = encode_exponents(options_.encoding, packed_.exponents);
+    bufs_ = detail::make_device_buffers<S>(device_, packed_, layout_, options_.encoding,
+                                           options_.interchange, 1, "");
 
-    bufs_.positions =
-        device_.alloc_constant<unsigned char>(packed_.positions.size(), "Positions");
-    bufs_.exponents = device_.alloc_constant<unsigned char>(encoded.size(), "Exponents");
-    device_.upload_constant(bufs_.positions,
-                            std::span<const unsigned char>(packed_.positions));
-    device_.upload_constant(bufs_.exponents, std::span<const unsigned char>(encoded));
-
-    bufs_.x = device_.alloc_global<C>(s.n, "X");
-    bufs_.coeffs = device_.alloc_global<C>(layout_.coeffs_size(), "Coeffs");
-    bufs_.common_factors.allocate(device_, layout_.total_monomials(), "CommonFactors",
-                                  options_.interchange);
-    bufs_.mons.allocate(device_, layout_.mons_size(), "Mons", options_.interchange);
-    bufs_.outputs = device_.alloc_global<C>(layout_.num_outputs(), "Outputs");
-
-    // Coefficients widen to the working precision once, then live in
-    // global memory for the whole run.  The derivative portions fold the
-    // exponent factors IN the working precision (folding in double first
-    // would cap extended-precision Jacobian accuracy at ~1e-16).
-    std::vector<C> coeffs(packed_.coeffs.size());
-    for (std::uint64_t t = 0; t < layout_.total_monomials(); ++t) {
-      const auto raw = C::from_double(packed_.coeffs[layout_.coeff_index(s.k, t)]);
-      for (unsigned j = 0; j < s.k; ++j) {
-        const double a = packed_.exponents[layout_.support_index(t, j)] + 1.0;
-        coeffs[layout_.coeff_index(j, t)] =
-            raw * prec::ScalarTraits<S>::from_double(a);
-      }
-      coeffs[layout_.coeff_index(s.k, t)] = raw;
-    }
-    device_.upload(bufs_.coeffs, std::span<const C>(coeffs));
-
-    // The structural zeros of Mons are set once and never written again.
-    bufs_.mons.fill_zero(device_);
-
+    // One point per pass: each kernel's blocks per point is its whole grid.
     const auto blocks_for = [&](std::uint64_t work) {
       return static_cast<unsigned>((work + options_.block_size - 1) / options_.block_size);
     };
@@ -103,21 +72,22 @@ class GpuEvaluator {
                                                           options_.encoding);
       cfg1_ = {blocks_for(layout_.total_monomials()), options_.block_size, 0};
     } else {
-      kernel1_ = make_common_factor_kernel<S>(bufs_, layout_, options_.encoding);
       cfg1_ = {blocks_for(layout_.total_monomials()), options_.block_size,
                std::size_t{s.n} * s.d * sizeof(C)};
+      kernel1_ = make_common_factor_kernel<S>(bufs_, layout_, options_.encoding,
+                                              cfg1_.grid_blocks);
     }
-    kernel2_ = make_speelpenning_kernel<S>(bufs_, layout_, options_.encoding);
-    kernel3_ = make_summation_kernel<S>(bufs_, layout_);
-    values_kernel_ = make_values_kernel<S>(bufs_, layout_);
-    values_sum_kernel_ = make_values_summation_kernel<S>(bufs_, layout_);
-
     cfg2_ = {blocks_for(layout_.total_monomials()), options_.block_size,
              (std::size_t{s.n} + std::size_t{options_.block_size} * (s.k + 1)) * sizeof(C)};
     cfg3_ = {blocks_for(layout_.num_outputs()), options_.block_size, 0};
     cfg_values_ = {blocks_for(layout_.total_monomials()), options_.block_size,
                    std::size_t{s.n} * sizeof(C)};
     cfg_values_sum_ = {blocks_for(s.n), options_.block_size, 0};
+    kernel2_ = make_speelpenning_kernel<S>(bufs_, layout_, cfg2_.grid_blocks);
+    kernel3_ = make_summation_kernel<S>(bufs_, layout_, cfg3_.grid_blocks);
+    values_kernel_ = make_values_kernel<S>(bufs_, layout_, cfg_values_.grid_blocks);
+    values_sum_kernel_ =
+        make_values_summation_kernel<S>(bufs_, layout_, cfg_values_sum_.grid_blocks);
 
     host_outputs_.resize(layout_.num_outputs());
   }
@@ -142,17 +112,9 @@ class GpuEvaluator {
     (void)device_.launch(kernel2_, cfg2_);
     (void)device_.launch(kernel3_, cfg3_);
     device_.download(bufs_.outputs, std::span<C>(host_outputs_));
-
-    const unsigned n = packed_.structure.n;
-    out.resize(n);
-    for (unsigned p = 0; p < n; ++p)
-      out.values[p] = host_outputs_[layout_.output_value_index(p)];
-    for (unsigned p = 0; p < n; ++p)
-      for (unsigned v = 0; v < n; ++v)
-        out.jacobian[std::size_t{p} * n + v] =
-            host_outputs_[layout_.output_deriv_index(p, v)];
-
-    snapshot_log(kernels_before, transfers_before);
+    detail::unpack_outputs<S>(layout_, std::span<const C>(host_outputs_), 0, out);
+    detail::snapshot_device_log(device_.log(), kernels_before, transfers_before,
+                                last_log_);
   }
 
   [[nodiscard]] poly::EvalResult<S> evaluate(std::span<const C> x) {
@@ -178,7 +140,8 @@ class GpuEvaluator {
     (void)device_.launch(values_kernel_, cfg_values_);
     (void)device_.launch(values_sum_kernel_, cfg_values_sum_);
     device_.download(bufs_.outputs, values);  // only the first n entries
-    snapshot_log(kernels_before, transfers_before);
+    detail::snapshot_device_log(device_.log(), kernels_before, transfers_before,
+                                last_log_);
   }
 
   /// Kernel statistics and transfer volumes of the last evaluate() call,
@@ -194,22 +157,6 @@ class GpuEvaluator {
   }
 
  private:
-  /// Record this call's slice of the device log for the timing model.
-  void snapshot_log(std::size_t kernels_before, const simt::TransferStats& before) {
-    const auto& log = device_.log();
-    last_log_.kernels.assign(
-        log.kernels.begin() + static_cast<std::ptrdiff_t>(kernels_before),
-        log.kernels.end());
-    last_log_.transfers.bytes_to_device =
-        log.transfers.bytes_to_device - before.bytes_to_device;
-    last_log_.transfers.bytes_from_device =
-        log.transfers.bytes_from_device - before.bytes_from_device;
-    last_log_.transfers.transfers_to_device =
-        log.transfers.transfers_to_device - before.transfers_to_device;
-    last_log_.transfers.transfers_from_device =
-        log.transfers.transfers_from_device - before.transfers_from_device;
-  }
-
   simt::Device& device_;
   Options options_;
   PackedSystem packed_;

@@ -23,9 +23,22 @@
 /// Kernel 3 (section 3.3) -- one thread per output polynomial (n^2+n of
 /// them) adds exactly m terms, structural zeros included, keeping every
 /// warp lane on the same path; reads coalesce by construction.
+///
+/// The three kernels serve both three-kernel hosts.  Each builder, the
+/// values-only pair included, takes the grid's blocks per point `bpp`:
+/// block b serves point b / bpp (see detail::point_thread), and X,
+/// CommonFactors, Mons and Outputs are offset by that point's stride.
+/// GpuEvaluator launches a one-point grid (bpp = its whole grid, every
+/// offset 0); BatchGpuEvaluator grows the grid by the batch.  The
+/// section-3.1 ablation kernels (powers_global, common_factors_global)
+/// serve one point.  The batched kernels' names stay <= 15 characters:
+/// KernelStats copies the name per launch, and an SSO-sized string keeps
+/// that copy off the allocator (the zero-alloc steady state).
 
 #include <array>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/encoding.hpp"
 #include "core/layout.hpp"
@@ -120,6 +133,67 @@ namespace detail {
   return index % 2 == 0 ? (byte & 0x0Fu) : (byte >> 4u);
 }
 
+/// Where a thread of a grid with `bpp` blocks per point works: block b
+/// serves point b / bpp, and the thread's index inside that point is
+/// (b % bpp) * blockDim + thread.
+struct PointThread {
+  std::size_t point;
+  std::uint64_t index;
+};
+
+[[nodiscard]] inline PointThread point_thread(const simt::ThreadContext& ctx,
+                                              unsigned bpp) {
+  return {ctx.block_index() / bpp,
+          std::uint64_t{ctx.block_index() % bpp} * ctx.block_dim() + ctx.thread_index()};
+}
+
+/// Phase one of kernel 2 and of its values-only variant: cooperative
+/// coalesced load of the block's point into shared memory ("we would
+/// need to access global memory only once by all threads of a block
+/// simultaneously", section 3.2).
+template <prec::RealScalar S>
+[[nodiscard]] auto make_point_phase(const DeviceBuffers<S>& bufs, unsigned n, unsigned bpp) {
+  return [bufs, n, bpp](simt::ThreadContext& ctx) {
+    const std::size_t point = ctx.block_index() / bpp;
+    auto svars = ctx.template shared_array<cplx::Complex<S>>(0, n);
+    bool worked = false;
+    for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
+      worked = true;
+      svars.set(v, ctx.load(bufs.x, point * n + v));
+    }
+    if (!worked) ctx.mark_inactive();
+  };
+}
+
+/// Kernel 3 over each point's first `count` outputs: one thread per
+/// output sums exactly m terms of the point's Mons stride.
+template <prec::RealScalar S>
+[[nodiscard]] simt::Kernel make_summation(const DeviceBuffers<S>& bufs,
+                                          const SystemLayout& layout, std::uint64_t count,
+                                          unsigned bpp, const char* name) {
+  using C = cplx::Complex<S>;
+  const unsigned m = layout.structure().m;
+  const std::uint64_t stride = layout.num_outputs();
+
+  simt::Kernel kernel;
+  kernel.name = name;
+  kernel.phases.push_back([bufs, layout, m, count, stride, bpp](simt::ThreadContext& ctx) {
+    const auto [point, out] = point_thread(ctx, bpp);
+    if (out >= count) {
+      ctx.mark_inactive();
+      return;
+    }
+    const std::size_t mons_base = point * layout.mons_size();
+    C sum = bufs.mons.load(ctx, mons_base + layout.mons_index(out, 0));
+    for (unsigned j = 1; j < m; ++j) {
+      sum += bufs.mons.load(ctx, mons_base + layout.mons_index(out, j));
+      ctx.op_cadd();
+    }
+    ctx.store(bufs.outputs, point * stride + out, sum);
+  });
+  return kernel;
+}
+
 }  // namespace detail
 
 /// Kernel 1: powers table + common factors.
@@ -128,7 +202,7 @@ namespace detail {
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_common_factor_kernel(const DeviceBuffers<S>& bufs,
                                                      const SystemLayout& layout,
-                                                     ExponentEncoding enc) {
+                                                     ExponentEncoding enc, unsigned bpp) {
   using C = cplx::Complex<S>;
   const auto s = layout.structure();
   const unsigned n = s.n, d = s.d, k = s.k;
@@ -139,14 +213,15 @@ template <prec::RealScalar S>
 
   // Phase one: tabulate powers (strided over variables when n exceeds
   // the block size).
-  kernel.phases.push_back([bufs, n, d](simt::ThreadContext& ctx) {
+  kernel.phases.push_back([bufs, n, d, bpp](simt::ThreadContext& ctx) {
+    const std::size_t point = ctx.block_index() / bpp;
     auto powers = ctx.template shared_array<C>(0, std::size_t{n} * d);
     bool worked = false;
     for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
       worked = true;
       powers.set(v, C(S(1.0)));  // row 0: x^0
       if (d >= 2) {
-        const C xv = ctx.load(bufs.x, v);
+        const C xv = ctx.load(bufs.x, point * n + v);
         powers.set(std::size_t{n} + v, xv);
         for (unsigned e = 2; e < d; ++e) {
           const C next = powers.get(std::size_t{e - 1} * n + v) * xv;
@@ -159,8 +234,9 @@ template <prec::RealScalar S>
   });
 
   // Phase two: one common factor per thread, k-1 multiplications.
-  kernel.phases.push_back([bufs, layout, enc, n, d, k, monomials](simt::ThreadContext& ctx) {
-    const std::uint64_t g = ctx.global_thread_index();
+  kernel.phases.push_back([bufs, layout, enc, n, d, k, monomials,
+                           bpp](simt::ThreadContext& ctx) {
+    const auto [point, g] = detail::point_thread(ctx, bpp);
     if (g >= monomials) {
       ctx.mark_inactive();
       return;
@@ -179,7 +255,8 @@ template <prec::RealScalar S>
         ctx.op_cmul();
       }
     }
-    bufs.common_factors.store(ctx, g, cf);  // coalesced: thread g -> slot g
+    // coalesced: thread g -> slot g of the point's stride
+    bufs.common_factors.store(ctx, point * monomials + g, cf);
   });
 
   return kernel;
@@ -264,7 +341,7 @@ template <prec::RealScalar S>
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_speelpenning_kernel(const DeviceBuffers<S>& bufs,
                                                     const SystemLayout& layout,
-                                                    ExponentEncoding enc) {
+                                                    unsigned bpp) {
   using C = cplx::Complex<S>;
   const auto s = layout.structure();
   const unsigned n = s.n, k = s.k;
@@ -273,22 +350,11 @@ template <prec::RealScalar S>
   simt::Kernel kernel;
   kernel.name = "speelpenning";
 
-  // Phase one: cooperative coalesced load of the point into shared
-  // memory ("we would need to access global memory only once by all
-  // threads of a block simultaneously", section 3.2).
-  kernel.phases.push_back([bufs, n](simt::ThreadContext& ctx) {
-    auto svars = ctx.template shared_array<C>(0, n);
-    bool worked = false;
-    for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
-      worked = true;
-      svars.set(v, ctx.load(bufs.x, v));
-    }
-    if (!worked) ctx.mark_inactive();
-  });
+  kernel.phases.push_back(detail::make_point_phase(bufs, n, bpp));
 
   // Phase two: one monomial per thread, 5k-4 multiplications.
-  kernel.phases.push_back([bufs, layout, enc, n, k, monomials](simt::ThreadContext& ctx) {
-    const std::uint64_t g = ctx.global_thread_index();
+  kernel.phases.push_back([bufs, layout, n, k, monomials, bpp](simt::ThreadContext& ctx) {
+    const auto [point, g] = detail::point_thread(ctx, bpp);
     if (g >= monomials) {
       ctx.mark_inactive();
       return;
@@ -297,6 +363,7 @@ template <prec::RealScalar S>
     auto ell = ctx.template shared_array<C>(std::size_t{n} * sizeof(C),
                                             std::size_t{ctx.block_dim()} * (k + 1));
     const std::size_t base = std::size_t{ctx.thread_index()} * (k + 1);
+    const std::size_t mons_base = point * layout.mons_size();
 
     // Cache the k variable positions in registers; one constant read each.
     std::array<unsigned, 256> pos{};
@@ -338,7 +405,7 @@ template <prec::RealScalar S>
 
     // Monomial derivatives: common factor times product derivatives
     // (k multiplications; for k == 1 the derivative IS the factor).
-    const C cf = bufs.common_factors.load(ctx, g);
+    const C cf = bufs.common_factors.load(ctx, point * monomials + g);
     if (k == 1) {
       ell.set(base + 0, cf);
     } else {
@@ -368,9 +435,10 @@ template <prec::RealScalar S>
     // Output: scattered writes into the transposed Mons array (the
     // paper's accepted tradeoff; coalesced under kOutputMajor ablation
     // only for the value row).
-    bufs.mons.store(ctx, layout.mons_value_index(g), ell.get(base + k));
+    bufs.mons.store(ctx, mons_base + layout.mons_value_index(g), ell.get(base + k));
     for (unsigned j = 0; j < k; ++j)
-      bufs.mons.store(ctx, layout.mons_deriv_index(g, pos[j]), ell.get(base + j));
+      bufs.mons.store(ctx, mons_base + layout.mons_deriv_index(g, pos[j]),
+                      ell.get(base + j));
   });
 
   return kernel;
@@ -385,7 +453,7 @@ template <prec::RealScalar S>
 /// values-only summation below, which reads only the value rows.
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_values_kernel(const DeviceBuffers<S>& bufs,
-                                              const SystemLayout& layout) {
+                                              const SystemLayout& layout, unsigned bpp) {
   using C = cplx::Complex<S>;
   const auto s = layout.structure();
   const unsigned n = s.n, k = s.k;
@@ -393,17 +461,9 @@ template <prec::RealScalar S>
 
   simt::Kernel kernel;
   kernel.name = "values_only";
-  kernel.phases.push_back([bufs, n](simt::ThreadContext& ctx) {
-    auto svars = ctx.template shared_array<C>(0, n);
-    bool worked = false;
-    for (unsigned v = ctx.thread_index(); v < n; v += ctx.block_dim()) {
-      worked = true;
-      svars.set(v, ctx.load(bufs.x, v));
-    }
-    if (!worked) ctx.mark_inactive();
-  });
-  kernel.phases.push_back([bufs, layout, n, k, monomials](simt::ThreadContext& ctx) {
-    const std::uint64_t g = ctx.global_thread_index();
+  kernel.phases.push_back(detail::make_point_phase(bufs, n, bpp));
+  kernel.phases.push_back([bufs, layout, n, k, monomials, bpp](simt::ThreadContext& ctx) {
+    const auto [point, g] = detail::point_thread(ctx, bpp);
     if (g >= monomials) {
       ctx.mark_inactive();
       return;
@@ -418,69 +478,94 @@ template <prec::RealScalar S>
       ctx.op_cmul();
     }
     // times the common factor and the value coefficient: 2 more.
-    product = product * bufs.common_factors.load(ctx, g);
+    product = product * bufs.common_factors.load(ctx, point * monomials + g);
     ctx.op_cmul();
     product = product * ctx.load(bufs.coeffs, layout.coeff_index(k, g));
     ctx.op_cmul();
-    bufs.mons.store(ctx, layout.mons_value_index(g), product);
-  });
-  return kernel;
-}
-
-/// Values-only summation: only the n system polynomials (not the n^2
-/// Jacobian rows) are accumulated.
-template <prec::RealScalar S>
-[[nodiscard]] simt::Kernel make_values_summation_kernel(const DeviceBuffers<S>& bufs,
-                                                        const SystemLayout& layout) {
-  using C = cplx::Complex<S>;
-  const unsigned m = layout.structure().m;
-  const unsigned n = layout.structure().n;
-
-  simt::Kernel kernel;
-  kernel.name = "values_summation";
-  kernel.phases.push_back([bufs, layout, m, n](simt::ThreadContext& ctx) {
-    const std::uint64_t out = ctx.global_thread_index();
-    if (out >= n) {
-      ctx.mark_inactive();
-      return;
-    }
-    C sum = bufs.mons.load(ctx, layout.mons_index(out, 0));
-    for (unsigned j = 1; j < m; ++j) {
-      sum += bufs.mons.load(ctx, layout.mons_index(out, j));
-      ctx.op_cadd();
-    }
-    ctx.store(bufs.outputs, out, sum);
+    bufs.mons.store(ctx, point * layout.mons_size() + layout.mons_value_index(g), product);
   });
   return kernel;
 }
 
 /// Kernel 3: one thread per output polynomial sums exactly m terms.
+/// `bpp` counts this grid's blocks per point (over the outputs, not the
+/// monomials).
 template <prec::RealScalar S>
 [[nodiscard]] simt::Kernel make_summation_kernel(const DeviceBuffers<S>& bufs,
-                                                 const SystemLayout& layout) {
-  using C = cplx::Complex<S>;
-  const unsigned m = layout.structure().m;
-  const std::uint64_t outputs = layout.num_outputs();
+                                                 const SystemLayout& layout,
+                                                 unsigned bpp) {
+  return detail::make_summation(bufs, layout, layout.num_outputs(), bpp, "summation");
+}
 
-  simt::Kernel kernel;
-  kernel.name = "summation";
-  kernel.phases.push_back([bufs, layout, m, outputs](simt::ThreadContext& ctx) {
-    const std::uint64_t out = ctx.global_thread_index();
-    if (out >= outputs) {
-      ctx.mark_inactive();
-      return;
-    }
-    C sum = bufs.mons.load(ctx, layout.mons_index(out, 0));
-    for (unsigned j = 1; j < m; ++j) {
-      sum += bufs.mons.load(ctx, layout.mons_index(out, j));
-      ctx.op_cadd();
-    }
-    ctx.store(bufs.outputs, out, sum);
-  });
-  return kernel;
+/// Values-only summation: kernel 3 over only the n system polynomials
+/// (not the n^2 Jacobian rows).
+template <prec::RealScalar S>
+[[nodiscard]] simt::Kernel make_values_summation_kernel(const DeviceBuffers<S>& bufs,
+                                                        const SystemLayout& layout,
+                                                        unsigned bpp) {
+  return detail::make_summation(bufs, layout, layout.structure().n, bpp,
+                                "values_summation");
 }
 
 namespace detail {
+
+/// Fold each monomial's exponent factors into its coefficient portions
+/// (layout.coeffs_size() entries of `out`): portion j < k holds c * a_j,
+/// portion k holds c.  The fold runs IN the working precision; folding
+/// in double first would cap extended-precision Jacobian accuracy at
+/// ~1e-16.
+template <prec::RealScalar S>
+void fold_coefficients(const PackedSystem& packed, const SystemLayout& layout,
+                       std::span<cplx::Complex<S>> out) {
+  using C = cplx::Complex<S>;
+  const unsigned k = layout.structure().k;
+  for (std::uint64_t t = 0; t < layout.total_monomials(); ++t) {
+    const auto raw = C::from_double(packed.coeffs[layout.coeff_index(k, t)]);
+    for (unsigned j = 0; j < k; ++j) {
+      const double a = packed.exponents[layout.support_index(t, j)] + 1.0;
+      out[layout.coeff_index(j, t)] = raw * prec::ScalarTraits<S>::from_double(a);
+    }
+    out[layout.coeff_index(k, t)] = raw;
+  }
+}
+
+/// Allocate and fill a three-kernel host's device state for `points`
+/// points per pass: the constant tables and the folded coefficients,
+/// which every point shares, and one stride per point of X,
+/// CommonFactors, Mons and Outputs, whose names carry `suffix`.  The
+/// structural zeros of Mons are set here, once, and never written again.
+template <prec::RealScalar S>
+[[nodiscard]] DeviceBuffers<S> make_device_buffers(simt::Device& device,
+                                                   const PackedSystem& packed,
+                                                   const SystemLayout& layout,
+                                                   ExponentEncoding enc,
+                                                   InterchangeLayout interchange,
+                                                   unsigned points,
+                                                   const std::string& suffix) {
+  using C = cplx::Complex<S>;
+  DeviceBuffers<S> bufs;
+  const auto encoded = encode_exponents(enc, packed.exponents);
+  bufs.positions =
+      device.alloc_constant<unsigned char>(packed.positions.size(), "Positions");
+  bufs.exponents = device.alloc_constant<unsigned char>(encoded.size(), "Exponents");
+  device.upload_constant(bufs.positions, std::span<const unsigned char>(packed.positions));
+  device.upload_constant(bufs.exponents, std::span<const unsigned char>(encoded));
+
+  bufs.x = device.alloc_global<C>(std::size_t{points} * packed.structure.n, "X" + suffix);
+  bufs.coeffs = device.alloc_global<C>(layout.coeffs_size(), "Coeffs");
+  bufs.common_factors.allocate(device, std::size_t{points} * layout.total_monomials(),
+                               "CommonFactors" + suffix, interchange);
+  bufs.mons.allocate(device, std::size_t{points} * layout.mons_size(), "Mons" + suffix,
+                     interchange);
+  bufs.outputs =
+      device.alloc_global<C>(std::size_t{points} * layout.num_outputs(), "Outputs" + suffix);
+
+  std::vector<C> coeffs(layout.coeffs_size());
+  fold_coefficients(packed, layout, std::span<C>(coeffs));
+  device.upload(bufs.coeffs, std::span<const C>(coeffs));
+  bufs.mons.fill_zero(device);
+  return bufs;
+}
 
 /// Unpack one point's device output vector (values then Jacobian
 /// columns, layout.hpp order) into an EvalResult -- the host half of

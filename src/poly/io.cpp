@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 namespace polyeval::poly {
@@ -167,13 +169,15 @@ class Parser {
     ++pos_;  // consume 'x'
     if (pos_ >= text_.size() || !std::isdigit(uc(peek())))
       fail("expected variable index after 'x'");
-    unsigned var = 0;
-    while (pos_ < text_.size() && std::isdigit(uc(peek())))
+    // Both accumulators are 64-bit and checked after every digit, so a
+    // long digit string throws instead of wrapping.
+    std::uint64_t var = 0;
+    while (pos_ < text_.size() && std::isdigit(uc(peek()))) {
       var = var * 10 + static_cast<unsigned>(take() - '0');
-    if (var >= num_vars_)
-      fail("variable x" + std::to_string(var) + " out of range (dimension " +
-           std::to_string(num_vars_) + ")");
-    unsigned exp = 1;
+      if (var >= num_vars_)
+        fail("variable index out of range (dimension " + std::to_string(num_vars_) + ")");
+    }
+    std::uint64_t exp = 1;
     skip_ws();
     if (pos_ < text_.size() && peek() == '^') {
       ++pos_;
@@ -181,11 +185,13 @@ class Parser {
       if (pos_ >= text_.size() || !std::isdigit(uc(peek())))
         fail("expected exponent after '^'");
       exp = 0;
-      while (pos_ < text_.size() && std::isdigit(uc(peek())))
+      while (pos_ < text_.size() && std::isdigit(uc(peek()))) {
         exp = exp * 10 + static_cast<unsigned>(take() - '0');
+        if (exp > std::numeric_limits<unsigned>::max()) fail("exponent too large");
+      }
       if (exp == 0) fail("exponent must be >= 1");
     }
-    return {var, exp};
+    return {static_cast<unsigned>(var), static_cast<unsigned>(exp)};
   }
 
   static unsigned char uc(char c) { return static_cast<unsigned char>(c); }

@@ -4,9 +4,11 @@
 // only storage and scheduling differ) -- across double, double-double
 // and quad-double.  The tenant-routed fused kernels must reproduce each
 // point's own tenant's single-tenant evaluator, also bit for bit.  The
-// memoized launches (simt::BlockStatsMemo), whose hits run bare, must
-// report exactly the statistics and produce exactly the outputs of the
-// checked, fully instrumented path.
+// batched three-kernel host at batch 1 must reproduce the single-point
+// host's launch log and transfers exactly (both launch the kernels.hpp
+// builders).  The memoized launches (simt::BlockStatsMemo), whose hits
+// run bare, must report exactly the statistics and produce exactly the
+// outputs of the checked, fully instrumented path.
 
 #include <gtest/gtest.h>
 
@@ -184,6 +186,15 @@ void expect_same_logs(const simt::LaunchLog& want, const simt::LaunchLog& got,
                       label + ", launch " + std::to_string(i));
 }
 
+/// The two logs moved the same bytes in the same number of transfers.
+void expect_same_transfers(const simt::TransferStats& want, const simt::TransferStats& got,
+                           const std::string& label) {
+  EXPECT_EQ(want.bytes_to_device, got.bytes_to_device) << label;
+  EXPECT_EQ(want.bytes_from_device, got.bytes_from_device) << label;
+  EXPECT_EQ(want.transfers_to_device, got.transfers_to_device) << label;
+  EXPECT_EQ(want.transfers_from_device, got.transfers_from_device) << label;
+}
+
 /// Run the full and values kernels of `memo` (unchecked: memoized) and
 /// `checked` (detect_races: the reference path) over points [0, count)
 /// three times -- the first launch fills the memo, the others hit it and
@@ -293,6 +304,30 @@ void run_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
     for (const auto& x : points)
       got.push_back(gpu.evaluate(std::span<const cplx::Complex<S>>(x)));
     expect_bitwise(want, got, "GpuEvaluator SoA");
+  }
+  {  // batched host at batch 1, pinned to the single-point geometry: the
+     // single-point host's launch log, transfers and bits
+    for (const auto layout :
+         {core::InterchangeLayout::kAoS, core::InterchangeLayout::kSoA}) {
+      const std::string label =
+          layout == core::InterchangeLayout::kSoA ? "Batch@1 SoA" : "Batch@1 AoS";
+      simt::Device single_device, batch_device;
+      typename core::GpuEvaluator<S>::Options gopt;
+      gopt.interchange = layout;
+      core::GpuEvaluator<S> single(single_device, sys, gopt);
+      typename core::BatchGpuEvaluator<S>::Options bopt;
+      bopt.block_size = gopt.block_size;
+      bopt.interchange = layout;
+      bopt.tuning = tune::TuningMode::kHeuristic;
+      core::BatchGpuEvaluator<S> batched(batch_device, sys, 1, bopt);
+      (void)single.evaluate(std::span<const cplx::Complex<S>>(points[0]));
+      got.assign(1, poly::EvalResult<S>{});
+      batched.evaluate_range(points, 0, 1, std::span<poly::EvalResult<S>>(got));
+      expect_same_logs(single.last_log(), batched.last_log(), label);
+      expect_same_transfers(single.last_log().transfers, batched.last_log().transfers,
+                            label);
+      expect_bitwise({want[0]}, got, label.c_str());
+    }
   }
   {  // batched three-kernel pipeline, AoS and SoA
     for (const auto layout :

@@ -109,6 +109,9 @@ TEST(PolyIo, ErrorsCarryOffsets) {
 TEST(PolyIo, RejectsBadInputs) {
   EXPECT_THROW((void)poly::parse_polynomial("", 1), poly::ParseError);
   EXPECT_THROW((void)poly::parse_polynomial("x5", 2), poly::ParseError);  // var range
+  // digit strings past 2^32 must not wrap back into range
+  EXPECT_THROW((void)poly::parse_polynomial("x4294967296", 2), poly::ParseError);
+  EXPECT_THROW((void)poly::parse_polynomial("2*x1^4294967297", 2), poly::ParseError);
   EXPECT_THROW((void)poly::parse_polynomial("x0^0", 1), poly::ParseError);  // exp 0
   EXPECT_THROW((void)poly::parse_polynomial("x0^", 1), poly::ParseError);
   EXPECT_THROW((void)poly::parse_polynomial("2*", 1), poly::ParseError);

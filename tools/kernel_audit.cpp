@@ -8,10 +8,13 @@
 ///     checker that stops firing would silently turn the production
 ///     sweep into a rubber stamp.
 ///  2. **Production sweep** -- every production kernel builder (fused,
-///     values-only, batch triple, pipelined, multi-tenant, Newton
-///     refinement) runs audited across Table-1-shaped systems x
-///     {double, dd, qd} x representative geometries.  Any finding fails
-///     the run.
+///     values-only, the three-kernel pipeline through both of its hosts,
+///     pipelined, multi-tenant, Newton refinement) runs audited across
+///     Table-1-shaped systems x {double, dd, qd} x representative
+///     geometries.  The single-point host runs under both section-3.1
+///     powers strategies, so its powers_global, common_factors_global,
+///     values_only and values_summation kernels are audited too.  Any
+///     finding fails the run.
 ///
 /// Results land in AUDIT_kernels.json (override with --out).  --quick
 /// trims the matrix for pre-commit runs; CI runs the full sweep.
@@ -27,6 +30,7 @@
 #include "audit/kernel_auditor.hpp"
 #include "core/batch_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
+#include "core/gpu_evaluator.hpp"
 #include "core/pipelined_evaluator.hpp"
 #include "linalg/lu.hpp"
 #include "newton/batch.hpp"
@@ -208,6 +212,28 @@ void sweep_precision(std::vector<SweepEntry>& entries, const char* precision,
     aud.begin_epoch();
     ev.evaluate_range(points, 0, kBatch, std::span<poly::EvalResult<S>>(results));
   });
+
+  // The paper's single-point pipeline: full and values-only passes, with
+  // the powers table per block (the paper's choice) and in its own
+  // kernel (the rejected alternative).  An auto geometry is its pinned
+  // default, block 32 and AoS.
+  using Powers = typename core::GpuEvaluator<S>::PowersStrategy;
+  for (const auto powers : {Powers::kPerBlockShared, Powers::kSeparateKernel}) {
+    const char* name =
+        powers == Powers::kPerBlockShared ? "gpu_shared_powers" : "gpu_global_powers";
+    audited(ctx, name, [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
+      typename core::GpuEvaluator<S>::Options opt;
+      if (geo.block_size != 0) opt.block_size = geo.block_size;
+      if (geo.interchange) opt.interchange = *geo.interchange;
+      opt.powers = powers;
+      core::GpuEvaluator<S> ev(dev, system, opt);
+      aud.begin_epoch();
+      ev.evaluate(std::span<const C>(points[0]), results[0]);
+      std::vector<C> values(spec.dimension);
+      aud.begin_epoch();
+      ev.evaluate_values(std::span<const C>(points[0]), std::span<C>(values));
+    });
+  }
 
   audited(ctx, "pipelined", [&](polyeval::simt::Device& dev, KernelAuditor& aud) {
     typename core::PipelinedFusedEvaluator<S>::Options opt;
