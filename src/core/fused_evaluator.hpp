@@ -66,9 +66,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
+#include <new>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -289,7 +292,14 @@ template <prec::RealScalar S, bool kJacobian>
     // (registers/local memory, not shared -- see the shared-memory note
     // in FusedSystemState).  Entries below k are always written before
     // they are read; the values kernel needs one slot, its product.
-    std::array<C, kJacobian ? 257 : 1> ell;
+    // The strip is raw bytes rather than a std::array<C>, whose default
+    // member initializers would zero-fill all 257 entries on every call.
+    // C is implicit-lifetime (trivially copyable and destructible), so
+    // the byte array implicitly creates the C objects, values unset.
+    static_assert(std::is_trivially_copyable_v<C> &&
+                  std::is_trivially_destructible_v<C>);
+    alignas(C) std::byte ell_bytes[(kJacobian ? 257 : 1) * sizeof(C)];
+    C* const ell = std::launder(reinterpret_cast<C*>(ell_bytes));
     std::array<unsigned, 256> pos;
     const std::size_t mons_base = point * layout.mons_size();
 

@@ -12,9 +12,11 @@
 ///
 ///   * one full batch evaluation for every live path's predictor
 ///     (Jacobian + Davidenko right-hand side),
-///   * one values-only batch per corrector residual probe and one full
-///     batch per corrector Jacobian step, over the still-unconverged
-///     subset (newton::refine_batch's masks),
+///   * one full batch per corrector Newton iteration over the
+///     still-unconverged subset, whose values are the residual check and
+///     whose Jacobians the step (newton::refine_batch's masks), and one
+///     values-only batch for the paths that reach the last allowed
+///     iteration,
 ///   * one corrector batch advancing every endgame path one Cauchy
 ///     circle sample (projective mode),
 ///   * one values-only batch retiring the round's dead paths with their
@@ -574,7 +576,7 @@ class BatchPathTracker {
     // Endgame polish + classification at t = 1 for this round's
     // finishers (normal arrivals and closed endgame loops): one batched
     // polish; a diverged polish keeps the tracked point and ITS
-    // residual (the polish's entry probe), and the status comes from
+    // residual (the polish's entry residual), and the status comes from
     // the kept point's final residual check -- with the projective
     // at-infinity test taking precedence -- exactly as the scalar
     // tracker classifies.

@@ -40,7 +40,7 @@ class Monomial {
   }
   /// Largest exponent of any variable (bounded by the paper's d).
   [[nodiscard]] unsigned max_exponent() const noexcept;
-  /// Sum of all exponents.
+  /// Sum of all exponents; the constructor rejects sums past UINT_MAX.
   [[nodiscard]] unsigned total_degree() const noexcept;
   /// Smallest dimension n for which this monomial is well formed.
   [[nodiscard]] unsigned min_dimension() const noexcept;

@@ -1,6 +1,8 @@
 #include "poly/polynomial.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 namespace polyeval::poly {
 
@@ -8,11 +10,15 @@ Monomial::Monomial(cplx::Complex<double> coefficient, std::vector<VarPower> fact
     : coefficient_(coefficient), factors_(std::move(factors)) {
   std::sort(factors_.begin(), factors_.end(),
             [](const VarPower& a, const VarPower& b) { return a.var < b.var; });
+  std::uint64_t degree = 0;  // 64 bits: the unsigned sum could wrap
   for (std::size_t i = 0; i < factors_.size(); ++i) {
     if (factors_[i].exp == 0)
       throw std::invalid_argument("Monomial: exponent must be >= 1");
     if (i > 0 && factors_[i].var == factors_[i - 1].var)
       throw std::invalid_argument("Monomial: duplicate variable in support");
+    degree += factors_[i].exp;
+    if (degree > std::numeric_limits<unsigned>::max())
+      throw std::invalid_argument("Monomial: total degree exceeds UINT_MAX");
   }
 }
 

@@ -34,6 +34,16 @@ TEST(Monomial, RejectsDuplicateVariable) {
   EXPECT_THROW(Monomial(Cd{1.0, 0.0}, {{2, 1}, {2, 3}}), std::invalid_argument);
 }
 
+TEST(Monomial, RejectsTotalDegreePastUintMax) {
+  // The exponents are unsigned, so their sum must not wrap into range.
+  EXPECT_THROW(Monomial(Cd{1.0, 0.0}, {{0, 4294967295u}, {1, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(Monomial(Cd{1.0, 0.0}, {{0, 2147483648u}, {1, 2147483648u}}),
+               std::invalid_argument);
+  const Monomial at_max(Cd{1.0, 0.0}, {{0, 4294967294u}, {1, 1}});
+  EXPECT_EQ(at_max.total_degree(), 4294967295u);
+}
+
 TEST(Monomial, DegreeQueries) {
   const Monomial m(Cd{1.0, 0.0}, {{0, 3}, {2, 7}, {5, 1}});
   EXPECT_EQ(m.max_exponent(), 7u);

@@ -120,6 +120,10 @@ TEST(PolyIo, RejectsBadInputs) {
   EXPECT_THROW((void)poly::parse_system(""), poly::ParseError);
   EXPECT_THROW((void)poly::parse_system("x0 - 1; x0"), poly::ParseError);  // no final ';'
   EXPECT_THROW((void)poly::parse_system("x0*x0 - 1;"), std::invalid_argument);  // dup var
+  // total degree 2^32 + 1 must not wrap to 1
+  EXPECT_THROW((void)poly::parse_system("x0^4294967295*x1^2 + 1; x1 - 1;"),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)poly::parse_system("x0^4294967294*x1 + 1; x1 - 1;"));
 }
 
 TEST(PolyIo, SystemDimensionIsPolynomialCount) {

@@ -2,12 +2,15 @@
 // algebra against naive oracles, at-infinity classification (where the
 // affine tracker stalls), winding-number measurement on singular
 // endpoints, bitwise lockstep-vs-scalar parity for projective mode
-// across shard counts, the shared step-control arithmetic, and the
-// empty-mask launch contract of newton::refine_batch.
+// across shard counts, the shared step-control arithmetic, and
+// newton::refine_batch's launch schedule and per-path parity with
+// newton::refine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 #include <string>
 
 #include "core/fused_evaluator.hpp"
@@ -558,13 +561,27 @@ TEST(StepControl, ZeroSamplesPerLoopRejectedAtConstruction) {
       std::invalid_argument);
 }
 
-// -- refine_batch's empty-mask launch contract ---------------------------
+// -- refine_batch's launch schedule and its parity with newton::refine --
 
-TEST(RefineBatch, AllConvergedMaskSkipsJacobianLaunches) {
-  // A batch whose every path already satisfies the tolerance at entry
-  // must cost exactly ONE values probe launch and ZERO full (Jacobian)
-  // launches -- the all-false active mask after the probe skips the
-  // Jacobian stage entirely.
+/// Kernel launches in the device log, split into full (values and
+/// Jacobian) and values-only fused launches.
+struct LaunchCounts {
+  unsigned full = 0, values = 0;
+};
+
+LaunchCounts count_launches(const simt::Device& device) {
+  LaunchCounts c;
+  for (const auto& k : device.log().kernels) {
+    if (k.kernel == "fused_eval") ++c.full;
+    if (k.kernel == "fused_values") ++c.values;
+  }
+  return c;
+}
+
+TEST(RefineBatch, OneFullLaunchPerIterationProbeOnlyAtTheLast) {
+  // One device evaluation per Newton iteration: while an update can
+  // follow, the full launch's values are the residuals; only the last
+  // allowed iteration probes values alone.
   const auto sys = uniform_target();
   const unsigned n = sys.dimension();
   const homotopy::TotalDegreeStart start(sys);
@@ -575,34 +592,140 @@ TEST(RefineBatch, AllConvergedMaskSkipsJacobianLaunches) {
       f, g, homotopy::random_gamma(1));
 
   // At t = 0 the start roots are exact zeros of h = gamma g.
-  std::vector<std::vector<Cd>> x;
-  std::vector<Cd> ts(4, Cd(0.0));
-  for (std::uint64_t p = 0; p < 4; ++p) x.push_back(widen(start.start_root(p)));
+  std::vector<std::vector<Cd>> roots;
+  for (std::uint64_t p = 0; p < 4; ++p) roots.push_back(widen(start.start_root(p)));
+  const std::vector<Cd> ts(4, Cd(0.0));
 
   linalg::LuArena<double> arena;
   arena.resize(n, 4);
   newton::RefineBatchScratch<double> scratch;
   scratch.reserve(n, 4, 4);
   std::vector<newton::BatchPathStatus> status(4);
-
   newton::NewtonOptions opts;
   opts.max_iterations = 8;
   opts.residual_tolerance = 1e-9;
 
-  device.clear_log();
-  newton::refine_batch<double>(h, x, std::span<const Cd>(ts), 4, opts, arena,
-                               scratch, std::span<newton::BatchPathStatus>(status));
-  unsigned values_launches = 0, full_launches = 0;
-  for (const auto& k : device.log().kernels) {
-    if (k.kernel == "fused_values") ++values_launches;
-    if (k.kernel == "fused_eval") ++full_launches;
-  }
-  EXPECT_EQ(values_launches, 1u);
-  EXPECT_EQ(full_launches, 0u);
+  const auto run = [&](std::vector<std::vector<Cd>> x, const newton::NewtonOptions& o) {
+    device.clear_log();
+    newton::refine_batch<double>(h, x, std::span<const Cd>(ts), 4, o, arena,
+                                 scratch, std::span<newton::BatchPathStatus>(status));
+    return count_launches(device);
+  };
+
+  // Converged at entry: one full launch, no probe.
+  auto c = run(roots, opts);
+  EXPECT_EQ(c.full, 1u);
+  EXPECT_EQ(c.values, 0u);
   for (const auto& s : status) {
     EXPECT_TRUE(s.converged);
     EXPECT_EQ(s.iterations, 0u);
   }
+
+  // No update allowed: the values-only probe alone.
+  newton::NewtonOptions none = opts;
+  none.max_iterations = 0;
+  c = run(roots, none);
+  EXPECT_EQ(c.full, 0u);
+  EXPECT_EQ(c.values, 1u);
+  for (const auto& s : status) EXPECT_TRUE(s.converged);
+
+  // q < max_iterations updates: q + 1 full launches, no probe.
+  auto near = roots;
+  for (auto& r : near)
+    for (auto& z : r) z = z * Cd(1.01, 0.02);
+  c = run(near, opts);
+  unsigned q = 0;
+  for (const auto& s : status) {
+    EXPECT_TRUE(s.converged);
+    q = std::max(q, s.iterations);
+  }
+  ASSERT_GT(q, 0u);
+  ASSERT_LT(q, opts.max_iterations);
+  EXPECT_EQ(c.full, q + 1);
+  EXPECT_EQ(c.values, 0u);
+}
+
+template <class T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// refine_batch against newton::refine path by path, over a mixed batch
+/// walked in Jacobian chunks of 3 (so survivors are packed and carried
+/// across chunks): a path converged at entry, one that converges, one
+/// with a singular Jacobian and one that exhausts max_iterations.
+template <prec::RealScalar S>
+void expect_refine_parity() {
+  using C = cplx::Complex<S>;
+  using Fused = core::FusedGpuEvaluator<S>;
+  const auto sys = uniform_target();
+  const unsigned n = sys.dimension();
+  const homotopy::TotalDegreeStart start(sys);
+  const auto gamma = homotopy::random_gamma(3);
+  simt::Device device;
+  Fused f(device, sys, 4);
+  Fused f1(device, sys, 1);
+  ad::CpuEvaluator<S> g(start.system());
+  homotopy::BatchedHomotopy<S, Fused> hb(f, g, gamma);
+  homotopy::Homotopy<S, Fused, ad::CpuEvaluator<S>> hs(f1, g, gamma);
+
+  const auto root = [&](std::uint64_t p, cplx::Complex<double> scale) {
+    std::vector<C> r;
+    for (const auto& z : start.start_root(p)) r.push_back(C::from_double(z * scale));
+    return r;
+  };
+  std::vector<std::vector<C>> entry = {
+      root(0, {1.0, 0.0}),    // converged at entry (t = 0: a zero of gamma g)
+      root(1, {1.01, 0.02}),  // converges
+      root(2, {1.0, 0.0}),    // singular once x0 = 0 zeroes Jacobian column 0
+      root(3, {40.0, 10.0}),  // exhausts max_iterations
+  };
+  entry[2][0] = C{};
+  const std::vector<C> ts = {C{}, C{}, C{}, C(S(0.25))};
+
+  newton::NewtonOptions opts;
+  opts.max_iterations = 4;
+  opts.residual_tolerance = 1e-9;
+
+  linalg::LuArena<S> arena;
+  arena.resize(n, 3);
+  newton::RefineBatchScratch<S> scratch;
+  scratch.reserve(n, 4, 3);
+  std::vector<newton::BatchPathStatus> status(4);
+  auto x = entry;
+  newton::refine_batch<S>(hb, x, std::span<const C>(ts), 4, opts, arena, scratch,
+                          std::span<newton::BatchPathStatus>(status));
+
+  for (std::size_t i = 0; i < 4; ++i) {
+    hs.set_t_complex(ts[i]);
+    const auto want = newton::refine<S>(hs, std::span<const C>(entry[i]), opts);
+    const auto& got = status[i];
+    EXPECT_EQ(got.converged, want.converged) << "path " << i;
+    EXPECT_EQ(got.singular, want.singular) << "path " << i;
+    EXPECT_EQ(got.iterations, want.iterations) << "path " << i;
+    EXPECT_TRUE(same_bits(got.final_residual, want.final_residual)) << "path " << i;
+    EXPECT_TRUE(same_bits(got.initial_residual, want.residual_history.front()))
+        << "path " << i;
+    for (unsigned v = 0; v < n; ++v)
+      EXPECT_TRUE(same_bits(x[i][v], want.solution[v])) << "path " << i << " var " << v;
+  }
+
+  // The batch really holds the four cases.
+  EXPECT_TRUE(status[0].converged);
+  EXPECT_EQ(status[0].iterations, 0u);
+  EXPECT_TRUE(status[1].converged);
+  EXPECT_GT(status[1].iterations, 0u);
+  EXPECT_TRUE(status[2].singular);
+  EXPECT_FALSE(status[2].converged);
+  EXPECT_FALSE(status[3].converged);
+  EXPECT_FALSE(status[3].singular);
+  EXPECT_EQ(status[3].iterations, opts.max_iterations);
+}
+
+TEST(RefineBatch, MatchesScalarRefinePerPathDouble) { expect_refine_parity<double>(); }
+
+TEST(RefineBatch, MatchesScalarRefinePerPathDoubleDouble) {
+  expect_refine_parity<prec::DoubleDouble>();
 }
 
 TEST(RefineBatch, EmptyBatchTouchesNothing) {
