@@ -438,6 +438,18 @@ template <prec::RealScalar S>
   };
 }
 
+/// A fused phase as a simt::Phase: with the FMA entries when the
+/// scalar's inline arithmetic calls std::fma (double-double), so its
+/// products inline the instruction on an FMA host.  Other scalars keep
+/// the baseline entries (see simt::Phase for why double does).
+template <prec::RealScalar S, class F>
+[[nodiscard]] simt::Phase fused_phase(F f) {
+  if constexpr (prec::ScalarTraits<S>::inline_fma)
+    return {std::move(f), true};
+  else
+    return f;
+}
+
 /// The three phases of one fused kernel over the given point/output
 /// buffer pair, `out_count` outputs per point.
 ///
@@ -451,7 +463,10 @@ template <prec::RealScalar S>
 /// throw at the first launch that took the other branch.  The phase
 /// builders return generic lambdas (`auto& ctx`): simt::Phase compiles
 /// each over ThreadContext for checked and memo-miss launches and over
-/// BareThread for memo hits, one body for both.
+/// BareThread for memo hits, one body for both.  The plain, routed and
+/// pipelined evaluators all build here, so a double-double kernel takes
+/// the FMA entries on every one of them (fused_phase); the three-kernel
+/// evaluators, the bitwise reference, keep the baseline entries.
 template <prec::RealScalar S, bool kJacobian>
 [[nodiscard]] simt::Kernel build_fused(const FusedSystemState<S>& sys, const char* name,
                                        simt::GlobalBuffer<cplx::Complex<S>> x,
@@ -465,9 +480,11 @@ template <prec::RealScalar S, bool kJacobian>
   simt::Kernel kernel;
   kernel.name = name;
   kernel.phases = {
-      make_fused_point_phase<S>(x, s.n, s.d, svars_off, powers_off),
-      make_fused_monomial_phase<S, kJacobian>(sys, tenant_ids, svars_off, powers_off),
-      make_fused_summation_phase<S>(sys.mons, out_buf, sys.layout, s.m, out_count),
+      fused_phase<S>(make_fused_point_phase<S>(x, s.n, s.d, svars_off, powers_off)),
+      fused_phase<S>(
+          make_fused_monomial_phase<S, kJacobian>(sys, tenant_ids, svars_off, powers_off)),
+      fused_phase<S>(
+          make_fused_summation_phase<S>(sys.mons, out_buf, sys.layout, s.m, out_count)),
   };
   return kernel;
 }

@@ -8,8 +8,18 @@
 /// and stores the exact rounding error in \p err, so that
 /// `result + err == a (op) b` holds exactly in real arithmetic.
 ///
-/// These routines are only correct under strict IEEE-754 double semantics;
-/// the build disables FP contraction and fast-math for this reason.
+/// These routines are only correct under strict IEEE-754 double semantics:
+/// no fast-math, and no FP contraction, which would fuse a product into
+/// a following sum that must round on its own.  Where that holds:
+///   * the library build passes -ffp-contract=off (CMakeLists.txt), for
+///     itself and everything linking it;
+///   * perfbench's build compiles src/ with its own flags and relies on
+///     the baseline x86-64 target, which has no FMA instruction to
+///     contract into;
+///   * simt::Phase's FMA entries, the one place compiled for an FMA
+///     target whatever the flags, turn contraction off themselves.
+/// std::fma below is an exact operation, not a contraction: libm's and
+/// the hardware instruction's results are both correctly rounded.
 
 #include <cmath>
 

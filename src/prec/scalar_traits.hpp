@@ -26,6 +26,9 @@ struct ScalarTraits<double> {
   /// Software-arithmetic cost factor relative to hardware double
   /// (double = 1; the paper reports ~8 for double-double, see section 1).
   static constexpr double cost_factor = 1.0;
+  /// Whether the type's inline arithmetic calls std::fma, so that phases
+  /// over it gain from simt::Phase's FMA entries.
+  static constexpr bool inline_fma = false;
   static double from_double(double d) noexcept { return d; }
   static double to_double(double d) noexcept { return d; }
   static double abs(double d) noexcept { return std::fabs(d); }
@@ -40,6 +43,8 @@ struct ScalarTraits<DoubleDouble> {
   static constexpr double epsilon = 0x1p-105;
   static constexpr int decimal_digits = 31;
   static constexpr double cost_factor = 8.0;
+  /// Every product is a prec::two_prod, one std::fma each.
+  static constexpr bool inline_fma = true;
   static DoubleDouble from_double(double d) noexcept { return {d}; }
   static double to_double(const DoubleDouble& d) noexcept { return d.to_double(); }
   static DoubleDouble abs(const DoubleDouble& d) noexcept { return prec::abs(d); }
@@ -56,6 +61,9 @@ struct ScalarTraits<QuadDouble> {
   /// QD reports quad-double multiplication at roughly an order of
   /// magnitude over double-double.
   static constexpr double cost_factor = 60.0;
+  /// Its + and * are out of line (quad_double.cpp), so a phase's FMA
+  /// entries would still call the baseline build of them.
+  static constexpr bool inline_fma = false;
   static QuadDouble from_double(double d) noexcept { return {d}; }
   static double to_double(const QuadDouble& d) noexcept { return d.to_double(); }
   static QuadDouble abs(const QuadDouble& d) noexcept { return prec::abs(d); }

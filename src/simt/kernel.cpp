@@ -7,6 +7,18 @@
 
 namespace polyeval::simt {
 
+bool host_has_fma() noexcept {
+#if POLYEVAL_FMA_ENTRIES
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("fma") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
 namespace detail {
 
 bool SharedRaceJournal::record(std::uint32_t word, unsigned thread, bool is_write,

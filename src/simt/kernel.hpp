@@ -30,6 +30,11 @@
 /// modeled clock is unchanged, because every charge comes from the same
 /// counters; checked and audited launches never consult the memo, and
 /// ThreadContext always collects.
+///
+/// A phase whose arithmetic calls std::fma (double-double products) can
+/// also get FMA entries: both entries compiled a second time for the
+/// FMA target with FP contraction off, where each std::fma is one
+/// inlined instruction instead of a libm call.  See Phase.
 
 #include <array>
 #include <concepts>
@@ -46,6 +51,18 @@
 #include "simt/memory.hpp"
 #include "simt/shared_memory.hpp"
 #include "simt/stats.hpp"
+
+// The FMA entries (see Phase): flattened, so the phase and the scalar
+// arithmetic it calls are inlined and compiled for the FMA target, with
+// contraction off.  GCC function attributes, on x86-64 only; elsewhere
+// every phase keeps its baseline entries.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define POLYEVAL_FMA_ENTRIES 1
+#define POLYEVAL_FMA_ENTRY \
+  [[gnu::flatten, gnu::target("fma"), gnu::optimize("fp-contract=off")]]
+#else
+#define POLYEVAL_FMA_ENTRIES 0
+#endif
 
 namespace polyeval::simt {
 
@@ -84,11 +101,30 @@ struct LaunchConfig {
   MemoRef memo{};
 };
 
+/// Whether a phase built with `fma` set gets its FMA entries: this build
+/// can compile them (GCC, x86-64) and the host CPU has FMA.  Probed once.
+[[nodiscard]] bool host_has_fma() noexcept;
+
 /// One phase of a kernel, built implicitly from the callable that
 /// implements it.  A callable that accepts only ThreadContext& gets the
 /// checked entry alone; a generic one (`auto& ctx`) is compiled a second
 /// time over BareThread into the bare entry, so the instrumented and the
 /// memo-hit paths run the same phase code.
+///
+/// FMA entries.  Built with `fma` set on a host where host_has_fma(),
+/// both entries are the phase compiled for the FMA target with FP
+/// contraction off (POLYEVAL_FMA_ENTRY); otherwise they are the
+/// baseline entries.  The choice is made here, once.  Each std::fma the
+/// phase's arithmetic calls (prec::two_prod) becomes one instruction,
+/// and hardware FMA and libm's fma are both correctly rounded, so every
+/// output bit and counter equals the baseline entries'.  Contraction
+/// stays off: fusing a product into the sum after it, which the
+/// baseline rounds separately (`p2 += a.hi * b.lo` in a double-double
+/// product), moves bits.
+/// A phase without std::fma calls gains nothing; worse, GCC's
+/// complex-multiply vectorizer emits fused multiply-adds for
+/// Complex<double> products even with contraction off, so double
+/// phases keep the baseline entries.
 struct Phase {
   /// Per-thread entry over the instrumented context: checked, audited
   /// and memo-miss launches run it for every thread of every block.
@@ -101,6 +137,11 @@ struct Phase {
   template <class F>
     requires(!std::same_as<F, Phase> && std::invocable<F&, ThreadContext&>)
   Phase(F f);
+
+  /// With `fma` set, the FMA entries where the host has them (see above).
+  template <class F>
+    requires(!std::same_as<F, Phase> && std::invocable<F&, ThreadContext&>)
+  Phase(F f, bool fma);
 };
 
 struct Kernel {
@@ -635,10 +676,28 @@ class BareBlock {
   /// global stores see the same sequence -- and add each thread's
   /// counters to the block's and to its per-thread work tallies.
   /// Flattened: the phase body and the scalar arithmetic it calls are
-  /// inlined into the thread loop, so the counters stay in registers and
-  /// double-double products are scheduled in place instead of called.
+  /// inlined into the thread loop, so the counters stay in registers.
+  /// The baseline target has no FMA instruction, so here each
+  /// double-double product still calls libm's fma.
   template <class F>
   [[gnu::flatten]] void run(const F& phase) {
+    run_threads(phase);
+  }
+
+#if POLYEVAL_FMA_ENTRIES
+  /// run() compiled for the FMA target with contraction off: a phase's
+  /// FMA bare entry, where each std::fma is inlined (see Phase).
+  template <class F>
+  POLYEVAL_FMA_ENTRY void run_fma(const F& phase) {
+    run_threads(phase);
+  }
+#endif
+
+ private:
+  friend struct BlockRunner;
+
+  template <class F>
+  void run_threads(const F& phase) {
     detail::BlockCounters sum;
     for (unsigned t = 0; t < block_dim_; ++t) {
       BareThread ctx(block_, t, block_dim_, *shared_);
@@ -654,9 +713,6 @@ class BareBlock {
     }
     counters_->merge(sum);
   }
-
- private:
-  friend struct BlockRunner;
 
   BareBlock(unsigned block, unsigned block_dim, SharedSpace& shared,
             std::uint64_t* cmul_per_thread, std::uint64_t* cadd_per_thread,
@@ -679,6 +735,33 @@ Phase::Phase(F f) {
   if constexpr (std::invocable<const F&, BareThread&>)
     bare = [f](BareBlock& block) { block.run(f); };
   checked = std::move(f);
+}
+
+#if POLYEVAL_FMA_ENTRIES
+namespace detail {
+/// A phase's FMA checked entry: the phase body for one thread, inlined
+/// and compiled for the FMA target with contraction off.
+template <class F>
+POLYEVAL_FMA_ENTRY void run_thread_fma(F& phase, ThreadContext& ctx) {
+  phase(ctx);
+}
+}  // namespace detail
+#endif
+
+template <class F>
+  requires(!std::same_as<F, Phase> && std::invocable<F&, ThreadContext&>)
+Phase::Phase(F f, [[maybe_unused]] bool fma) {
+#if POLYEVAL_FMA_ENTRIES
+  if (fma && host_has_fma()) {
+    if constexpr (std::invocable<const F&, BareThread&>)
+      bare = [f](BareBlock& block) { block.run_fma(f); };
+    checked = [f = std::move(f)](ThreadContext& ctx) mutable {
+      detail::run_thread_fma(f, ctx);
+    };
+    return;
+  }
+#endif
+  *this = Phase(std::move(f));
 }
 
 /// Execute a kernel on the simulated device, distributing contiguous

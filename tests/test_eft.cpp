@@ -63,6 +63,16 @@ TEST(Eft, TwoProdCapturesRoundingError) {
   EXPECT_EQ(err, 0x1p-60);
 }
 
+TEST(Eft, BuildDoesNotContractMultiplyAdd) {
+  // (1 + 2^-30)^2 rounds to 1 + 2^-29, so a*b + c below is 0 when the
+  // product rounds on its own and 2^-60 when a*b + c is contracted into
+  // one FMA.  The volatile reads keep the compiler from folding it.
+  volatile double va = 1.0 + 0x1p-30;
+  volatile double vc = -(1.0 + 0x1p-29);
+  const double a = va, b = va, c = vc;
+  EXPECT_EQ(a * b + c, 0.0) << "the build contracts FP expressions (-ffp-contract)";
+}
+
 TEST(Eft, TwoProdExactForSmallIntegers) {
   double err = 1.0;
   const double p = two_prod(3.0, 7.0, err);

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <type_traits>
+
 #include "core/batch_evaluator.hpp"
 #include "core/fused_evaluator.hpp"
 #include "core/gpu_evaluator.hpp"
@@ -54,12 +57,26 @@ std::vector<std::vector<cplx::Complex<S>>> points_for(unsigned batch, unsigned d
   return points;
 }
 
+/// Equal object representations (T is built of doubles only, so it has
+/// no padding): unlike a zero max_abs_diff, which a NaN on one side
+/// also gives, this catches every bit.
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % sizeof(double) == 0);
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
 template <prec::RealScalar S>
 void expect_bitwise(const std::vector<poly::EvalResult<S>>& want,
                     const std::vector<poly::EvalResult<S>>& got, const char* label) {
   ASSERT_EQ(want.size(), got.size()) << label;
-  for (std::size_t p = 0; p < want.size(); ++p)
+  for (std::size_t p = 0; p < want.size(); ++p) {
     EXPECT_EQ(poly::max_abs_diff(want[p], got[p]), 0.0) << label << ", point " << p;
+    EXPECT_TRUE(same_bits(want[p].values, got[p].values) &&
+                same_bits(want[p].jacobian, got[p].jacobian))
+        << label << ", point " << p;
+  }
 }
 
 /// A second system of `sys`'s structure: a different coefficient and
@@ -287,11 +304,16 @@ void run_memo_parity(const poly::PolynomialSystem& sys,
   }
 }
 
+/// `scale` multiplies every coordinate: a power of two far from 1 moves
+/// the points toward the overflow or underflow edge without rounding.
 template <prec::RealScalar S>
-void run_parity(unsigned n, unsigned m, unsigned k, unsigned d) {
+void run_parity(unsigned n, unsigned m, unsigned k, unsigned d, double scale = 1.0) {
   const auto sys = make_system(n, m, k, d);
   const unsigned batch = 3;
-  const auto points = points_for<S>(batch, n, 4200);
+  auto points = points_for<S>(batch, n, 4200);
+  if (scale != 1.0)
+    for (auto& x : points)
+      for (auto& z : x) z = z * prec::ScalarTraits<S>::from_double(scale);
   const auto want = baseline<S>(sys, points);
   std::vector<poly::EvalResult<S>> got;
 
@@ -366,6 +388,18 @@ TEST(FusedParity, DoubleBivariateMonomials) { run_parity<double>(6, 4, 2, 2); }
 TEST(FusedParity, DoubleDegreeOne) { run_parity<double>(6, 4, 3, 1); }
 
 TEST(FusedParity, DoubleDouble) { run_parity<prec::DoubleDouble>(6, 4, 3, 2); }
+// On an FMA host the fused double-double kernels run simt::Phase's FMA
+// entries and the three-kernel reference does not: the same bits at
+// the edges of the range too.  The monomials have degree 3 to 6.  At
+// |x| ~ 2^-330 the degree-3 ones are ~1e-298, so the two_prod error
+// terms and half the outputs' low parts are subnormal (higher degrees
+// underflow); at |x| ~ 2^+166 the degree-6 values reach ~1e+300.
+TEST(FusedParity, DoubleDoubleNearUnderflow) {
+  run_parity<prec::DoubleDouble>(6, 4, 3, 2, 0x1p-330);
+}
+TEST(FusedParity, DoubleDoubleNearOverflow) {
+  run_parity<prec::DoubleDouble>(6, 4, 3, 2, 0x1p+166);
+}
 TEST(FusedParity, QuadDouble) { run_parity<prec::QuadDouble>(5, 3, 2, 2); }
 
 /// The values-only contract: evaluate_values_range must reproduce the

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <random>
 
+#include "prec/double_double.hpp"
 #include "simt/device.hpp"
 
 namespace {
@@ -506,6 +509,57 @@ TEST(BlockStatsMemo, PhaseWithoutBareEntryThrows) {
   LaunchConfig checked = memo_config(memo, 1, 32);
   checked.detect_races = true;
   EXPECT_EQ(device.launch(checked_only, checked).complex_mul_total, 32u);
+}
+
+TEST(FmaEntries, MatchTheBaselineEntriesBitForBit) {
+  // Double-double products, the one arithmetic the FMA entries change,
+  // over operands from where the products' error terms are subnormal
+  // to near overflow, through the checked entry and the memo-hit bare
+  // entry, with the FMA entries forced off and on.
+  using polyeval::prec::DoubleDouble;
+  if (!host_has_fma()) GTEST_SKIP() << "no FMA entries in this build or on this host";
+  constexpr unsigned kBlocks = 4, kThreads = 64, kCount = kBlocks * kThreads;
+  std::mt19937_64 rng(21);
+  std::uniform_real_distribution<double> mantissa(-2.0, 2.0), tail(-0x1p-54, 0x1p-54);
+  std::uniform_int_distribution<int> exponent(-520, 510);
+  std::vector<DoubleDouble> a(kCount), b(kCount);
+  for (auto* operands : {&a, &b})
+    for (auto& v : *operands) {
+      const double hi = std::ldexp(mantissa(rng), exponent(rng));
+      v = DoubleDouble::from_sum(hi, hi * tail(rng));
+    }
+
+  std::vector<std::vector<DoubleDouble>> outputs;
+  for (const bool fma : {false, true}) {
+    Device device;
+    auto da = device.alloc_global<DoubleDouble>(kCount, "a");
+    auto db = device.alloc_global<DoubleDouble>(kCount, "b");
+    auto out = device.alloc_global<DoubleDouble>(kCount, "out");
+    device.upload(da, std::span<const DoubleDouble>(a));
+    device.upload(db, std::span<const DoubleDouble>(b));
+    const auto product = [da, db, out](auto& ctx) {
+      const std::size_t i =
+          std::size_t{ctx.block_index()} * ctx.block_dim() + ctx.thread_index();
+      ctx.store(out, i, ctx.load(da, i) * ctx.load(db, i));
+      ctx.op_cmul();
+    };
+    const Kernel kernel{"dd_products", {Phase(product, fma)}};
+    BlockStatsMemo memo(1, kBlocks);
+    for (const bool checked : {true, false}) {
+      device.fill(out, DoubleDouble(0.0));
+      LaunchConfig cfg = memo_config(memo, kBlocks, kThreads);
+      cfg.detect_races = checked;
+      (void)device.launch(kernel, cfg);
+      if (!checked) (void)device.launch(kernel, cfg);  // the memo hit runs bare
+      outputs.emplace_back(kCount);
+      device.download(out, std::span<DoubleDouble>(outputs.back()));
+    }
+  }
+  for (std::size_t r = 1; r < outputs.size(); ++r)
+    EXPECT_EQ(std::memcmp(outputs[0].data(), outputs[r].data(),
+                          kCount * sizeof(DoubleDouble)),
+              0)
+        << "run " << r << " (0, 1: baseline checked, bare; 2, 3: FMA checked, bare)";
 }
 
 TEST(BlockStatsMemo, BareSharedArrayOutOfBoundsThrows) {
