@@ -37,7 +37,7 @@
 #include "benchutil/timer.hpp"
 #include "core/gpu_evaluator.hpp"
 #include "core/sharded_evaluator.hpp"
-#include "homotopy/sharded_solver.hpp"
+#include "homotopy/solver.hpp"
 #include "poly/random_system.hpp"
 #include "service/solve_service.hpp"
 #include "simt/timing.hpp"
@@ -249,8 +249,7 @@ int main(int argc, char** argv) {
     svc.drain();
     service_stats = svc.stats();
     for (unsigned r = 0; r < num_requests; ++r) {
-      const auto standalone = homotopy::solve_total_degree_sharded<double>(
-          systems[r], ropt.to_sharded());
+      const auto standalone = homotopy::solve_total_degree<double>(systems[r], ropt);
       if (!tickets[r].done() ||
           !paths_bitwise_equal(tickets[r].report().paths, standalone.paths)) {
         std::cout << "FAIL: service request " << r

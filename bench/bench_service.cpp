@@ -14,10 +14,10 @@
 //   * modeled throughput: the batched run's modeled device makespan
 //     must not exceed the sequential sum -- merged rounds amortize the
 //     fixed launch overhead that per-request rounds each pay.
-//   * bitwise parity: every request's endpoints must equal its
-//     standalone solve_total_degree_sharded solve bit for bit (path
-//     trajectories are schedule-independent, so coalescing must not
-//     perturb a single ulp).
+//   * bitwise parity: every request's endpoints must equal the CPU
+//     solver's (solve_total_degree, the scalar reference) bit for bit
+//     (path trajectories are schedule-independent, so coalescing must
+//     not perturb a single ulp).
 //
 // The host wall rows (solves_per_sec; HIGHER is better) move with the
 // runner and are regression-gated at the coarse 2x ratio like every
@@ -35,7 +35,7 @@
 #include "benchutil/json.hpp"
 #include "benchutil/stamp.hpp"
 #include "benchutil/table.hpp"
-#include "homotopy/sharded_solver.hpp"
+#include "homotopy/solver.hpp"
 #include "poly/random_system.hpp"
 #include "service/solve_service.hpp"
 
@@ -188,11 +188,10 @@ int main(int argc, char** argv) {
   }
   const double sequential_sec = wall_seconds_since(t1);
 
-  // -- parity: every request against its standalone one-shot solve ----
+  // -- parity: every request against the scalar CPU solver ------------
   bool parity_ok = true;
   for (unsigned r = 0; r < num_requests; ++r) {
-    const auto standalone =
-        homotopy::solve_total_degree_sharded<double>(systems[r], opt.to_sharded());
+    const auto standalone = homotopy::solve_total_degree<double>(systems[r], opt);
     if (!paths_bitwise_equal(tickets[r].report().paths, standalone.paths)) {
       std::cout << "FAIL: request " << r
                 << " endpoints differ from the standalone solve\n";

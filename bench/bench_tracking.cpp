@@ -4,6 +4,11 @@
 // and the workload the fused one-block-per-point schedule was built
 // for.
 //
+// The two modes are the lockstep route, track_paths_sharded (the solve
+// service in projective geometry, the dedicated lockstep loop in
+// affine), and the per-path baseline, the scalar PathTracker over a
+// capacity-1 FusedGpuEvaluator, timed directly on one device.
+//
 // Two geometries ride the same harness.  The PROJECTIVE rows (the
 // production default) report solved_frac -- the fraction of paths with
 // a CLASSIFIED endpoint (converged or at infinity); the projective
@@ -23,33 +28,34 @@
 //     deterministic: the per-path tracker feeds the device one-block
 //     grids (13 of 14 SMs idle, one launch per corrector stage), the
 //     lockstep tracker sends the whole live set per launch.  Each
-//     tracker's per-round launch logs are costed with the timing model;
-//     the >= 2x gate on the dim-16 workload binds in every mode (the
-//     measured ratio is far higher).
-//   * the HOST WALL CLOCK end to end (track_paths_sharded with shards
-//     and device workers): the lockstep mode keeps every device worker
-//     busy inside each launch while the per-path mode leaves them
-//     spinning at one block per launch.  The gated pair runs both
-//     modes on ONE shard with four host threads (1 manager + 3 device
-//     workers) -- identical resources, so the ratio isolates what
-//     batching buys: per-path single-block launches can occupy only
-//     one of the four threads, lockstep fills all of them.  The >= 2x
-//     tracked-paths/sec gate binds on full runs on >= 4 cores (the
-//     bench_sharding policy); quick mode and small hosts report
-//     without gating.  The 2-shard configuration is reported
-//     ungated alongside.
+//     tracker's launch logs are costed with the timing model; the >= 2x
+//     gate on the dim-16 workload binds in every mode (the measured
+//     ratio is far higher).
+//   * the HOST WALL CLOCK end to end, construction included: the
+//     lockstep mode keeps every device worker busy inside each launch
+//     while the per-path mode leaves them spinning at one block per
+//     launch.  The gated pair runs both modes on four host threads (1
+//     manager + 3 device workers; one shard for lockstep) -- identical
+//     resources, so the ratio isolates what batching buys: per-path
+//     single-block launches can occupy only one of the four threads,
+//     lockstep fills all of them.  The >= 2x tracked-paths/sec gate
+//     binds on full runs on >= 4 cores (the bench_sharding policy);
+//     quick mode and small hosts report without gating.  The 2-shard
+//     lockstep configuration is reported ungated alongside.
 //
 // Emits BENCH_tracking.json; `--quick` is the CI smoke configuration.
 
 #include <cstring>
 #include <iostream>
 #include <thread>
+#include <type_traits>
 
 #include "benchutil/json.hpp"
 #include "benchutil/stamp.hpp"
 #include "benchutil/table.hpp"
 #include "benchutil/timer.hpp"
 #include "homotopy/sharded_solver.hpp"
+#include "homotopy/solver.hpp"
 #include "poly/random_system.hpp"
 #include "simt/timing.hpp"
 
@@ -97,30 +103,15 @@ struct ModeRow {
   std::uint64_t rejections = 0;
 };
 
-/// One end-to-end track_paths_sharded timing of `paths` total-degree
-/// paths in the given mode (construction included: this is the number a
-/// fresh solve pays).
-template <prec::RealScalar S>
-ModeRow run_mode(const poly::PolynomialSystem& sys, std::uint64_t paths,
-                 homotopy::ShardTrackMode mode, homotopy::ShardEvalBackend backend,
-                 unsigned shards, unsigned workers_per_shard, double min_seconds,
-                 homotopy::SolveSummary<S>* out = nullptr,
-                 unsigned max_steps = 3000,
-                 homotopy::TrackGeometry geometry = homotopy::TrackGeometry::kAffine) {
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = shards;
-  opt.workers_per_shard = workers_per_shard;
-  opt.max_paths = paths;
-  opt.track.max_steps = max_steps;
-  opt.mode = mode;
-  opt.backend = backend;
-  opt.geometry = geometry;
-
+/// Time `solve` (construction included: this is the number a fresh
+/// solve pays) and fold its summary of `paths` paths into a row.
+template <prec::RealScalar S, class Solve>
+ModeRow time_row(std::uint64_t paths, double min_seconds,
+                 homotopy::SolveSummary<S>* out, Solve&& solve) {
   ModeRow row;
   homotopy::SolveSummary<S> summary;
-  const double sec = benchutil::time_per_call(
-      [&] { summary = homotopy::solve_total_degree_sharded<S>(sys, opt); },
-      min_seconds);
+  const double sec =
+      benchutil::time_per_call([&] { summary = solve(); }, min_seconds);
   if (summary.attempted != paths)
     std::cout << "WARNING: attempted " << summary.attempted << " of " << paths
               << " paths\n";
@@ -138,21 +129,90 @@ ModeRow run_mode(const poly::PolynomialSystem& sys, std::uint64_t paths,
   return row;
 }
 
+/// One end-to-end lockstep timing: track_paths_sharded over `shards`
+/// devices with `workers_per_shard` pool threads each.
+template <prec::RealScalar S>
+ModeRow run_lockstep(const poly::PolynomialSystem& sys, std::uint64_t paths,
+                     unsigned shards, unsigned workers_per_shard, double min_seconds,
+                     homotopy::SolveSummary<S>* out = nullptr,
+                     unsigned max_steps = 3000,
+                     solve::Geometry geometry = solve::Geometry::kAffine) {
+  solve::Options opt;
+  opt.sharding.shards = shards;
+  opt.sharding.workers_per_shard = workers_per_shard;
+  opt.sharding.max_paths = paths;
+  opt.tracking.track.max_steps = max_steps;
+  opt.tracking.geometry = geometry;
+  return time_row<S>(paths, min_seconds, out, [&] {
+    return homotopy::solve_total_degree_sharded<S>(sys, opt);
+  });
+}
+
+/// The PER-PATH tracker: the scalar PathTracker over a capacity-1 fused
+/// evaluator on ONE device with 3 pool workers (the calling thread is
+/// the manager: 4 host threads, as the gated lockstep row), one path
+/// after another.  With `modeled_us` set, each path's launch log is
+/// costed with the timing model and summed.
+template <prec::RealScalar S>
+homotopy::SolveSummary<S> track_perpath(const poly::PolynomialSystem& sys,
+                                        std::uint64_t paths, solve::Geometry geometry,
+                                        double* modeled_us = nullptr) {
+  using C = cplx::Complex<S>;
+  using Fused = core::FusedGpuEvaluator<S>;
+  const solve::Options defaults;
+  const homotopy::TotalDegreeStart start(sys);
+  const auto gamma = homotopy::random_gamma(defaults.gamma_seed);
+  auto roots = homotopy::total_degree_roots<S>(start, paths);
+  homotopy::TrackOptions topt;
+  topt.max_steps = 3000;
+
+  simt::Device device(simt::DeviceSpec::tesla_c2050(), 3);
+  Fused f(device, sys, 1);
+  const simt::GpuCostModel cost;
+  homotopy::SolveSummary<S> summary;
+  summary.attempted = roots.size();
+  const auto track_all = [&](auto& h) {
+    homotopy::PathTracker<S, std::remove_reference_t<decltype(h)>> tracker(h, topt);
+    for (const auto& root : roots) {
+      device.clear_log();
+      summary.paths.push_back(tracker.track(std::span<const C>(root)));
+      if (modeled_us)
+        *modeled_us += simt::estimate_log_us(device.log(), device.spec(), cost);
+    }
+  };
+  if (geometry == solve::Geometry::kProjective) {
+    const auto patch =
+        homotopy::random_patch(sys.dimension() + 1, defaults.tracking.patch_seed);
+    homotopy::embed_all_in_patch<S>(roots, patch);
+    homotopy::ProjectiveHomotopy<S, Fused> h(f, sys, start.system(), gamma, patch);
+    track_all(h);
+  } else {
+    ad::CpuEvaluator<S> g(start.system());
+    homotopy::Homotopy<S, Fused, ad::CpuEvaluator<S>> h(f, g, gamma);
+    track_all(h);
+  }
+  summary.tally();
+  return summary;
+}
+
+/// One end-to-end per-path timing (track_perpath).
+template <prec::RealScalar S>
+ModeRow run_perpath(const poly::PolynomialSystem& sys, std::uint64_t paths,
+                    double min_seconds, homotopy::SolveSummary<S>* out = nullptr,
+                    solve::Geometry geometry = solve::Geometry::kAffine) {
+  return time_row<S>(paths, min_seconds, out, [&] {
+    return track_perpath<S>(sys, paths, geometry);
+  });
+}
+
 /// Modeled device time of the LOCKSTEP tracker: a single-shard direct
 /// run, each round's launch log costed with the timing model (round()
 /// clears the log on entry, so after it returns the log is exactly that
 /// round's launches).
 double modeled_lockstep_us(const poly::PolynomialSystem& sys, std::uint64_t paths) {
-  using Cd = cplx::Complex<double>;
   const homotopy::TotalDegreeStart start(sys);
-  const auto gamma = homotopy::random_gamma(20120102);
-  std::vector<std::vector<Cd>> roots;
-  for (std::uint64_t p = 0; p < paths; ++p) {
-    const auto rd = start.start_root(p);
-    std::vector<Cd> r;
-    for (const auto& z : rd) r.push_back(z);
-    roots.push_back(std::move(r));
-  }
+  const auto gamma = homotopy::random_gamma(solve::Options{}.gamma_seed);
+  const auto roots = homotopy::total_degree_roots<double>(start, paths);
 
   simt::Device device;
   core::FusedGpuEvaluator<double> f(device, sys, static_cast<unsigned>(paths));
@@ -169,37 +229,6 @@ double modeled_lockstep_us(const poly::PolynomialSystem& sys, std::uint64_t path
     const std::size_t live = tracker.round();
     total += simt::estimate_log_us(device.log(), device.spec(), cost);
     if (live == 0) break;
-  }
-  return total;
-}
-
-/// Modeled device time of the PER-PATH tracker: the scalar PathTracker
-/// over a capacity-1 fused evaluator, one device log per path.
-double modeled_perpath_us(const poly::PolynomialSystem& sys, std::uint64_t paths) {
-  using Cd = cplx::Complex<double>;
-  const homotopy::TotalDegreeStart start(sys);
-  const auto gamma = homotopy::random_gamma(20120102);
-
-  simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, 1);
-  ad::CpuEvaluator<double> g(start.system());
-  homotopy::Homotopy<double, core::FusedGpuEvaluator<double>, ad::CpuEvaluator<double>>
-      h(f, g, gamma);
-  homotopy::TrackOptions topt;
-  topt.max_steps = 3000;
-  homotopy::PathTracker<double, core::FusedGpuEvaluator<double>,
-                        ad::CpuEvaluator<double>>
-      tracker(h, topt);
-
-  const simt::GpuCostModel cost;
-  double total = 0.0;
-  for (std::uint64_t p = 0; p < paths; ++p) {
-    const auto rd = start.start_root(p);
-    std::vector<Cd> root;
-    for (const auto& z : rd) root.push_back(z);
-    device.clear_log();
-    (void)tracker.track(std::span<const Cd>(root));
-    total += simt::estimate_log_us(device.log(), device.spec(), cost);
   }
   return total;
 }
@@ -222,8 +251,8 @@ int main(int argc, char** argv) {
   const std::uint64_t paths_modeled = 8;
 
   std::cout << "=== Lockstep batched tracking throughput (tracked paths/sec) ===\n"
-            << "Table-1 structure, total-degree start; gated pair: 1 shard x 4 "
-               "host threads, reported pairs: "
+            << "Table-1 structure, total-degree start; gated pair: 4 host "
+               "threads each, reported lockstep rows: "
             << shards << " shards x 2 threads\n"
             << "host cores: " << host_cores << "\n\n";
 
@@ -267,117 +296,78 @@ int main(int argc, char** argv) {
   };
 
   // -- dim 16, double: the gated pair -----------------------------------
-  // One shard, four host threads (manager + 3 device workers) for BOTH
-  // modes: identical resources, so tracked-paths/sec isolates the
-  // launch-level parallelism batching buys.
+  // Four host threads (manager + 3 device workers) for BOTH modes:
+  // identical resources, so tracked-paths/sec isolates the launch-level
+  // parallelism batching buys.
   const auto sys16 = table1_system(16);
   homotopy::SolveSummary<double> lockstep16, perpath16;
   const auto row_lock16 =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &lockstep16);
+      run_lockstep<double>(sys16, paths16, 1, 3, min_seconds, &lockstep16);
   emit("table1_dim16", "lockstep_fused_1x4", row_lock16);
-  const auto row_path16 =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kPerPath,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &perpath16);
+  const auto row_path16 = run_perpath<double>(sys16, paths16, min_seconds, &perpath16);
   emit("table1_dim16", "perpath_fused_1x4", row_path16);
-  bool bitwise16 = summaries_bitwise_equal(lockstep16, perpath16);
+  bool bitwise_all = summaries_bitwise_equal(lockstep16, perpath16);
 
-  // The 2-shard configuration (1 worker each), reported ungated.
+  // The 2-shard lockstep configuration (1 worker each), reported ungated.
   {
-    homotopy::SolveSummary<double> lock2, path2;
+    homotopy::SolveSummary<double> lock2;
     emit("table1_dim16", "lockstep_fused_2x2",
-         run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                          homotopy::ShardEvalBackend::kFused, shards, 1,
-                          min_seconds, &lock2));
-    emit("table1_dim16", "perpath_fused_2x2",
-         run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kPerPath,
-                          homotopy::ShardEvalBackend::kFused, shards, 1,
-                          min_seconds, &path2));
-    bitwise16 = bitwise16 && summaries_bitwise_equal(lock2, path2) &&
-                summaries_bitwise_equal(lockstep16, lock2);
+         run_lockstep<double>(sys16, paths16, shards, 1, min_seconds, &lock2));
+    bitwise_all = bitwise_all && summaries_bitwise_equal(lockstep16, lock2);
   }
 
   // -- dim 16, double, PROJECTIVE: the solved-paths rows ----------------
-  // The tentpole numbers: the projective tracker + Cauchy endgame must
-  // CLASSIFY > 90% of the same workload whose affine rows report ~0
-  // successes, and projective lockstep results must be bitwise
-  // identical to the scalar (per-path) projective tracker and across
-  // shard counts 1/2/4.
+  // The projective tracker + Cauchy endgame must CLASSIFY > 90% of the
+  // same workload whose affine rows report ~0 successes, and projective
+  // lockstep results must be bitwise identical to the scalar (per-path)
+  // projective tracker and across shard counts 1/2/4.
   homotopy::SolveSummary<double> proj_lock, proj_path;
   const auto row_proj_lock =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &proj_lock, 3000, homotopy::TrackGeometry::kProjective);
+      run_lockstep<double>(sys16, paths16, 1, 3, min_seconds, &proj_lock, 3000,
+                           solve::Geometry::kProjective);
   emit("table1_dim16_proj", "lockstep_fused_1x4", row_proj_lock);
-  const auto row_proj_path =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kPerPath,
-                       homotopy::ShardEvalBackend::kFused, 1, 3, min_seconds,
-                       &proj_path, 3000, homotopy::TrackGeometry::kProjective);
-  emit("table1_dim16_proj", "perpath_fused_1x4", row_proj_path);
+  emit("table1_dim16_proj", "perpath_fused_1x4",
+       run_perpath<double>(sys16, paths16, min_seconds, &proj_path,
+                           solve::Geometry::kProjective));
   bool proj_bitwise = summaries_bitwise_equal(proj_lock, proj_path);
   for (const unsigned proj_shards : {2u, 4u}) {
     homotopy::SolveSummary<double> proj_s;
     emit("table1_dim16_proj",
          proj_shards == 2 ? "lockstep_fused_2shard" : "lockstep_fused_4shard",
-         run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                          homotopy::ShardEvalBackend::kFused, proj_shards, 1,
-                          min_seconds, &proj_s, 3000,
-                          homotopy::TrackGeometry::kProjective));
+         run_lockstep<double>(sys16, paths16, proj_shards, 1, min_seconds, &proj_s,
+                              3000, solve::Geometry::kProjective));
     proj_bitwise = proj_bitwise && summaries_bitwise_equal(proj_lock, proj_s);
   }
   const double proj_solved_frac = row_proj_lock.solved_frac;
 
   // Modeled device clock, single shard: deterministic on any host.
   const double modeled_lock_us = modeled_lockstep_us(sys16, paths_modeled);
-  const double modeled_path_us = modeled_perpath_us(sys16, paths_modeled);
+  double modeled_path_us = 0.0;
+  (void)track_perpath<double>(sys16, paths_modeled, solve::Geometry::kAffine,
+                              &modeled_path_us);
   const double modeled_speedup =
       modeled_lock_us > 0.0 ? modeled_path_us / modeled_lock_us : 0.0;
-
-  // Pipelined backend: the corrector batches finally give the streams
-  // transfers to hide (reported; parity is covered by the test suite).
-  homotopy::SolveSummary<double> piped16;
-  const auto row_pipe16 =
-      run_mode<double>(sys16, paths16, homotopy::ShardTrackMode::kLockstep,
-                       homotopy::ShardEvalBackend::kPipelined, shards, 1,
-                       min_seconds, &piped16);
-  emit("table1_dim16", "lockstep_pipelined", row_pipe16);
-  bool bitwise_all = bitwise16 && summaries_bitwise_equal(lockstep16, piped16);
 
   // -- extended precision: the quality-up rows ---------------------------
   const std::uint64_t paths_dd = 2;
   emit("table1_dim16_dd", "lockstep_fused",
-       run_mode<prec::DoubleDouble>(sys16, paths_dd,
-                                    homotopy::ShardTrackMode::kLockstep,
-                                    homotopy::ShardEvalBackend::kFused, shards, 1,
-                                    min_seconds));
+       run_lockstep<prec::DoubleDouble>(sys16, paths_dd, shards, 1, min_seconds));
   if (!quick) {
     emit("table1_dim16_dd", "perpath_fused",
-         run_mode<prec::DoubleDouble>(sys16, paths_dd,
-                                      homotopy::ShardTrackMode::kPerPath,
-                                      homotopy::ShardEvalBackend::kFused, shards, 1,
-                                      min_seconds));
+         run_perpath<prec::DoubleDouble>(sys16, paths_dd, min_seconds));
     // qd arithmetic is ~40x double; cap the row's step budget so the
     // full bench stays minutes-free (report-only row either way).
     emit("table1_dim16_qd", "lockstep_fused",
-         run_mode<prec::QuadDouble>(sys16, 1, homotopy::ShardTrackMode::kLockstep,
-                                    homotopy::ShardEvalBackend::kFused, shards, 1,
-                                    min_seconds, nullptr, 300));
+         run_lockstep<prec::QuadDouble>(sys16, 1, shards, 1, min_seconds, nullptr,
+                                        300));
 
     // -- dim 32: the larger Table-1 column -------------------------------
     const auto sys32 = table1_system(32);
     homotopy::SolveSummary<double> lockstep32, perpath32;
-    const auto row_lock32 =
-        run_mode<double>(sys32, 4, homotopy::ShardTrackMode::kLockstep,
-                         homotopy::ShardEvalBackend::kFused, shards, 1,
-                         min_seconds, &lockstep32);
-    emit("table1_dim32", "lockstep_fused", row_lock32);
-    const auto row_path32 =
-        run_mode<double>(sys32, 4, homotopy::ShardTrackMode::kPerPath,
-                         homotopy::ShardEvalBackend::kFused, shards, 1,
-                         min_seconds, &perpath32);
-    emit("table1_dim32", "perpath_fused", row_path32);
+    emit("table1_dim32", "lockstep_fused",
+         run_lockstep<double>(sys32, 4, shards, 1, min_seconds, &lockstep32));
+    emit("table1_dim32", "perpath_fused",
+         run_perpath<double>(sys32, 4, min_seconds, &perpath32));
     if (!summaries_bitwise_equal(lockstep32, perpath32)) {
       std::cout << "FAIL: dim-32 lockstep results differ from per-path\n";
       bitwise_all = false;

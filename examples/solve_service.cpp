@@ -4,10 +4,11 @@
 // rounds, poll progress, cancel one, and read the versioned reports.
 //
 // The one-shot spelling of the same thing is
-// homotopy::solve_total_degree_sharded(target, options.to_sharded()) --
-// in its default (lockstep x fused) configuration that call routes
-// through a throwaway service instance, and the service promises the
-// endpoints are bitwise identical either way.
+// homotopy::solve_total_degree_sharded(target, options) -- in the
+// default projective geometry that call routes through a throwaway
+// service instance -- and the scalar reference is the CPU solver
+// homotopy::solve_total_degree(target, options); the endpoints are
+// bitwise identical on all three.
 
 #include <iostream>
 

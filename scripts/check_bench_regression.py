@@ -23,7 +23,9 @@ baseline ratio: the modeled clock is deterministic, so tuned slower
 than heuristic is a tuner bug regardless of what the baseline says,
 and the floor fires even when no baseline file exists yet.  Other
 modeled-clock and speedup fields are left alone -- they have their own
-in-bench gates.
+in-bench gates.  List elements are matched to the baseline by their
+identity fields (IDENTITY_KEYS), not by position; a baseline element
+with no current counterpart is noted and skipped.
 
 Usage:
   scripts/check_bench_regression.py [--baseline-dir bench/baselines]
@@ -34,6 +36,40 @@ import argparse
 import json
 import os
 import sys
+
+# String fields that name what a list element measures.  A row is
+# matched to its baseline by these (e.g. rows[workload=table1_dim16,
+# mode=lockstep_fused_1x4]), so adding or removing a row never shifts
+# its neighbours onto the wrong baseline entry.
+IDENTITY_KEYS = ("workload", "mode", "name", "schedule", "label", "scalar")
+
+
+def element_labels(items):
+    """Path label per list element: its identity fields when it has
+    some and they are unique within the list, else its index."""
+    labels = []
+    for i, item in enumerate(items):
+        ident = []
+        if isinstance(item, dict):
+            ident = [f"{k}={item[k]}" for k in IDENTITY_KEYS
+                     if isinstance(item.get(k), str)]
+        labels.append(",".join(ident) if ident else str(i))
+    if len(set(labels)) != len(labels):
+        return [str(i) for i in range(len(items))]
+    return labels
+
+
+def list_elements(node, path=""):
+    """Yield the path of every list element, labelled as gated_leaves
+    labels it."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from list_elements(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for label, value in zip(element_labels(node), node):
+            sub = f"{path}[{label}]"
+            yield sub
+            yield from list_elements(value, sub)
 
 
 def gated_leaves(node, path=""):
@@ -57,8 +93,8 @@ def gated_leaves(node, path=""):
             elif isinstance(value, (int, float)) and "solved_frac" in key:
                 yield sub, float(value), True, True
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from gated_leaves(value, f"{path}[{i}]")
+        for label, value in zip(element_labels(node), node):
+            yield from gated_leaves(value, f"{path}[{label}]")
 
 
 def tuned_speedup_leaves(node, path=""):
@@ -73,8 +109,8 @@ def tuned_speedup_leaves(node, path=""):
             elif isinstance(value, (int, float)) and "tuned_speedup" in key:
                 yield sub, float(value)
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from tuned_speedup_leaves(value, f"{path}[{i}]")
+        for label, value in zip(element_labels(node), node):
+            yield from tuned_speedup_leaves(value, f"{path}[{label}]")
 
 
 def main():
@@ -152,6 +188,16 @@ def main():
         baseline = load_json(baseline_path, "baseline")
         if baseline is None:
             continue
+
+        current_elements = set(list_elements(current))
+        reported = []
+        for element in list_elements(baseline):
+            if element in current_elements or any(
+                    element.startswith((r + ".", r + "[")) for r in reported):
+                continue
+            reported.append(element)
+            print(f"note: {name}:{element} has no counterpart in the "
+                  f"current run, not compared")
 
         baseline_values = {p: (v, hib, q)
                            for p, v, hib, q in gated_leaves(baseline)}

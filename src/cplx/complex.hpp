@@ -8,6 +8,7 @@
 /// Multiplication is the textbook 4M+2A form -- the operation the paper's
 /// cost model counts ("complex double multiplications").
 
+#include <cmath>
 #include <iosfwd>
 #include <sstream>
 
@@ -105,12 +106,13 @@ template <RealScalar T>
   return {z.re(), -z.im()};
 }
 
-/// Maximum componentwise distance, as a hardware double (test helper).
+/// Maximum componentwise distance, as a hardware double (test helper);
+/// NaN when either component distance is NaN.
 template <RealScalar T>
 [[nodiscard]] double max_abs_diff(const Complex<T>& a, const Complex<T>& b) noexcept {
   const double dr = ScalarTraits<T>::to_double(ScalarTraits<T>::abs(a.re() - b.re()));
   const double di = ScalarTraits<T>::to_double(ScalarTraits<T>::abs(a.im() - b.im()));
-  return dr > di ? dr : di;
+  return dr > di || std::isnan(dr) ? dr : di;
 }
 
 template <RealScalar T>

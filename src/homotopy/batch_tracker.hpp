@@ -43,9 +43,9 @@
 /// values, LuArena's equality with lu_solve, the shared step-control
 /// and endgame state arithmetic (tracker.hpp, endgame.hpp), and this
 /// file repeating the scalar tracker's control flow verbatim.  Only the
-/// SCHEDULE changes -- which is why the lockstep tracker may
-/// default-replace the per-path mode in track_paths_sharded while the
-/// parity tests compare the two.
+/// SCHEDULE changes -- which is why track_paths_sharded runs lockstep
+/// only, while the parity tests compare it with the scalar CPU solver
+/// (solver.hpp).
 ///
 /// Zero allocation: all per-path state, batch staging, Newton scratch,
 /// endgame accumulators and LU slots are sized in the constructor for

@@ -107,10 +107,12 @@ class CauchyEndgame {
     for (std::size_t i = 0; i < sum_.size(); ++i) sum_[i] += z[i];
     ++samples_;
     if (samples_ % options.samples_per_loop != 0) return Step::kContinue;
-    double dist = 0.0;
-    for (std::size_t i = 0; i < start_.size(); ++i)
-      dist = std::max(dist, cplx::max_abs_diff(z[i], start_[i]));
-    if (dist <= options.closure_tolerance) {
+    // Closed when every coordinate is back within tolerance; a NaN
+    // distance never is.
+    bool closed = true;
+    for (std::size_t i = 0; i < start_.size() && closed; ++i)
+      closed = cplx::max_abs_diff(z[i], start_[i]) <= options.closure_tolerance;
+    if (closed) {
       winding_ = samples_ / options.samples_per_loop;
       return Step::kClosed;
     }

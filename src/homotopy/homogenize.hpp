@@ -64,6 +64,19 @@ template <prec::RealScalar S>
   return z;
 }
 
+/// embed_in_patch over a whole root list, in place, with the patch given
+/// in double (as random_patch returns it).
+template <prec::RealScalar S>
+void embed_all_in_patch(std::vector<std::vector<cplx::Complex<S>>>& roots,
+                        std::span<const cplx::Complex<double>> c) {
+  using C = cplx::Complex<S>;
+  std::vector<C> patch;
+  patch.reserve(c.size());
+  for (const auto& ci : c) patch.push_back(C::from_double(ci));
+  for (auto& root : roots)
+    root = embed_in_patch<S>(std::span<const C>(root), std::span<const C>(patch));
+}
+
 /// Affine chart of a projective point: x_i = z_i / z_n.  Meaningful only
 /// for endpoints classified finite (z_n bounded away from zero).
 template <prec::RealScalar S>

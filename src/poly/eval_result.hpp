@@ -4,6 +4,7 @@
 /// Container for the output of one system evaluation: the n values
 /// f(x) and the n x n Jacobian matrix Jf(x), row-major.
 
+#include <cmath>
 #include <vector>
 
 #include "cplx/complex.hpp"
@@ -31,14 +32,18 @@ struct EvalResult {
   }
 };
 
-/// Largest componentwise discrepancy between two results (test helper).
+/// Largest componentwise discrepancy between two results (test helper);
+/// NaN when any entry's distance is NaN.
 template <prec::RealScalar T>
 [[nodiscard]] double max_abs_diff(const EvalResult<T>& a, const EvalResult<T>& b) {
   double worst = 0.0;
+  const auto fold = [&](double d) {
+    if (d > worst || std::isnan(d)) worst = d;  // a NaN worst stays NaN
+  };
   for (std::size_t i = 0; i < a.values.size(); ++i)
-    worst = std::max(worst, cplx::max_abs_diff(a.values[i], b.values[i]));
+    fold(cplx::max_abs_diff(a.values[i], b.values[i]));
   for (std::size_t i = 0; i < a.jacobian.size(); ++i)
-    worst = std::max(worst, cplx::max_abs_diff(a.jacobian[i], b.jacobian[i]));
+    fold(cplx::max_abs_diff(a.jacobian[i], b.jacobian[i]));
   return worst;
 }
 

@@ -12,9 +12,8 @@
 /// tenant-routed fused evaluator (one launch serves points of several
 /// requests), the routed homotopy::BatchedProjectiveHomotopy over it and
 /// a BatchPathTracker.  The service tracks in projective geometry only:
-/// admission rejects affine requests, as it rejects the per-path mode
-/// and the pipelined backend (all three stay on track_paths_sharded's
-/// dedicated loops).
+/// admission rejects affine requests (track_paths_sharded runs those on
+/// its lockstep loop).
 /// Each service tick runs one lockstep round on every shard with live
 /// paths -- shards advance in parallel (their devices are independent)
 /// -- then a single coordinator phase drains retired slots into
@@ -451,11 +450,9 @@ class SolveService {
     } catch (const std::invalid_argument&) {
       return AdmissionVerdict::kInvalid;
     }
-    // The service IS the fused projective lockstep engine; other modes,
-    // backends and the affine geometry stay on the one-shot sharded API.
-    if (req.options.tracking.mode != solve::TrackMode::kLockstep ||
-        req.options.sharding.backend != solve::EvalBackend::kFused ||
-        req.options.tracking.geometry != solve::Geometry::kProjective)
+    // The service IS the projective lockstep engine; the affine geometry
+    // stays on the one-shot sharded API.
+    if (req.options.tracking.geometry != solve::Geometry::kProjective)
       return AdmissionVerdict::kInvalid;
     const std::size_t misses_before = cache_.misses();
     try {

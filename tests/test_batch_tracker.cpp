@@ -1,8 +1,9 @@
 // Lockstep batched tracking: per-path results must be BITWISE identical
-// to the scalar PathTracker over the same evaluators -- across
-// precisions (double/dd/qd), shard counts 1/2/4, both device backends,
-// and through mid-run retirement (paths failing and finishing at
-// different rounds while the survivors' batches compact around them).
+// to the scalar PathTracker -- the CPU solver over the same start roots,
+// gamma and patch -- across precisions (double/dd/qd), shard counts
+// 1/2/4, both geometries, and through mid-run retirement (paths failing
+// and finishing at different rounds while the survivors' batches
+// compact around them).
 
 #include <gtest/gtest.h>
 
@@ -27,15 +28,12 @@ poly::PolynomialSystem uniform_target(unsigned dim = 3, std::uint64_t seed = 99)
   return poly::make_random_system(spec);
 }
 
-homotopy::ShardedSolveOptions base_options(unsigned shards,
-                                           homotopy::ShardTrackMode mode) {
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = shards;
-  opt.workers_per_shard = 1;
-  opt.chunk_paths = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
-  opt.mode = mode;
+solve::Options base_options(unsigned shards) {
+  solve::Options opt;
+  opt.sharding.shards = shards;
+  opt.sharding.workers_per_shard = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   return opt;
 }
 
@@ -59,24 +57,22 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
   }
 }
 
-/// Lockstep vs per-path in one geometry.  Projective lockstep runs
-/// through the solve service, affine lockstep through the dedicated
-/// loop; both must reproduce the scalar tracker.
+/// Lockstep vs the scalar CPU solver in one geometry.  Projective
+/// lockstep runs through the solve service, affine lockstep through the
+/// dedicated loop; both must reproduce the scalar tracker.
 template <prec::RealScalar S>
 void run_mode_parity(std::initializer_list<unsigned> shard_counts,
-                     homotopy::TrackGeometry geometry) {
+                     solve::Geometry geometry) {
   const auto sys = uniform_target();
-  auto opt = base_options(1, homotopy::ShardTrackMode::kPerPath);
-  opt.geometry = geometry;
-  const auto want = homotopy::solve_total_degree_sharded<S>(sys, opt);
+  auto opt = base_options(1);
+  opt.tracking.geometry = geometry;
+  const auto want = homotopy::solve_total_degree<S>(sys, opt);
   ASSERT_EQ(want.attempted, 6u);
   EXPECT_GE(want.successes, 1u);
 
-  const char* name =
-      geometry == homotopy::TrackGeometry::kAffine ? "affine" : "projective";
+  const char* name = geometry == solve::Geometry::kAffine ? "affine" : "projective";
   for (const unsigned shards : shard_counts) {
-    opt = base_options(shards, homotopy::ShardTrackMode::kLockstep);
-    opt.geometry = geometry;
+    opt.sharding.shards = shards;
     const auto got = homotopy::solve_total_degree_sharded<S>(sys, opt);
     expect_paths_bitwise(want, got,
                          (std::string(name) + " lockstep, " +
@@ -86,39 +82,27 @@ void run_mode_parity(std::initializer_list<unsigned> shard_counts,
 }
 
 TEST(BatchTracker, LockstepMatchesPerPathAcrossShardCounts) {
-  run_mode_parity<double>({1u, 2u, 4u}, homotopy::TrackGeometry::kProjective);
-  run_mode_parity<double>({1u, 2u}, homotopy::TrackGeometry::kAffine);
+  run_mode_parity<double>({1u, 2u, 4u}, solve::Geometry::kProjective);
+  run_mode_parity<double>({1u, 2u}, solve::Geometry::kAffine);
 }
 
 TEST(BatchTracker, LockstepMatchesPerPathDoubleDouble) {
-  run_mode_parity<prec::DoubleDouble>({1u, 2u}, homotopy::TrackGeometry::kProjective);
-  run_mode_parity<prec::DoubleDouble>({1u, 2u}, homotopy::TrackGeometry::kAffine);
+  run_mode_parity<prec::DoubleDouble>({1u, 2u}, solve::Geometry::kProjective);
+  run_mode_parity<prec::DoubleDouble>({1u, 2u}, solve::Geometry::kAffine);
 }
 
 TEST(BatchTracker, LockstepMatchesPerPathQuadDouble) {
-  run_mode_parity<prec::QuadDouble>({1u, 2u}, homotopy::TrackGeometry::kProjective);
-  run_mode_parity<prec::QuadDouble>({1u, 2u}, homotopy::TrackGeometry::kAffine);
-}
-
-TEST(BatchTracker, PipelinedBackendBitwiseIdentical) {
-  // The pipelined evaluator micro-chunks the lockstep batches through
-  // the two-stream schedule; results must not move a bit.
-  const auto sys = uniform_target();
-  auto opt = base_options(2, homotopy::ShardTrackMode::kLockstep);
-  const auto fused = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  const auto piped = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  expect_paths_bitwise(fused, piped, "pipelined backend");
+  run_mode_parity<prec::QuadDouble>({1u, 2u}, solve::Geometry::kProjective);
+  run_mode_parity<prec::QuadDouble>({1u, 2u}, solve::Geometry::kAffine);
 }
 
 TEST(BatchTracker, SmallLockstepBatchChunksLiveSet) {
   // lockstep_batch smaller than the live set forces every round to walk
   // multiple device batches; chunking must not move a bit either.
   const auto sys = uniform_target();
-  const auto want = homotopy::solve_total_degree_sharded<double>(
-      sys, base_options(1, homotopy::ShardTrackMode::kPerPath));
-  auto opt = base_options(1, homotopy::ShardTrackMode::kLockstep);
-  opt.lockstep_batch = 2;  // 6 paths -> 3 chunks per stage
+  auto opt = base_options(1);
+  const auto want = homotopy::solve_total_degree<double>(sys, opt);
+  opt.sharding.lockstep_batch = 2;  // 6 paths -> 3 chunks per stage
   const auto got = homotopy::solve_total_degree_sharded<double>(sys, opt);
   expect_paths_bitwise(want, got, "lockstep_batch 2");
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
 
@@ -125,6 +127,21 @@ TEST(Complex, StreamOutput) {
   std::ostringstream os2;
   os2 << Complex<double>(1.5, 2.5);
   EXPECT_EQ(os2.str(), "(1.5 + 2.5*i)");
+}
+
+TYPED_TEST(ComplexTypedTest, MaxAbsDiffSeesNaN) {
+  // A NaN-versus-finite mismatch in either component is a NaN distance,
+  // never 0, so a `max_abs_diff(...) == 0` parity check cannot pass it.
+  using T = TypeParam;
+  const T nan = ScalarTraits<T>::from_double(std::numeric_limits<double>::quiet_NaN());
+  const Complex<T> one(T(1.0), T(0.0));
+  EXPECT_TRUE(std::isnan(cplx::max_abs_diff(Complex<T>(nan, T(0.0)), one)));
+  EXPECT_TRUE(std::isnan(cplx::max_abs_diff(one, Complex<T>(nan, T(0.0)))));
+  EXPECT_TRUE(std::isnan(cplx::max_abs_diff(Complex<T>(T(1.0), nan), one)));
+  // Finite distances are unchanged: the larger component wins.
+  EXPECT_EQ(cplx::max_abs_diff(Complex<T>(T(1.0), T(-2.0)), Complex<T>(T(1.5), T(1.0))),
+            3.0);
+  EXPECT_EQ(cplx::max_abs_diff(one, one), 0.0);
 }
 
 TEST(Complex, ScalarMultiply) {

@@ -1,13 +1,17 @@
 // Homotopy continuation: start systems, the gamma trick, adaptive path
-// tracking, and the all-paths solver on systems with known root counts.
+// tracking, and the all-paths CPU solver on systems with known root
+// counts, in both geometries -- projective on systems the uniform-only
+// device routes reject.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "homotopy/solver.hpp"
 #include "poly/families.hpp"
+#include "poly/io.hpp"
 #include "poly/random_system.hpp"
 
 namespace {
@@ -16,6 +20,12 @@ using namespace polyeval;
 
 template <class T>
 using C = cplx::Complex<T>;
+
+solve::Options affine_options() {
+  solve::Options opt;
+  opt.tracking.geometry = solve::Geometry::kAffine;
+  return opt;
+}
 
 TEST(StartSystem, DegreesAndBezout) {
   // degrees (1, 2, 3) -> 6 paths
@@ -148,7 +158,7 @@ TEST(Solver, FindsAllRootsOfDecoupledQuadrics) {
   b1.add_constant({-4.0, 0.0});
   const poly::PolynomialSystem sys({b0.build(), b1.build()});
 
-  const auto summary = homotopy::solve_total_degree<double>(sys);
+  const auto summary = homotopy::solve_total_degree<double>(sys, affine_options());
   EXPECT_EQ(summary.attempted, 4u);
   EXPECT_EQ(summary.successes, 4u);
   const auto roots = summary.distinct_solutions();
@@ -161,7 +171,7 @@ TEST(Solver, FindsAllRootsOfDecoupledQuadrics) {
 
 TEST(Solver, SolvesCyclic3Completely) {
   const auto sys = poly::cyclic(3);
-  const auto summary = homotopy::solve_total_degree<double>(sys);
+  const auto summary = homotopy::solve_total_degree<double>(sys, affine_options());
   EXPECT_EQ(summary.attempted, 6u);
   EXPECT_EQ(summary.successes, 6u);
   // cyclic-3 has 6 isolated solutions (all regular)
@@ -177,10 +187,10 @@ TEST(Solver, SolvesCyclic3Completely) {
 
 TEST(Solver, WorkerPoolMatchesSequential) {
   const auto sys = poly::cyclic(3);
-  homotopy::SolveOptions seq;
-  seq.workers = 1;
-  homotopy::SolveOptions par;
-  par.workers = 4;
+  auto seq = affine_options();
+  seq.sharding.shards = 1;
+  auto par = affine_options();
+  par.sharding.shards = 4;
   const auto a = homotopy::solve_total_degree<double>(sys, seq);
   const auto b = homotopy::solve_total_degree<double>(sys, par);
   ASSERT_EQ(a.paths.size(), b.paths.size());
@@ -194,8 +204,8 @@ TEST(Solver, WorkerPoolMatchesSequential) {
 
 TEST(Solver, MaxPathsLimitsWork) {
   const auto sys = poly::cyclic(3);
-  homotopy::SolveOptions opts;
-  opts.max_paths = 2;
+  auto opts = affine_options();
+  opts.sharding.max_paths = 2;
   const auto summary = homotopy::solve_total_degree<double>(sys, opts);
   EXPECT_EQ(summary.attempted, 2u);
   EXPECT_EQ(summary.paths.size(), 2u);
@@ -207,14 +217,82 @@ TEST(Solver, DoubleDoubleEndgamePolish) {
   b.add_term({1.0, 0.0}, {2});
   b.add_constant({-2.0, 0.0});
   const poly::PolynomialSystem sys({b.build()});
-  homotopy::SolveOptions opts;
-  opts.track.end_tolerance = 1e-25;
+  auto opts = affine_options();
+  opts.tracking.track.end_tolerance = 1e-25;
   const auto summary = homotopy::solve_total_degree<prec::DoubleDouble>(sys, opts);
   EXPECT_EQ(summary.successes, 2u);
   for (const auto& p : summary.paths) {
     EXPECT_LT(p.final_residual, 1e-25);
     EXPECT_NEAR(std::fabs(p.solution[0].re().to_double()), std::sqrt(2.0), 1e-14);
   }
+}
+
+TEST(Solver, ZeroShardsThrows) {
+  auto opts = affine_options();
+  opts.sharding.shards = 0;
+  EXPECT_THROW((void)homotopy::solve_total_degree<double>(poly::cyclic(3), opts),
+               std::invalid_argument);
+  opts.tracking.geometry = solve::Geometry::kProjective;
+  EXPECT_THROW((void)homotopy::solve_total_degree<double>(poly::cyclic(3), opts),
+               std::invalid_argument);
+}
+
+TEST(Solver, DistinctSolutionsNeverMergesNaN) {
+  // A NaN endpoint is not within any tolerance of anything: it stays
+  // its own entry instead of folding into the first solution seen.
+  homotopy::SolveSummary<double> summary;
+  summary.paths.resize(2);
+  for (auto& p : summary.paths) p.success = true;
+  summary.paths[0].solution = {C<double>(1.0, 0.0), C<double>(2.0, 0.0)};
+  summary.paths[1].solution = {C<double>(std::numeric_limits<double>::quiet_NaN(), 0.0),
+                               C<double>(2.0, 0.0)};
+  EXPECT_EQ(summary.distinct_solutions().size(), 2u);
+  summary.paths[1].solution[0] = C<double>(1.0 + 1e-9, 0.0);
+  EXPECT_EQ(summary.distinct_solutions().size(), 1u);
+}
+
+/// Projective CPU solve of `sys` in double: every converged endpoint
+/// dehomogenizes to a root of `sys` (naive residual check); returns the
+/// summary for the caller's classification counts.
+homotopy::SolveSummary<double> solve_projective(const poly::PolynomialSystem& sys,
+                                                unsigned max_steps = 10000) {
+  solve::Options opts;
+  opts.tracking.track.max_steps = max_steps;
+  auto summary = homotopy::solve_total_degree<double>(sys, opts);
+  const unsigned n = sys.dimension();
+  for (const auto& p : summary.paths) {
+    EXPECT_EQ(p.solution.size(), n + 1u);  // patched projective point
+    if (p.status != homotopy::PathStatus::kConverged) continue;
+    const auto x = homotopy::dehomogenize<double>(std::span<const C<double>>(p.solution));
+    std::vector<C<double>> values(n), jac(std::size_t{n} * n);
+    sys.evaluate_naive<double>(std::span<const C<double>>(x), values, jac);
+    for (const auto& v : values) EXPECT_LT(std::abs(v.re()) + std::abs(v.im()), 1e-11);
+  }
+  return summary;
+}
+
+TEST(Solver, ProjectiveCyclic3) {
+  const auto summary = solve_projective(poly::cyclic(3));
+  EXPECT_EQ(summary.attempted, 6u);
+  EXPECT_EQ(summary.successes, 6u);
+  EXPECT_EQ(summary.at_infinity, 0u);
+  EXPECT_EQ(summary.distinct_solutions(1e-6).size(), 6u);
+}
+
+TEST(Solver, ProjectiveNoonClassifiesRootsAtInfinity) {
+  // noon(2) has 5 finite roots of its Bezout 9; the projective tracker
+  // classifies the other 4 paths at infinity instead of stalling.
+  const auto summary = solve_projective(poly::noon(2), 5000);
+  EXPECT_EQ(summary.attempted, 9u);
+  EXPECT_EQ(summary.successes, 5u);
+  EXPECT_EQ(summary.at_infinity, 4u);
+}
+
+TEST(Solver, ProjectiveQuartic) {
+  const auto summary = solve_projective(poly::parse_system("x0^4 - 16;"));
+  EXPECT_EQ(summary.attempted, 4u);
+  EXPECT_EQ(summary.successes, 4u);
+  EXPECT_EQ(summary.distinct_solutions(1e-6).size(), 4u);
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 // The double-buffered stream pipeline: results BITWISE identical to the
 // synchronous FusedGpuEvaluator for double, double-double and
-// quad-double across micro-chunk sizes and shard counts 1/2/4, the
-// modeled schedule overlaps copies under kernels deterministically, and
-// the sharded tracker reproduces its solutions under the pipelined
-// backend.
+// quad-double across micro-chunk sizes and shard counts 1/2/4, and the
+// modeled schedule overlaps copies under kernels deterministically.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +9,6 @@
 
 #include "core/pipelined_evaluator.hpp"
 #include "core/sharded_evaluator.hpp"
-#include "homotopy/sharded_solver.hpp"
 #include "poly/random_system.hpp"
 
 namespace {
@@ -227,34 +224,6 @@ TEST(Pipelined, ValidatesArguments) {
   std::vector<std::vector<cplx::Complex<double>>> wrong_dim = {
       std::vector<cplx::Complex<double>>(5)};
   EXPECT_THROW(pipelined.evaluate(wrong_dim, results), std::invalid_argument);
-}
-
-TEST(PipelinedTracker, ShardedSolverReproducesUnderPipelinedBackend) {
-  // The sharded tracker's solutions must be bitwise independent of the
-  // per-shard evaluator backend (both run the same fused kernel).
-  const auto target = make_system(3, 3, 2, 2, 5);
-
-  homotopy::ShardedSolveOptions fused_opt;
-  fused_opt.shards = 2;
-  fused_opt.max_paths = 4;
-  const auto want = homotopy::solve_total_degree_sharded<double>(target, fused_opt);
-
-  auto piped_opt = fused_opt;
-  piped_opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  const auto got = homotopy::solve_total_degree_sharded<double>(target, piped_opt);
-
-  ASSERT_EQ(want.paths.size(), got.paths.size());
-  EXPECT_EQ(want.successes, got.successes);
-  for (std::size_t p = 0; p < want.paths.size(); ++p) {
-    ASSERT_EQ(want.paths[p].success, got.paths[p].success) << p;
-    ASSERT_EQ(want.paths[p].solution.size(), got.paths[p].solution.size()) << p;
-    for (std::size_t i = 0; i < want.paths[p].solution.size(); ++i) {
-      EXPECT_EQ(want.paths[p].solution[i].re(), got.paths[p].solution[i].re())
-          << p << "," << i;
-      EXPECT_EQ(want.paths[p].solution[i].im(), got.paths[p].solution[i].im())
-          << p << "," << i;
-    }
-  }
 }
 
 }  // namespace

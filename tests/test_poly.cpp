@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "poly/eval_result.hpp"
 #include "poly/polynomial.hpp"
 #include "poly/system.hpp"
 
@@ -193,6 +197,22 @@ TEST(PolynomialSystem, NaiveEvaluationFillsJacobian) {
   EXPECT_DOUBLE_EQ(jac[1].re(), 2.0);   // df0/dx1 = x0
   EXPECT_DOUBLE_EQ(jac[2].re(), 4.0);   // df1/dx0 = 2 x0
   EXPECT_DOUBLE_EQ(jac[3].re(), -1.0);  // df1/dx1 = -1
+}
+
+TEST(EvalResult, MaxAbsDiffSeesNaN) {
+  // One NaN entry, anywhere, makes the whole distance NaN: a larger
+  // finite entry after it must not fold it away.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  poly::EvalResult<double> a(2), b(2);
+  EXPECT_EQ(poly::max_abs_diff(a, b), 0.0);
+  b.values[0] = Cd{nan, 0.0};
+  EXPECT_TRUE(std::isnan(poly::max_abs_diff(a, b)));
+  b.jacobian[3] = Cd{5.0, 0.0};
+  EXPECT_TRUE(std::isnan(poly::max_abs_diff(a, b)));
+  b.values[0] = Cd{};
+  EXPECT_EQ(poly::max_abs_diff(a, b), 5.0);
+  b.jacobian[1] = Cd{0.0, nan};
+  EXPECT_TRUE(std::isnan(poly::max_abs_diff(a, b)));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/fused_evaluator.hpp"
@@ -257,10 +258,10 @@ TEST(Projective, TripleRootWindingNumberMeasured) {
 
 TEST(Projective, StatusEnumAndSuccessAgree) {
   const auto sys = uniform_target();
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
+  solve::Options opt;
+  opt.sharding.shards = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   const auto summary = homotopy::solve_total_degree_sharded<double>(sys, opt);
   EXPECT_EQ(summary.attempted, 6u);
   EXPECT_EQ(summary.classified(), 6u);  // this workload fully classifies
@@ -297,20 +298,17 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
 template <prec::RealScalar S>
 void run_projective_parity(std::initializer_list<unsigned> shard_counts) {
   const auto sys = uniform_target();
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = 1;
-  opt.workers_per_shard = 1;
-  opt.chunk_paths = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
-  opt.mode = homotopy::ShardTrackMode::kPerPath;  // scalar projective tracker
-  const auto want = homotopy::solve_total_degree_sharded<S>(sys, opt);
+  solve::Options opt;
+  opt.sharding.shards = 1;
+  opt.sharding.workers_per_shard = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
+  const auto want = homotopy::solve_total_degree<S>(sys, opt);  // scalar tracker
   ASSERT_EQ(want.attempted, 6u);
   EXPECT_GE(want.classified(), 5u);
 
-  opt.mode = homotopy::ShardTrackMode::kLockstep;
   for (const unsigned shards : shard_counts) {
-    opt.shards = shards;
+    opt.sharding.shards = shards;
     const auto got = homotopy::solve_total_degree_sharded<S>(sys, opt);
     expect_paths_bitwise(want, got,
                          (std::string("projective lockstep, ") +
@@ -325,18 +323,6 @@ TEST(ProjectiveParity, LockstepMatchesScalarAcrossShardCounts) {
 
 TEST(ProjectiveParity, LockstepMatchesScalarDoubleDouble) {
   run_projective_parity<prec::DoubleDouble>({1u, 2u});
-}
-
-TEST(ProjectiveParity, PipelinedBackendBitwiseIdentical) {
-  const auto sys = uniform_target();
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = 2;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
-  const auto fused = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  const auto piped = homotopy::solve_total_degree_sharded<double>(sys, opt);
-  expect_paths_bitwise(fused, piped, "projective pipelined backend");
 }
 
 // -- the tenant-routed batched homotopy ----------------------------------
@@ -530,6 +516,29 @@ TEST(StepControl, EndgameRearmHalvesTrigger) {
   EXPECT_TRUE(homotopy::detail::endgame_triggered(st, o));
   st.t = 0.5;  // too far from t = 1
   EXPECT_FALSE(homotopy::detail::endgame_triggered(st, o));
+}
+
+TEST(StepControl, EndgameNeverClosesOnNaN) {
+  // A loop whose last sample went NaN has not returned to its start:
+  // the closure test must not read the NaN distance as within tolerance.
+  homotopy::EndgameOptions o;
+  o.samples_per_loop = 1;
+  o.max_windings = 2;
+  homotopy::CauchyEndgame<double> eg;
+  eg.reserve(2);
+  const std::array<Cd, 2> z0 = {Cd(1.0, 0.0), Cd(0.5, 0.5)};
+  std::array<Cd, 2> bad = z0;
+  bad[1] = Cd(std::numeric_limits<double>::quiet_NaN(), 0.5);
+  eg.begin(1e-3, std::span<const Cd>(z0));
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(bad), o),
+            homotopy::CauchyEndgame<double>::Step::kContinue);
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(bad), o),
+            homotopy::CauchyEndgame<double>::Step::kExhausted);
+  EXPECT_EQ(eg.winding(), 0u);
+  eg.begin(1e-3, std::span<const Cd>(z0));  // a finite return still closes
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(z0), o),
+            homotopy::CauchyEndgame<double>::Step::kClosed);
+  EXPECT_EQ(eg.winding(), 1u);
 }
 
 TEST(StepControl, ZeroSamplesPerLoopRejectedAtConstruction) {

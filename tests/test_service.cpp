@@ -14,7 +14,7 @@
 #include <string>
 #include <thread>
 
-#include "homotopy/sharded_solver.hpp"
+#include "homotopy/solver.hpp"
 #include "newton/batch.hpp"
 #include "poly/random_system.hpp"
 #include "service/solve_service.hpp"
@@ -41,14 +41,11 @@ solve::Options small_options(std::uint64_t max_paths = 6) {
   return opt;
 }
 
-/// The standalone reference: the PIPELINED lockstep loop, an engine the
-/// service never touches (the service is the fused path), bitwise equal
-/// to fused tracking by the evaluator parity guarantee.
+/// The standalone reference: the CPU solver, which shares no loop or
+/// evaluator with the service and computes the device kernels' bits.
 homotopy::SolveSummary<double> standalone(const poly::PolynomialSystem& sys,
                                           const solve::Options& opt) {
-  auto legacy = opt.to_sharded();
-  legacy.backend = homotopy::ShardEvalBackend::kPipelined;
-  return homotopy::solve_total_degree_sharded<double>(sys, legacy);
+  return homotopy::solve_total_degree<double>(sys, opt);
 }
 
 /// Parses the Prometheus exposition text for one histogram family and
@@ -266,25 +263,15 @@ TEST(SolveService, DeadlineExpiryReportsCancelledNotDiverged) {
 TEST(SolveService, AdmissionControlVerdicts) {
   const auto sys = small_system(99);
 
-  {  // Non-lockstep / non-fused / affine solves belong to the one-shot API.
+  {  // Affine solves belong to the one-shot API.
     service::SolveService<double> svc;
     auto opt = small_options();
-    opt.tracking.mode = solve::TrackMode::kPerPath;
+    opt.tracking.geometry = solve::Geometry::kAffine;  // projective only
     auto t = svc.submit({sys, opt, {}, 0, 0.0});
     EXPECT_EQ(t.verdict(), service::AdmissionVerdict::kInvalid);
     EXPECT_TRUE(t.done());
     EXPECT_EQ(t.poll().status, service::RequestStatus::kRejected);
     EXPECT_THROW((void)t.report(), std::logic_error);
-
-    opt = small_options();
-    opt.sharding.backend = solve::EvalBackend::kPipelined;
-    EXPECT_EQ(svc.submit({sys, opt, {}, 0, 0.0}).verdict(),
-              service::AdmissionVerdict::kInvalid);
-
-    opt = small_options();
-    opt.tracking.geometry = solve::Geometry::kAffine;  // projective only
-    EXPECT_EQ(svc.submit({sys, opt, {}, 0, 0.0}).verdict(),
-              service::AdmissionVerdict::kInvalid);
 
     opt = small_options();
     opt.sharding.shards = 0;  // fails Options::validate

@@ -24,13 +24,12 @@ poly::PolynomialSystem uniform_target() {
   return poly::make_random_system(spec);
 }
 
-homotopy::ShardedSolveOptions base_options(unsigned shards) {
-  homotopy::ShardedSolveOptions opt;
-  opt.shards = shards;
-  opt.workers_per_shard = 1;
-  opt.chunk_paths = 1;
-  opt.max_paths = 6;
-  opt.track.max_steps = 4000;
+solve::Options base_options(unsigned shards) {
+  solve::Options opt;
+  opt.sharding.shards = shards;
+  opt.sharding.workers_per_shard = 1;
+  opt.sharding.max_paths = 6;
+  opt.tracking.track.max_steps = 4000;
   return opt;
 }
 
@@ -89,7 +88,7 @@ TEST(ShardedTracker, AffineEscapeHatchStillStalls) {
   // behavior: solutions are affine points and divergent paths stall.
   const auto sys = uniform_target();
   auto opt = base_options(2);
-  opt.geometry = homotopy::TrackGeometry::kAffine;
+  opt.tracking.geometry = solve::Geometry::kAffine;
   const auto summary = homotopy::solve_total_degree_sharded<double>(sys, opt);
   EXPECT_GE(summary.successes, 1u);
   EXPECT_EQ(summary.at_infinity, 0u);
@@ -103,26 +102,17 @@ TEST(ShardedTracker, AffineEscapeHatchStillStalls) {
 }
 
 TEST(ShardedTracker, ZeroShardsThrowsOnEveryRoute) {
-  // Options are validated once at entry, so every route rejects a bad
+  // Options are validated once at entry, so both routes reject a bad
   // shard count the same way instead of dividing by it.
   const auto sys = uniform_target();
-  const auto expect_rejected = [&](homotopy::ShardedSolveOptions opt,
-                                   const char* route) {
-    opt.shards = 0;
-    EXPECT_THROW((void)homotopy::solve_total_degree_sharded<double>(sys, opt),
-                 std::invalid_argument)
-        << route;
-  };
-  auto opt = base_options(2);
-  expect_rejected(opt, "lockstep fused projective");
-  opt.geometry = homotopy::TrackGeometry::kAffine;
-  expect_rejected(opt, "lockstep fused affine");
-  opt = base_options(2);
-  opt.backend = homotopy::ShardEvalBackend::kPipelined;
-  expect_rejected(opt, "pipelined");
-  opt = base_options(2);
-  opt.mode = homotopy::ShardTrackMode::kPerPath;
-  expect_rejected(opt, "per-path");
+  auto opt = base_options(0);
+  EXPECT_THROW((void)homotopy::solve_total_degree_sharded<double>(sys, opt),
+               std::invalid_argument)
+      << "projective (service)";
+  opt.tracking.geometry = solve::Geometry::kAffine;
+  EXPECT_THROW((void)homotopy::solve_total_degree_sharded<double>(sys, opt),
+               std::invalid_argument)
+      << "affine (lockstep loop)";
 }
 
 TEST(ShardedTracker, ExplicitStartRootsLandInOrder) {
@@ -143,7 +133,7 @@ TEST(ShardedTracker, ExplicitStartRootsLandInOrder) {
   auto opt = base_options(2);
   const auto a = homotopy::track_paths_sharded<double>(sys, start.system(), roots,
                                                        gamma, opt);
-  opt.shards = 1;
+  opt.sharding.shards = 1;
   const auto b = homotopy::track_paths_sharded<double>(sys, start.system(), roots,
                                                        gamma, opt);
   ASSERT_EQ(a.paths.size(), 3u);

@@ -1,5 +1,4 @@
-// The unified request/response surface: solve::Options validates and
-// round-trips against the legacy ShardedSolveOptions spelling,
+// The unified request/response surface: solve::Options validates,
 // solve::Report tallies per-status counts/extremes and converts to the
 // legacy summary, and the enum to_string helpers cover every value.
 
@@ -17,8 +16,6 @@ TEST(SolveOptions, DefaultsValidate) {
   const solve::Options opt;
   EXPECT_NO_THROW(opt.validate());
   EXPECT_EQ(opt.tracking.geometry, solve::Geometry::kProjective);
-  EXPECT_EQ(opt.tracking.mode, solve::TrackMode::kLockstep);
-  EXPECT_EQ(opt.sharding.backend, solve::EvalBackend::kFused);
   EXPECT_EQ(opt.tuning.mode, solve::TuningMode::kMeasured);
 }
 
@@ -53,34 +50,6 @@ TEST(SolveOptions, ValidationRejectsNonsense) {
     o.tracking.track.max_steps = 0;
     EXPECT_THROW(o.validate(), std::invalid_argument);
   }
-}
-
-TEST(SolveOptions, RoundTripsThroughLegacySpelling) {
-  solve::Options opt;
-  opt.tracking.geometry = solve::Geometry::kAffine;
-  opt.tracking.mode = solve::TrackMode::kPerPath;
-  opt.tracking.patch_seed = 7;
-  opt.tracking.track.max_steps = 123;
-  opt.tuning.mode = solve::TuningMode::kHeuristic;
-  opt.tuning.block_size = 96;
-  opt.tuning.detect_races = true;
-  opt.sharding.shards = 5;
-  opt.sharding.workers_per_shard = 3;
-  opt.sharding.chunk_paths = 4;
-  opt.sharding.max_paths = 17;
-  opt.sharding.backend = solve::EvalBackend::kPipelined;
-  opt.sharding.lockstep_batch = 9;
-  opt.gamma_seed = 99;
-
-  const auto legacy = opt.to_sharded();
-  EXPECT_EQ(legacy.geometry, homotopy::TrackGeometry::kAffine);
-  EXPECT_EQ(legacy.mode, homotopy::ShardTrackMode::kPerPath);
-  EXPECT_EQ(legacy.shards, 5u);
-  EXPECT_EQ(legacy.block_size, 96u);
-  EXPECT_EQ(legacy.track.max_steps, 123u);
-
-  const auto back = solve::Options::from_sharded(legacy);
-  EXPECT_EQ(back, opt);  // defaulted operator== over every section
 }
 
 TEST(SolveReport, RetallyCountsEveryStatus) {

@@ -158,7 +158,9 @@ TEST(TrackerPaths, MidTrackExitReportsResidual) {
 TEST(TrackerPaths, QuarticRootsAllFound) {
   // x^4 = 16: roots 2, -2, 2i, -2i; all four paths land on distinct ones.
   const auto sys = poly::parse_system("x0^4 - 16;");
-  const auto summary = homotopy::solve_total_degree<double>(sys);
+  solve::Options opts;
+  opts.tracking.geometry = solve::Geometry::kAffine;
+  const auto summary = homotopy::solve_total_degree<double>(sys, opts);
   EXPECT_EQ(summary.attempted, 4u);
   EXPECT_EQ(summary.successes, 4u);
   EXPECT_EQ(summary.distinct_solutions(1e-6).size(), 4u);
@@ -167,8 +169,9 @@ TEST(TrackerPaths, QuarticRootsAllFound) {
 TEST(TrackerPaths, NoonSystemSolves) {
   // noon(2): f_i = x_i x_j^2 - 1.1 x_i + 1, Bezout 9.
   const auto sys = poly::noon(2);
-  homotopy::SolveOptions opts;
-  opts.track.max_steps = 5000;
+  solve::Options opts;
+  opts.tracking.geometry = solve::Geometry::kAffine;
+  opts.tracking.track.max_steps = 5000;
   const auto summary = homotopy::solve_total_degree<double>(sys, opts);
   EXPECT_EQ(summary.attempted, 9u);
   EXPECT_GE(summary.successes, 5u);  // noon(2) has fewer finite roots than 9
