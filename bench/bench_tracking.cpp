@@ -39,16 +39,21 @@
 //     resources, so the ratio isolates what batching buys: per-path
 //     single-block launches can occupy only one of the four threads,
 //     lockstep fills all of them.  The >= 2x tracked-paths/sec gate
-//     binds on full runs on >= 4 cores (the bench_sharding policy);
-//     quick mode and small hosts report without gating.  The 2-shard
-//     lockstep configuration is reported ungated alongside.
+//     binds on full runs on >= 4 cores (the bench_sharding policy),
+//     each side timed as the median of 5 solves with the sides
+//     alternating; quick mode (one solve each) and small hosts report
+//     without gating.  The 2-shard lockstep configuration is reported
+//     ungated alongside.
 //
 // Emits BENCH_tracking.json; `--quick` is the CI smoke configuration.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <thread>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "benchutil/json.hpp"
 #include "benchutil/stamp.hpp"
@@ -103,15 +108,11 @@ struct ModeRow {
   std::uint64_t rejections = 0;
 };
 
-/// Time `solve` (construction included: this is the number a fresh
-/// solve pays) and fold its summary of `paths` paths into a row.
-template <prec::RealScalar S, class Solve>
-ModeRow time_row(std::uint64_t paths, double min_seconds,
-                 homotopy::SolveSummary<S>* out, Solve&& solve) {
+/// Fold a solve of `paths` paths that took `sec` seconds into a row.
+template <prec::RealScalar S>
+ModeRow fold_row(std::uint64_t paths, double sec, homotopy::SolveSummary<S>&& summary,
+                 homotopy::SolveSummary<S>* out) {
   ModeRow row;
-  homotopy::SolveSummary<S> summary;
-  const double sec =
-      benchutil::time_per_call([&] { summary = solve(); }, min_seconds);
   if (summary.attempted != paths)
     std::cout << "WARNING: attempted " << summary.attempted << " of " << paths
               << " paths\n";
@@ -129,20 +130,65 @@ ModeRow time_row(std::uint64_t paths, double min_seconds,
   return row;
 }
 
-/// One end-to-end lockstep timing: track_paths_sharded over `shards`
+/// Time `solve` (construction included: this is the number a fresh
+/// solve pays) and fold its summary of `paths` paths into a row.
+template <prec::RealScalar S, class Solve>
+ModeRow time_row(std::uint64_t paths, double min_seconds,
+                 homotopy::SolveSummary<S>* out, Solve&& solve) {
+  homotopy::SolveSummary<S> summary;
+  const double sec =
+      benchutil::time_per_call([&] { summary = solve(); }, min_seconds);
+  return fold_row(paths, sec, std::move(summary), out);
+}
+
+/// Time two solves of `paths` paths as the median of `reps` runs each,
+/// the two sides alternating, so that neither one noisy solve nor a
+/// drifting host load decides their ratio.
+template <prec::RealScalar S, class SolveA, class SolveB>
+std::pair<ModeRow, ModeRow> time_pair(std::uint64_t paths, unsigned reps,
+                                      homotopy::SolveSummary<S>* out_a,
+                                      homotopy::SolveSummary<S>* out_b,
+                                      SolveA&& solve_a, SolveB&& solve_b) {
+  std::vector<double> sec_a, sec_b;
+  homotopy::SolveSummary<S> summary_a, summary_b;
+  for (unsigned r = 0; r < reps; ++r) {
+    benchutil::Timer ta;
+    summary_a = solve_a();
+    sec_a.push_back(ta.seconds());
+    benchutil::Timer tb;
+    summary_b = solve_b();
+    sec_b.push_back(tb.seconds());
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {fold_row(paths, median(sec_a), std::move(summary_a), out_a),
+          fold_row(paths, median(sec_b), std::move(summary_b), out_b)};
+}
+
+/// The lockstep route's options: track_paths_sharded over `shards`
 /// devices with `workers_per_shard` pool threads each.
-template <prec::RealScalar S>
-ModeRow run_lockstep(const poly::PolynomialSystem& sys, std::uint64_t paths,
-                     unsigned shards, unsigned workers_per_shard, double min_seconds,
-                     homotopy::SolveSummary<S>* out = nullptr,
-                     unsigned max_steps = 3000,
-                     solve::Geometry geometry = solve::Geometry::kAffine) {
+solve::Options lockstep_options(std::uint64_t paths, unsigned shards,
+                                unsigned workers_per_shard, unsigned max_steps,
+                                solve::Geometry geometry) {
   solve::Options opt;
   opt.sharding.shards = shards;
   opt.sharding.workers_per_shard = workers_per_shard;
   opt.sharding.max_paths = paths;
   opt.tracking.track.max_steps = max_steps;
   opt.tracking.geometry = geometry;
+  return opt;
+}
+
+/// One end-to-end lockstep timing (lockstep_options).
+template <prec::RealScalar S>
+ModeRow run_lockstep(const poly::PolynomialSystem& sys, std::uint64_t paths,
+                     unsigned shards, unsigned workers_per_shard, double min_seconds,
+                     homotopy::SolveSummary<S>* out = nullptr,
+                     unsigned max_steps = 3000,
+                     solve::Geometry geometry = solve::Geometry::kAffine) {
+  const auto opt = lockstep_options(paths, shards, workers_per_shard, max_steps, geometry);
   return time_row<S>(paths, min_seconds, out, [&] {
     return homotopy::solve_total_degree_sharded<S>(sys, opt);
   });
@@ -243,6 +289,8 @@ int main(int argc, char** argv) {
   const unsigned shards = 2;
   const unsigned host_cores = std::thread::hardware_concurrency();
   const double min_seconds = 0.01;  // one tracking run is itself seconds
+  // Solves per side of the gated pair (the smoke run is not gated).
+  const unsigned gate_reps = quick ? 1 : 5;
 
   const std::uint64_t paths16 = quick ? 6 : 16;
   /// The modeled batching win scales with the batch (B blocks fill B of
@@ -298,13 +346,17 @@ int main(int argc, char** argv) {
   // -- dim 16, double: the gated pair -----------------------------------
   // Four host threads (manager + 3 device workers) for BOTH modes:
   // identical resources, so tracked-paths/sec isolates the launch-level
-  // parallelism batching buys.
+  // parallelism batching buys.  Each side is the median of gate_reps
+  // solves, the sides alternating.
   const auto sys16 = table1_system(16);
   homotopy::SolveSummary<double> lockstep16, perpath16;
-  const auto row_lock16 =
-      run_lockstep<double>(sys16, paths16, 1, 3, min_seconds, &lockstep16);
+  const auto opt16 =
+      lockstep_options(paths16, 1, 3, 3000, solve::Geometry::kAffine);
+  const auto [row_lock16, row_path16] = time_pair<double>(
+      paths16, gate_reps, &lockstep16, &perpath16,
+      [&] { return homotopy::solve_total_degree_sharded<double>(sys16, opt16); },
+      [&] { return track_perpath<double>(sys16, paths16, solve::Geometry::kAffine); });
   emit("table1_dim16", "lockstep_fused_1x4", row_lock16);
-  const auto row_path16 = run_perpath<double>(sys16, paths16, min_seconds, &perpath16);
   emit("table1_dim16", "perpath_fused_1x4", row_path16);
   bool bitwise_all = summaries_bitwise_equal(lockstep16, perpath16);
 

@@ -538,10 +538,12 @@ class BatchPathTracker {
                                 std::span<newton::BatchPathStatus>(statuses_),
                                 std::span<const std::size_t>(endgame_ids_),
                                 std::span<const unsigned char>{});
-        if (metrics_)
+        if (metrics_) {
+          metrics_->endgame_samples->inc(e);
           for (std::size_t j = 0; j < e; ++j)
             metrics_->newton_iterations_per_path->observe(
                 static_cast<double>(statuses_[j].iterations));
+        }
         keep = 0;
         for (std::size_t j = 0; j < e; ++j) {
           const std::size_t id = endgame_ids_[j];
@@ -549,14 +551,16 @@ class BatchPathTracker {
           if (!statuses_[j].converged) {
             // Lost the circle at this radius: fail the attempt, restore
             // the theta = 0 point and resume tracking (the shared
-            // re-arm arithmetic halves the trigger, as scalar).
-            fail_endgame_attempt(s, id);
+            // attempt count decides whether it re-arms, as scalar).
+            fail_endgame_attempt(s, id, obs::TrackerMetrics::kLost);
             continue;
           }
           std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
           const auto step =
               s.eg.absorb(std::span<const C>(s.x), options_.endgame);
           if (step == CauchyEndgame<S>::Step::kClosed) {
+            if (metrics_)
+              metrics_->endgame_attempts[obs::TrackerMetrics::kClosed]->inc();
             s.eg.endpoint(std::span<C>(s.x));
             s.winding = s.eg.winding();
             s.ctl.t = 1.0;
@@ -564,7 +568,7 @@ class BatchPathTracker {
             continue;
           }
           if (step == CauchyEndgame<S>::Step::kExhausted) {
-            fail_endgame_attempt(s, id);
+            fail_endgame_attempt(s, id, obs::TrackerMetrics::kExhausted);
             continue;
           }
           endgame_ids_[keep++] = id;
@@ -699,7 +703,7 @@ class BatchPathTracker {
     slots_.resize(max_paths_);
     for (auto& s : slots_) {
       s.x.resize(n);
-      s.eg.reserve(n);
+      s.eg.reserve(n, options_.endgame);
     }
     active_.reserve(max_paths_);
     probe_ids_.reserve(max_paths_);
@@ -775,14 +779,14 @@ class BatchPathTracker {
     ids.resize(keep);
   }
 
-  /// A failed endgame attempt (lost sample or no closure): restore the
-  /// theta = 0 point, halve the re-arm threshold and hand the path back
-  /// to the tracking set -- it creeps closer to t = 1 and retries the
-  /// circle at a smaller radius (PathTracker's resume arithmetic,
+  /// A failed endgame attempt (lost sample or no closure, `outcome`):
+  /// restore the theta = 0 point, count the failure and hand the path
+  /// back to the tracking set (PathTracker's resume arithmetic,
   /// including the step-underflow death check the scalar loop applies
-  /// right after a failed attempt).
-  void fail_endgame_attempt(PathSlot& s, std::size_t id) {
-    if (metrics_) metrics_->endgame_retries->inc();
+  /// right after a failed attempt -- which retires a path whose last
+  /// attempt, armed at underflow, failed).
+  void fail_endgame_attempt(PathSlot& s, std::size_t id, std::size_t outcome) {
+    if (metrics_) metrics_->endgame_attempts[outcome]->inc();
     const auto z0 = s.eg.start_point();
     std::copy(z0.begin(), z0.end(), s.x.begin());
     detail::endgame_failed(s.ctl);

@@ -18,6 +18,15 @@
 /// endpoint: a finite (possibly singular) root, or a point at infinity
 /// when the homogeneous coordinate of the extrapolation vanishes.
 ///
+/// The theta = 0 point is the tracking corrector's iterate, while the
+/// loop ends are circle correctors' iterates: near a singular endpoint
+/// the two can disagree by more than the closure tolerance, so the
+/// samples settle onto the periodic orbit only after the first loop.
+/// A loop therefore also closes when it ends back at an EARLIER loop
+/// end; the winding is then the number of loops since that end, and
+/// the mean runs over exactly those loops (any w consecutive loops of
+/// the orbit sweep the same w-sheeted circle).
+///
 /// This class is the ONE copy of the endgame state arithmetic (sample
 /// parameter, Cauchy sum, closure test, winding count, endpoint mean),
 /// shared by the scalar tracker (which drives it with newton::refine)
@@ -37,7 +46,9 @@ namespace polyeval::homotopy {
 struct EndgameOptions {
   bool enabled = true;
   /// Stall signature: the endgame fires when a corrector rejection
-  /// leaves the path at t >= trigger_t with step < trigger_step.
+  /// leaves the path at t >= trigger_t with step < trigger_step.  A
+  /// failed first attempt gets one more, when the step underflows
+  /// TrackOptions::min_step (detail::endgame_triggered).
   double trigger_t = 0.9;
   double trigger_step = 1e-3;
   unsigned samples_per_loop = 16;
@@ -52,9 +63,10 @@ struct EndgameOptions {
   /// endgame exists for have an elevated Newton residual floor.
   double corrector_tolerance = 1e-8;
   /// Loop closure: the sample after a full loop must return to the
-  /// theta = 0 start point within this max-norm distance.  Distinct
-  /// branches of a winding-w endpoint are O(r^{1/w}) apart, far above
-  /// the corrector's noise floor, so the test is not delicate.
+  /// theta = 0 start point, or to an earlier loop's end, within this
+  /// max-norm distance.  Distinct branches of a winding-w endpoint are
+  /// O(r^{1/w}) apart, far above the corrector's noise floor, so the
+  /// test is not delicate.
   double closure_tolerance = 1e-6;
 
   /// Memberwise equality, so TrackOptions (which embeds this) can be a
@@ -67,12 +79,18 @@ class CauchyEndgame {
   using C = cplx::Complex<S>;
 
  public:
-  /// Size the state for points of `dimension` coordinates (done once at
-  /// construction time in the batch tracker's slots: begin()/absorb()
-  /// never allocate after this).
-  void reserve(unsigned dimension) {
+  /// Size the state for points of `dimension` coordinates and attempts
+  /// of up to `options.max_windings` loops (done once at construction
+  /// time in the batch tracker's slots: begin()/absorb() never allocate
+  /// after this).
+  void reserve(unsigned dimension, const EndgameOptions& options) {
     start_.resize(dimension);
     sum_.resize(dimension);
+    // Loop ends 1 .. max_windings - 1 are closure references for the
+    // loops after them (the last loop's end never is).
+    const std::size_t kept = options.max_windings > 1 ? options.max_windings - 1 : 0;
+    ends_.resize(kept * dimension);
+    end_sums_.resize(kept * dimension);
   }
 
   /// Arm the endgame at the stalled point `z` (the theta = 0 sample)
@@ -81,6 +99,7 @@ class CauchyEndgame {
     radius_ = radius;
     samples_ = 0;
     winding_ = 0;
+    base_ = 0;
     std::copy(z.begin(), z.end(), start_.begin());
     std::fill(sum_.begin(), sum_.end(), C{});
   }
@@ -97,55 +116,88 @@ class CauchyEndgame {
 
   enum class Step {
     kContinue,   ///< keep circling
-    kClosed,     ///< returned to the start point: winding() is set
+    kClosed,     ///< returned to the start point or an earlier loop end
     kExhausted,  ///< max_windings loops without closure
   };
 
   /// Absorb the corrected sample at next_t(): accumulate the Cauchy sum
-  /// and, on each completed loop, run the closure test.
+  /// and, on each completed loop, run the closure test -- against the
+  /// theta = 0 point first, then against the earlier loop ends, most
+  /// recent first (the shortest period).
   Step absorb(std::span<const C> z, const EndgameOptions& options) {
-    for (std::size_t i = 0; i < sum_.size(); ++i) sum_[i] += z[i];
+    const std::size_t n = sum_.size();
+    for (std::size_t i = 0; i < n; ++i) sum_[i] += z[i];
     ++samples_;
     if (samples_ % options.samples_per_loop != 0) return Step::kContinue;
-    // Closed when every coordinate is back within tolerance; a NaN
-    // distance never is.
-    bool closed = true;
-    for (std::size_t i = 0; i < start_.size() && closed; ++i)
-      closed = cplx::max_abs_diff(z[i], start_[i]) <= options.closure_tolerance;
-    if (closed) {
-      winding_ = samples_ / options.samples_per_loop;
-      return Step::kClosed;
+    const unsigned loops = samples_ / options.samples_per_loop;
+    for (unsigned k = 0; k < loops; ++k) {
+      const unsigned ref = k == 0 ? 0 : loops - k;  // 0, then loops - 1 down to 1
+      const auto target = ref == 0 ? std::span<const C>(start_) : loop_end(ref);
+      if (returned(z, target, options)) {
+        base_ = ref;
+        winding_ = loops - ref;
+        return Step::kClosed;
+      }
     }
-    if (samples_ / options.samples_per_loop >= options.max_windings)
-      return Step::kExhausted;
+    if (loops >= options.max_windings) return Step::kExhausted;
+    std::copy(z.begin(), z.end(), ends_.begin() + (loops - 1) * n);
+    std::copy(sum_.begin(), sum_.end(), end_sums_.begin() + (loops - 1) * n);
     return Step::kContinue;
   }
 
-  /// Winding number measured by the closure test (loops until return).
+  /// Winding number measured by the closure test (loops since the
+  /// point the last loop returned to).
   [[nodiscard]] unsigned winding() const noexcept { return winding_; }
   [[nodiscard]] double radius() const noexcept { return radius_; }
 
   /// The theta = 0 point the endgame was armed at: a failed attempt
   /// (lost sample, no closure) restores the path here and resumes real
-  /// tracking, to re-arm later at a smaller radius.
+  /// tracking.
   [[nodiscard]] std::span<const C> start_point() const noexcept {
     return std::span<const C>(start_);
   }
 
-  /// The Cauchy integral mean over all absorbed samples: the endpoint
-  /// estimate z(1).  Call after absorb() returned kClosed.
+  /// The Cauchy integral mean over the closing winding() loops: the
+  /// endpoint estimate z(1).  Call after absorb() returned kClosed.
   void endpoint(std::span<C> out) const {
+    // Samples of the closing loops: samples per loop times winding().
+    const unsigned count = samples_ / (base_ + winding_) * winding_;
     const S scale =
-        prec::ScalarTraits<S>::from_double(1.0 / static_cast<double>(samples_));
-    for (std::size_t i = 0; i < sum_.size(); ++i) out[i] = sum_[i] * scale;
+        prec::ScalarTraits<S>::from_double(1.0 / static_cast<double>(count));
+    if (base_ == 0) {  // the whole attempt, without subtracting a zero sum
+      for (std::size_t i = 0; i < sum_.size(); ++i) out[i] = sum_[i] * scale;
+      return;
+    }
+    const auto before = std::span<const C>(end_sums_).subspan(
+        (base_ - 1) * sum_.size(), sum_.size());
+    for (std::size_t i = 0; i < sum_.size(); ++i)
+      out[i] = (sum_[i] - before[i]) * scale;
   }
 
  private:
+  /// End of loop `loop` (1-based), as absorbed.
+  [[nodiscard]] std::span<const C> loop_end(unsigned loop) const {
+    return std::span<const C>(ends_).subspan((loop - 1) * sum_.size(), sum_.size());
+  }
+
+  /// Whether every coordinate of `z` is within closure_tolerance of
+  /// `ref`; a NaN distance never is.
+  [[nodiscard]] static bool returned(std::span<const C> z, std::span<const C> ref,
+                                     const EndgameOptions& options) {
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      if (!(cplx::max_abs_diff(z[i], ref[i]) <= options.closure_tolerance))
+        return false;
+    return true;
+  }
+
   double radius_ = 0.0;
   unsigned samples_ = 0;
   unsigned winding_ = 0;
-  std::vector<C> start_;  ///< the theta = 0 point (closure reference)
-  std::vector<C> sum_;    ///< running Cauchy sum
+  unsigned base_ = 0;        ///< loop end the closing loop returned to (0 = start)
+  std::vector<C> start_;     ///< the theta = 0 point (closure reference)
+  std::vector<C> sum_;       ///< running Cauchy sum
+  std::vector<C> ends_;      ///< loop ends, loop-major (closure references)
+  std::vector<C> end_sums_;  ///< the running sum at each kept loop end
 };
 
 }  // namespace polyeval::homotopy

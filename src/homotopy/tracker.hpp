@@ -104,18 +104,14 @@ struct StepState {
   unsigned streak = 0;
   unsigned steps = 0;
   unsigned rejections = 0;
-  /// Step threshold below which the endgame (re-)arms; halved after
-  /// every failed endgame attempt so retries circle at smaller radii
-  /// (the first attempt often fires while other paths' branch points
-  /// still sit inside the circle).
-  double endgame_rearm = 0.0;
+  /// Failed Cauchy endgame attempts (at most two run: endgame_triggered).
+  unsigned endgame_failures = 0;
 };
 
 /// The shared initial state of a path's step controller.
 [[nodiscard]] inline StepState initial_step_state(const TrackOptions& o) {
   StepState s;
   s.step = o.initial_step;
-  s.endgame_rearm = o.endgame.trigger_step;
   return s;
 }
 
@@ -153,18 +149,22 @@ inline void reject_step(StepState& s, const TrackOptions& o) {
   s.step *= o.step_shrink;
 }
 
-/// The projective stall signature arming the Cauchy endgame: rejected
-/// down to a tiny step while already close to t = 1.
+/// Whether a rejection arms the Cauchy endgame (projective), at most
+/// twice per path: first at the stall signature, rejected down to a
+/// tiny step while already close to t = 1; then, after a failed first
+/// attempt, once more as a last chance when the step underflows
+/// min_step, at whatever radius tracking crept to meanwhile.  Each
+/// attempt can circle max_windings loops, so every further retry would
+/// be the costliest work of the path.
 [[nodiscard]] inline bool endgame_triggered(const StepState& s,
                                             const TrackOptions& o) {
-  return o.endgame.enabled && s.t >= o.endgame.trigger_t &&
-         s.step < s.endgame_rearm;
+  if (!o.endgame.enabled || s.t < o.endgame.trigger_t) return false;
+  if (s.endgame_failures == 0) return s.step < o.endgame.trigger_step;
+  return s.endgame_failures == 1 && s.step < o.min_step;
 }
 
-/// Book a failed endgame attempt: the next arming needs the step to
-/// fall below half the current one, so the retry circles a smaller
-/// radius (tracking meanwhile creeps t closer to 1).
-inline void endgame_failed(StepState& s) { s.endgame_rearm = s.step * 0.5; }
+/// Book a failed endgame attempt.
+inline void endgame_failed(StepState& s) { ++s.endgame_failures; }
 
 /// The ONE copy of the projective endpoint residual acceptance at
 /// t = 1: end_tolerance, widened to the tracking corrector's tolerance
@@ -276,8 +276,8 @@ class PathTracker {
           if (detail::endgame_triggered(st, options_)) {
             if (run_endgame(result, st)) return result;
             // Failed attempt (lost sample or no closure): the path was
-            // restored to the theta = 0 point; keep tracking and
-            // re-arm at a smaller radius.
+            // restored to the theta = 0 point; keep tracking, with one
+            // last attempt left at step underflow after a first failure.
             detail::endgame_failed(st);
           }
         }
@@ -362,12 +362,12 @@ class PathTracker {
   /// closes; the sample mean is the endpoint, handed to the t = 1
   /// classification (returns true -- the path is classified).  A lost
   /// sample or a loop that never closes fails the attempt: the path is
-  /// restored to the theta = 0 point and returns false so tracking can
-  /// creep closer to t = 1 and retry at a smaller radius.
+  /// restored to the theta = 0 point and returns false so tracking
+  /// resumes (detail::endgame_triggered decides whether it re-arms).
   bool run_endgame(TrackResult<S>& result, detail::StepState& st)
     requires kProjective
   {
-    endgame_.reserve(h_.dimension());
+    endgame_.reserve(h_.dimension(), options_.endgame);
     endgame_.begin(1.0 - st.t, std::span<const C>(result.solution));
     newton::NewtonOptions copts;
     copts.max_iterations = options_.endgame.corrector_iterations;

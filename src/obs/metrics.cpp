@@ -191,10 +191,16 @@ TrackerMetrics TrackerMetrics::from_registry(MetricsRegistry& r) {
   m.steps_rejected = &r.counter("polyeval_tracker_steps_rejected_total",
                                 "steps rejected by step control");
   m.endgame_entries = &r.counter("polyeval_endgame_entries_total",
-                                 "paths entering the Cauchy endgame");
-  m.endgame_retries = &r.counter(
-      "polyeval_endgame_retries_total",
-      "failed endgame attempts re-armed at half radius");
+                                 "Cauchy endgame attempts armed");
+  static constexpr const char* kOutcomeNames[kEndgameOutcomes] = {
+      "closed", "lost", "exhausted"};
+  for (std::size_t o = 0; o < kEndgameOutcomes; ++o)
+    m.endgame_attempts[o] =
+        &r.counter("polyeval_endgame_attempts_total", "outcome",
+                   kOutcomeNames[o],
+                   "Cauchy endgame attempts, by outcome");
+  m.endgame_samples = &r.counter("polyeval_endgame_samples_total",
+                                 "Cauchy endgame circle samples corrected");
   m.newton_calls = &r.counter("polyeval_newton_calls_total",
                               "batched Newton (refine_batch) invocations");
   m.newton_iterations =

@@ -214,8 +214,14 @@ struct TrackerMetrics {
   Counter* rounds = nullptr;              ///< lockstep rounds executed
   Counter* steps_accepted = nullptr;      ///< predictor/corrector accepts
   Counter* steps_rejected = nullptr;      ///< step-control rejections
-  Counter* endgame_entries = nullptr;     ///< paths entering the Cauchy endgame
-  Counter* endgame_retries = nullptr;     ///< failed attempts re-armed smaller
+  Counter* endgame_entries = nullptr;     ///< Cauchy endgame attempts armed
+  /// Endgame attempts by outcome, labeled in this index order: closed
+  /// (classified), lost (a circle sample's corrector failed), exhausted
+  /// (max_windings loops without closure).  After a run with no
+  /// cancellation the outcomes sum to endgame_entries.
+  enum EndgameOutcome : std::size_t { kClosed, kLost, kExhausted, kEndgameOutcomes };
+  Counter* endgame_attempts[kEndgameOutcomes] = {};
+  Counter* endgame_samples = nullptr;     ///< circle samples corrected
   Counter* newton_calls = nullptr;        ///< refine_batch invocations
   Counter* newton_iterations = nullptr;   ///< Newton updates applied, total
   /// Paths retired, labeled by homotopy::PathStatus.  Index order is

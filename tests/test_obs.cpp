@@ -154,6 +154,31 @@ TEST(Metrics, TrackerStatusLabelsPinnedToPathStatusSpelling) {
   }
 }
 
+TEST(Metrics, EndgameOutcomeLabelsPinned) {
+  // The endgame attempt counters index by TrackerMetrics::EndgameOutcome;
+  // their exposition labels are the spellings dashboards scrape.
+  obs::MetricsRegistry registry;
+  obs::TrackerMetrics m = obs::TrackerMetrics::from_registry(registry);
+  static constexpr const char* kLabels[] = {"closed", "lost", "exhausted"};
+  static_assert(std::size(kLabels) == obs::TrackerMetrics::kEndgameOutcomes);
+  EXPECT_EQ(obs::TrackerMetrics::kClosed, 0u);
+  EXPECT_EQ(obs::TrackerMetrics::kLost, 1u);
+  EXPECT_EQ(obs::TrackerMetrics::kExhausted, 2u);
+  for (std::size_t o = 0; o < obs::TrackerMetrics::kEndgameOutcomes; ++o)
+    m.endgame_attempts[o]->inc(o + 1);
+  m.endgame_samples->inc(48);
+
+  const std::string text = expose(registry);
+  for (std::size_t o = 0; o < obs::TrackerMetrics::kEndgameOutcomes; ++o) {
+    const std::string sample = "polyeval_endgame_attempts_total{outcome=\"" +
+                               std::string(kLabels[o]) + "\"}";
+    EXPECT_EQ(sample_value(text, sample), static_cast<double>(o + 1)) << sample;
+  }
+  EXPECT_EQ(sample_value(text, "polyeval_endgame_samples_total"), 48.0);
+  EXPECT_EQ(sample_value(text, "polyeval_endgame_entries_total"), 0.0);
+  EXPECT_EQ(text.find("polyeval_endgame_retries_total"), std::string::npos);
+}
+
 // ----- tracer units ---------------------------------------------------
 
 TEST(Tracer, LevelGatesRecording) {

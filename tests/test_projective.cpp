@@ -501,21 +501,33 @@ TEST(StepControl, StepNeverOvershootsTEnd) {
   }
 }
 
-TEST(StepControl, EndgameRearmHalvesTrigger) {
+TEST(StepControl, EndgameArmsAtStallThenOnceMoreAtUnderflow) {
   homotopy::TrackOptions o;
   o.endgame.trigger_t = 0.9;
   o.endgame.trigger_step = 1e-3;
+  o.min_step = 1e-8;
   auto st = homotopy::detail::initial_step_state(o);
   st.t = 0.95;
-  st.step = 5e-4;
-  EXPECT_TRUE(homotopy::detail::endgame_triggered(st, o));
-  homotopy::detail::endgame_failed(st);
-  EXPECT_FALSE(homotopy::detail::endgame_triggered(st, o))
-      << "a failed attempt must not immediately re-arm at the same radius";
-  st.step = 2.4e-4;  // below half the failing step
+  st.step = 2e-3;
+  EXPECT_FALSE(homotopy::detail::endgame_triggered(st, o));
+  st.step = 5e-4;  // the stall signature
   EXPECT_TRUE(homotopy::detail::endgame_triggered(st, o));
   st.t = 0.5;  // too far from t = 1
   EXPECT_FALSE(homotopy::detail::endgame_triggered(st, o));
+  st.t = 0.95;
+  homotopy::detail::endgame_failed(st);
+  for (const double step : {5e-4, 2.4e-4, 1e-6, 1e-8})
+    EXPECT_FALSE(homotopy::detail::endgame_triggered(st, o))
+        << "after a failed attempt only step underflow re-arms (step " << step
+        << ")";
+  st.step = 5e-9;  // below min_step: the last chance
+  EXPECT_TRUE(homotopy::detail::endgame_triggered(st, o));
+  homotopy::detail::endgame_failed(st);
+  EXPECT_FALSE(homotopy::detail::endgame_triggered(st, o))
+      << "a path gets at most two attempts";
+  o.endgame.enabled = false;
+  EXPECT_FALSE(homotopy::detail::endgame_triggered(
+      homotopy::detail::initial_step_state(o), o));
 }
 
 TEST(StepControl, EndgameNeverClosesOnNaN) {
@@ -525,7 +537,7 @@ TEST(StepControl, EndgameNeverClosesOnNaN) {
   o.samples_per_loop = 1;
   o.max_windings = 2;
   homotopy::CauchyEndgame<double> eg;
-  eg.reserve(2);
+  eg.reserve(2, o);
   const std::array<Cd, 2> z0 = {Cd(1.0, 0.0), Cd(0.5, 0.5)};
   std::array<Cd, 2> bad = z0;
   bad[1] = Cd(std::numeric_limits<double>::quiet_NaN(), 0.5);
@@ -539,6 +551,40 @@ TEST(StepControl, EndgameNeverClosesOnNaN) {
   EXPECT_EQ(eg.absorb(std::span<const Cd>(z0), o),
             homotopy::CauchyEndgame<double>::Step::kClosed);
   EXPECT_EQ(eg.winding(), 1u);
+}
+
+TEST(StepControl, EndgameClosesOnAnEarlierLoopEnd) {
+  // A start point off the periodic orbit: the loop ends alternate a, b,
+  // a, ... and never return to z0.  The third loop closes on the first
+  // loop's end, measuring winding 2, and the mean runs over loops 2-3.
+  homotopy::EndgameOptions o;
+  o.samples_per_loop = 1;
+  o.closure_tolerance = 1e-6;
+  homotopy::CauchyEndgame<double> eg;
+  eg.reserve(1, o);
+  const std::array<Cd, 1> z0 = {Cd(0.0, 0.0)};
+  const std::array<Cd, 1> a = {Cd(1.0, 1e-3)};
+  const std::array<Cd, 1> b = {Cd(-0.5, 2.0)};
+  std::array<Cd, 1> a_again = a;
+  a_again[0] = Cd(1.0 + 5e-7, 1e-3);
+  eg.begin(1e-3, std::span<const Cd>(z0));
+  using Step = homotopy::CauchyEndgame<double>::Step;
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(a), o), Step::kContinue);
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(b), o), Step::kContinue);
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(a_again), o), Step::kClosed);
+  EXPECT_EQ(eg.winding(), 2u);
+  std::array<Cd, 1> end{};
+  eg.endpoint(std::span<Cd>(end));
+  EXPECT_EQ(end[0].re(), ((a[0].re() + b[0].re() + a_again[0].re()) - a[0].re()) * 0.5);
+  EXPECT_EQ(end[0].im(), ((a[0].im() + b[0].im() + a_again[0].im()) - a[0].im()) * 0.5);
+  // A return to the start point still takes precedence and keeps the
+  // whole-attempt mean.
+  eg.begin(1e-3, std::span<const Cd>(z0));
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(a), o), Step::kContinue);
+  EXPECT_EQ(eg.absorb(std::span<const Cd>(z0), o), Step::kClosed);
+  EXPECT_EQ(eg.winding(), 2u);
+  eg.endpoint(std::span<Cd>(end));
+  EXPECT_EQ(end[0].re(), (a[0].re() + z0[0].re()) * 0.5);
 }
 
 TEST(StepControl, ZeroSamplesPerLoopRejectedAtConstruction) {

@@ -536,6 +536,14 @@ TEST(SolveService, MetricsExpositionCoversEveryInstrumentedLayer) {
                 sample("polyeval_paths_retired_total{status=\"cancelled\"}"),
             12.0);
   EXPECT_EQ(sample("polyeval_path_steps_count"), 12.0);
+  // Endgame: with no cancellation every armed attempt ends closed, lost
+  // or exhausted.
+  EXPECT_EQ(sample("polyeval_endgame_entries_total"),
+            sample("polyeval_endgame_attempts_total{outcome=\"closed\"}") +
+                sample("polyeval_endgame_attempts_total{outcome=\"lost\"}") +
+                sample("polyeval_endgame_attempts_total{outcome=\"exhausted\"}"));
+  EXPECT_GT(sample("polyeval_endgame_entries_total"), 0.0);
+  EXPECT_GT(sample("polyeval_endgame_samples_total"), 0.0);
 
   // Newton layer.
   EXPECT_GT(sample("polyeval_newton_calls_total"), 0.0);

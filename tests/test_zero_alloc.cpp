@@ -272,7 +272,8 @@ TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   // The projective lockstep rounds add the pullback staging, the lift
   // scratch, patch renormalization, the at-infinity probes and the
   // Cauchy endgame stage (circle correctors, sample sums, closure
-  // tests, re-arm bookkeeping) -- all must run off pre-sized storage.
+  // tests against the start point and earlier loop ends, attempt
+  // bookkeeping) -- all must run off pre-sized storage.
   // The dim-3 workload drives several paths through the endgame (the
   // winding-2/3 endpoints) and one to an at-infinity retirement.
   poly::SystemSpec spec;
@@ -305,6 +306,11 @@ TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   homotopy::BatchPathTracker<
       double, homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>>
       tracker(device, h, topt, roots.size());
+  // The endgame's outcome and sample counters ride along (registration
+  // up front; every round's increments go through resolved handles).
+  obs::MetricsRegistry registry;
+  const obs::TrackerMetrics metrics = obs::TrackerMetrics::from_registry(registry);
+  tracker.set_metrics(&metrics);
 
   tracker.start(roots, 0, roots.size());
   tracker.run();  // warm-up: sizes every buffer along the whole trajectory
@@ -325,6 +331,11 @@ TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state projective lockstep rounds (incl. endgame) allocated "
       << (after - before) << " times over " << tracker.rounds() << " rounds";
+  std::uint64_t outcomes = 0;
+  for (const obs::Counter* c : metrics.endgame_attempts) outcomes += c->value();
+  EXPECT_GT(metrics.endgame_entries->value(), 0u);
+  EXPECT_EQ(outcomes, metrics.endgame_entries->value());
+  EXPECT_GT(metrics.endgame_samples->value(), 0u);
 }
 
 TEST(ZeroAlloc, BatchPathTrackerWithMetricsSteadyStateRounds) {
