@@ -13,7 +13,9 @@
 // across PRs.  `--quick` runs a reduced configuration (CI smoke).
 
 #include <cstring>
+#include <functional>
 #include <iostream>
+#include <span>
 
 #include "ad/cpu_evaluator.hpp"
 #include "benchutil/json.hpp"
@@ -61,24 +63,44 @@ std::vector<std::vector<Cd>> random_points(unsigned batch, unsigned dim) {
   return points;
 }
 
+/// A pipeline under test: its row name, one evaluate call over the
+/// batch, and the launch log of the last call.
+struct Path {
+  std::string name;
+  std::function<void()> evaluate;
+  std::function<const simt::LaunchLog&()> last_log;
+};
+
 template <class Evaluator>
-PathResult measure_path(std::string name, Evaluator& gpu,
-                        const std::vector<std::vector<Cd>>& points,
-                        double min_seconds) {
+Path make_path(std::string name, Evaluator& gpu, const std::vector<std::vector<Cd>>& points,
+               std::vector<poly::EvalResult<double>>& results) {
+  return {std::move(name), [&gpu, &points, &results] { gpu.evaluate(points, results); },
+          [&gpu]() -> const simt::LaunchLog& { return gpu.last_log(); }};
+}
+
+/// Host wall per evaluation of every path, each the median of five
+/// windows taken round-robin over the paths (one warm-up call each first
+/// sizes every persistent buffer): a stretch of host load cannot trip
+/// the regression gate on one row by landing on that row's windows.
+std::vector<PathResult> measure_paths(const std::vector<Path>& paths, std::size_t points,
+                                      double min_seconds) {
   const simt::DeviceSpec dspec;
   const simt::GpuCostModel gmodel;
-  std::vector<poly::EvalResult<double>> results;
-  gpu.evaluate(points, results);  // warm-up: sizes every persistent buffer
-
-  PathResult r;
-  r.name = std::move(name);
-  const double sec =
-      benchutil::time_per_call([&] { gpu.evaluate(points, results); }, min_seconds);
-  r.wall_us_per_eval = sec * 1e6 / static_cast<double>(points.size());
-  r.modeled_us_per_eval = simt::estimate_log_us(gpu.last_log(), dspec, gmodel) /
-                          static_cast<double>(points.size());
-  r.launches = gpu.last_log().kernels.size();
-  return r;
+  std::vector<std::function<void()>> calls;
+  for (const auto& path : paths) {
+    path.evaluate();
+    calls.push_back(path.evaluate);
+  }
+  const auto sec = benchutil::median_times_per_call(
+      std::span<const std::function<void()>>(calls), min_seconds, 5);
+  std::vector<PathResult> rows;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const auto& log = paths[i].last_log();
+    rows.push_back({paths[i].name, sec[i] * 1e6 / static_cast<double>(points),
+                    simt::estimate_log_us(log, dspec, gmodel) / static_cast<double>(points),
+                    log.kernels.size()});
+  }
+  return rows;
 }
 
 }  // namespace
@@ -161,31 +183,22 @@ int main(int argc, char** argv) {
     const unsigned batch = 16;
     const auto points = random_points(batch, dim);
 
-    std::vector<PathResult> rows;
-    {
-      simt::Device device;
-      core::BatchGpuEvaluator<double> gpu(device, sys, batch);
-      rows.push_back(measure_path("three_kernel", gpu, points, min_seconds));
-    }
-    {
-      simt::Device device;
-      core::BatchGpuEvaluator<double>::Options opt;
-      opt.interchange = core::InterchangeLayout::kSoA;
-      core::BatchGpuEvaluator<double> gpu(device, sys, batch, opt);
-      rows.push_back(measure_path("three_kernel_soa", gpu, points, min_seconds));
-    }
-    {
-      simt::Device device;
-      core::FusedGpuEvaluator<double>::Options opt;
-      opt.detect_races = true;
-      core::FusedGpuEvaluator<double> gpu(device, sys, batch, opt);
-      rows.push_back(measure_path("fused_checked", gpu, points, min_seconds));
-    }
-    {
-      simt::Device device;
-      core::FusedGpuEvaluator<double> gpu(device, sys, batch);
-      rows.push_back(measure_path("fused", gpu, points, min_seconds));
-    }
+    simt::Device three_device, soa_device, checked_device, fused_device;
+    core::BatchGpuEvaluator<double> three(three_device, sys, batch);
+    core::BatchGpuEvaluator<double>::Options soa_opt;
+    soa_opt.interchange = core::InterchangeLayout::kSoA;
+    core::BatchGpuEvaluator<double> three_soa(soa_device, sys, batch, soa_opt);
+    core::FusedGpuEvaluator<double>::Options checked_opt;
+    checked_opt.detect_races = true;
+    core::FusedGpuEvaluator<double> checked(checked_device, sys, batch, checked_opt);
+    core::FusedGpuEvaluator<double> fused(fused_device, sys, batch);
+    std::vector<poly::EvalResult<double>> results;
+    const std::vector<PathResult> rows = measure_paths(
+        {make_path("three_kernel", three, points, results),
+         make_path("three_kernel_soa", three_soa, points, results),
+         make_path("fused_checked", checked, points, results),
+         make_path("fused", fused, points, results)},
+        points.size(), min_seconds);
 
     const double base_wall = rows.front().wall_us_per_eval;
     benchutil::Table table({"pipeline", "launches/eval-batch", "wall us/eval",

@@ -156,10 +156,11 @@ class BatchGpuEvaluator {
  private:
   /// Resolve the auto knobs before any allocation consumes them.  The
   /// heuristic seed is the paper's one-warp block; measured mode probes
-  /// block sizes x interchange layouts on a scratch device with a
-  /// full-capacity zero-point batch (values cannot move an access
-  /// pattern).  Candidates whose kernel-2 shared tile overflows the
-  /// per-block limit throw LaunchError and read as infeasible.
+  /// block sizes x interchange layouts on a scratch device (same spec,
+  /// same host workers) with a full-capacity zero-point batch (values
+  /// cannot move an access pattern).  Candidates whose kernel-2 shared
+  /// tile overflows the per-block limit throw LaunchError and read as
+  /// infeasible.
   void resolve_options(const poly::PolynomialSystem& system) {
     const bool auto_block = options_.block_size == 0;
     const bool auto_layout = !options_.interchange.has_value();
@@ -181,7 +182,7 @@ class BatchGpuEvaluator {
     const auto decision = tune::Autotuner::global().tune(
         key, std::span<const tune::TuneCandidate>(candidates),
         [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(device_.spec());
+          simt::Device probe_device(device_.spec(), device_.host_workers());
           Options copt = options_;
           copt.block_size = cand.block_size;
           copt.interchange = cand.interchange;

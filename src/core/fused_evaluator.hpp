@@ -49,13 +49,17 @@
 ///
 /// Memoized block statistics.  A fused block's memory-access pattern is
 /// fixed by its block index and its tenant's tables, never by the point
-/// (see build_fused), so each kernel carries a simt::BlockStatsMemo with
-/// one row per tenant slot: a (tenant, block) pair runs instrumented on
-/// its first launch and bare afterwards, and set_tenant forgets the
-/// tenant's row.  Unchecked launches pay the access bookkeeping once per
-/// pair instead of once per launch; detect_races launches bypass it.
-/// The phases are generic lambdas, so a bare block runs the same phase
-/// code over the lean simt::BareThread context.
+/// (see build_fused), and the block index enters only through where the
+/// block's slices of X, the outputs and Mons start -- so blocks b and
+/// b + P count the same, with P the kernel's block_stats_period
+/// (make_fused_memo).  Each kernel carries a simt::BlockStatsMemo with
+/// one row per tenant slot, keyed by (tenant, b mod P): the lowest block
+/// of a (tenant, class) pair runs instrumented once and every other
+/// block bare, and set_tenant forgets the tenant's row.  Unchecked
+/// launches pay the access bookkeeping once per pair instead of once per
+/// block; detect_races launches bypass it.  The phases are generic
+/// lambdas, so a bare block runs the same phase code over the lean
+/// simt::BareThread context.
 ///
 /// Steady-state evaluate() calls perform zero heap allocations: the
 /// packed system, kernels, staging vectors and device buffers are all
@@ -458,12 +462,13 @@ template <prec::RealScalar S, class F>
 /// which order, and every operation it counts -- depends only on its
 /// block index and its tenant's tables (positions and exponents), never
 /// on the point's or the coefficients' values.  The evaluators key their
-/// memos on exactly that (tenant row, block index) pair; a phase that
-/// branched on a loaded value would break it, and the memo guard would
-/// throw at the first launch that took the other branch.  The phase
-/// builders return generic lambdas (`auto& ctx`): simt::Phase compiles
-/// each over ThreadContext for checked and memo-miss launches and over
-/// BareThread for memo hits, one body for both.  The plain, routed and
+/// memos on that pair, the block index reduced to its class
+/// (make_fused_memo); a phase that branched on a loaded value would
+/// break it, and the memo guard would throw at the first launch that
+/// took the other branch.  The make_fused_*_phase functions return
+/// generic lambdas (`auto& ctx`): simt::Phase compiles each over
+/// ThreadContext for checked and memo-miss launches and over BareThread
+/// for memo hits, one body for both.  The plain, routed and
 /// pipelined evaluators all build here, so a double-double kernel takes
 /// the FMA entries on every one of them (fused_phase); the three-kernel
 /// evaluators, the bitwise reference, keep the baseline entries.
@@ -503,6 +508,27 @@ template <prec::RealScalar S>
   // SSO-sized string keeps that copy off the allocator.
   return build_fused<S, true>(sys, tenant_ids.valid() ? "mt_fused" : "fused_eval", x,
                               outputs_buf, sys.layout.num_outputs(), tenant_ids);
+}
+
+/// The statistics memo of a fused kernel over `sys` with `out_count`
+/// outputs per point: `rows` rows of `blocks` blocks, keyed by the
+/// block class of the kernel's per-point buffers -- X and the outputs
+/// (out_count elements per point) and Mons at its interchange element
+/// size (see simt::block_stats_period).  The routed tenant id, which
+/// every lane of a block reads at one address, does not enter.
+template <prec::RealScalar S>
+[[nodiscard]] simt::BlockStatsMemo make_fused_memo(const FusedSystemState<S>& sys,
+                                                   std::uint64_t out_count, unsigned rows,
+                                                   unsigned blocks,
+                                                   const simt::DeviceSpec& spec) {
+  using C = cplx::Complex<S>;
+  const std::uint64_t mons_element =
+      sys.mons.layout == InterchangeLayout::kAoS ? sizeof(C) : sizeof(S);
+  const std::uint64_t strides[] = {std::uint64_t{sys.layout.structure().n} * sizeof(C),
+                                   out_count * sizeof(C),
+                                   sys.layout.mons_size() * mons_element};
+  return simt::BlockStatsMemo(rows, blocks,
+                              simt::block_stats_period(spec, strides, blocks));
 }
 
 /// Build the fused VALUES-ONLY kernel over the given point/values buffer
@@ -740,10 +766,12 @@ class FusedGpuEvaluator {
   /// Resolve the auto geometry knobs (block_size == 0, interchange ==
   /// nullopt) before any member consumes them.  Measured mode (both
   /// knobs auto): route through the global Autotuner -- on a cache miss
-  /// each candidate geometry is probed on a SCRATCH device (same spec)
-  /// with a full-capacity zero-point batch (values cannot move a memory
-  /// access, so zeros measure exactly the steady state's statistics)
-  /// and scored by estimate_log_us under the scalar's cost factor.
+  /// each candidate geometry is probed on a SCRATCH device (same spec,
+  /// same host workers) with a full-capacity zero-point batch (values
+  /// cannot move a memory access, so zeros measure exactly the steady
+  /// state's statistics) and scored by estimate_log_us under the
+  /// scalar's cost factor.  The probe launch is statistics-only: it
+  /// runs one block per block class and discards its outputs.
   /// Heuristic mode, or any knob pinned: heuristic_options.  Candidate
   /// probes construct themselves with kHeuristic and explicit geometry,
   /// so resolution can never recurse.
@@ -768,12 +796,13 @@ class FusedGpuEvaluator {
     const auto decision = tune::Autotuner::global().tune(
         key, std::span<const tune::TuneCandidate>(candidates),
         [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(device.spec());
+          simt::Device probe_device(device.spec(), device.host_workers());
           Options copt = options;
           copt.block_size = cand.block_size;
           copt.interchange = cand.interchange;
           copt.tuning = tune::TuningMode::kHeuristic;
           FusedGpuEvaluator probe(probe_device, system, capacity, copt);
+          probe.statistics_only_ = true;
           std::vector<std::vector<C>> pts(capacity, std::vector<C>(st.n, C{}));
           std::vector<poly::EvalResult<S>> res(capacity);
           probe.evaluate_range(pts, 0, capacity,
@@ -819,8 +848,8 @@ class FusedGpuEvaluator {
     kernel_ = detail::build_fused_kernel<S>(sys_, x_, outputs_, tenant_ids_);
     values_kernel_ = detail::build_fused_values_kernel<S>(sys_, x_, values_, tenant_ids_);
     const unsigned rows = routed ? max_tenants() : 1;
-    memo_ = simt::BlockStatsMemo(rows, capacity_);
-    values_memo_ = simt::BlockStatsMemo(rows, capacity_);
+    memo_ = detail::make_fused_memo<S>(sys_, outs, rows, capacity_, device_.spec());
+    values_memo_ = detail::make_fused_memo<S>(sys_, n, rows, capacity_, device_.spec());
 
     flat_.reserve(std::size_t{capacity_} * n);
     host_outputs_.reserve(std::size_t{capacity_} * outs);
@@ -871,6 +900,7 @@ class FusedGpuEvaluator {
     simt::LaunchConfig cfg{batch, options_.block_size, sys_.shared_bytes};
     cfg.detect_races = options_.detect_races;
     cfg.memo.table = &memo;
+    cfg.statistics_only = statistics_only_;
     if (tenant_ids_.valid())
       cfg.memo.rows = std::span<const unsigned>(staged_tenants_.data(), batch);
     (void)device_.launch(kernel, cfg);
@@ -885,6 +915,9 @@ class FusedGpuEvaluator {
   simt::GlobalBuffer<unsigned> tenant_ids_;  ///< valid only when routed
   simt::Kernel kernel_, values_kernel_;
   simt::BlockStatsMemo memo_, values_memo_;  ///< one per kernel, beside it
+  /// Set on autotuner probes only: their launches gather statistics and
+  /// leave the outputs unwritten (simt::LaunchConfig::statistics_only).
+  bool statistics_only_ = false;
   std::vector<C> flat_;          ///< packed upload staging, reused
   std::vector<C> host_outputs_;  ///< download staging, reused
   std::vector<std::vector<C>> single_point_;        ///< single-point staging

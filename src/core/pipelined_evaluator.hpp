@@ -36,11 +36,11 @@
 /// scratch) is the shared detail::FusedSystemState; only the X and
 /// Outputs buffers are doubled, with one fused kernel bound to each
 /// slot, and each of the four kernels keeps its own block statistics
-/// memo (see fused_evaluator.hpp).  Every point's arithmetic is the
-/// fused kernel's, unchanged, so results are BITWISE identical to
-/// FusedGpuEvaluator (and to the synchronous sharded path) for every
-/// scalar type, chunk size and shard count -- the streams reorder
-/// *modeled time*, never data.
+/// memo, keyed by block class (see fused_evaluator.hpp).  Every point's
+/// arithmetic is the fused kernel's, unchanged, so results are BITWISE
+/// identical to FusedGpuEvaluator (and to the synchronous sharded path)
+/// for every scalar type, chunk size and shard count -- the streams
+/// reorder *modeled time*, never data.
 ///
 /// Two clocks, as everywhere in this repo: on the HOST wall clock the
 /// simulator executes stream commands eagerly, so this evaluator costs
@@ -126,8 +126,8 @@ class PipelinedFusedEvaluator {
                                            b == 0 ? "Values[pipe0]" : "Values[pipe1]");
       kernels_[b] = detail::build_fused_kernel<S>(sys_, x_[b], outputs_[b]);
       values_kernels_[b] = detail::build_fused_values_kernel<S>(sys_, x_[b], values_[b]);
-      memos_[b] = simt::BlockStatsMemo(1, micro_);
-      values_memos_[b] = simt::BlockStatsMemo(1, micro_);
+      memos_[b] = detail::make_fused_memo<S>(sys_, outs, 1, micro_, device_.spec());
+      values_memos_[b] = detail::make_fused_memo<S>(sys_, s.n, 1, micro_, device_.spec());
       flat_[b].reserve(std::size_t{micro_} * s.n);
       host_outputs_[b].reserve(std::size_t{micro_} * outs);
     }
@@ -263,10 +263,11 @@ class PipelinedFusedEvaluator {
   /// Resolve the auto knobs (block_size == 0, interchange == nullopt,
   /// streams == 0) before any member consumes them.  Measured mode (all
   /// three auto): probe candidate (block, layout, streams) triples on a
-  /// SCRATCH device by running a full-capacity zero-point batch through
-  /// a candidate pipeline and scoring its modeled MAKESPAN -- the
-  /// quantity streams exist to shrink -- so the tuner sees exactly the
-  /// overlap each schedule buys.  Heuristic mode, or any knob pinned:
+  /// SCRATCH device (same spec, same host workers) by running a
+  /// full-capacity zero-point batch through a candidate pipeline,
+  /// statistics-only, and scoring its modeled MAKESPAN -- the quantity
+  /// streams exist to shrink -- so the tuner sees exactly the overlap
+  /// each schedule buys.  Heuristic mode, or any knob pinned:
   /// pick_block_size seed, AoS, 2 streams.  Probes carry kHeuristic and
   /// pinned knobs, so resolution can never recurse.
   [[nodiscard]] static Options resolve_options(simt::Device& device,
@@ -298,13 +299,14 @@ class PipelinedFusedEvaluator {
     const auto decision = tune::Autotuner::global().tune(
         key, std::span<const tune::TuneCandidate>(candidates),
         [&](const tune::TuneCandidate& cand) -> std::optional<tune::ProbeOutcome> {
-          simt::Device probe_device(device.spec());
+          simt::Device probe_device(device.spec(), device.host_workers());
           Options copt = options;
           copt.block_size = cand.block_size;
           copt.interchange = cand.interchange;
           copt.streams = cand.streams;
           copt.tuning = tune::TuningMode::kHeuristic;
           PipelinedFusedEvaluator probe(probe_device, system, capacity, copt);
+          probe.statistics_only_ = true;
           std::vector<std::vector<C>> pts(capacity, std::vector<C>(st.n, C{}));
           std::vector<poly::EvalResult<S>> res;
           probe.evaluate(pts, res);
@@ -385,6 +387,7 @@ class PipelinedFusedEvaluator {
                              sys_.shared_bytes};
       cfg.detect_races = options_.detect_races;
       cfg.memo.table = &memos[buf];
+      cfg.statistics_only = statistics_only_;
       (void)compute_stream_.launch(kernels[buf], cfg);
       compute_stream_.record(kernel_done_[buf]);
 
@@ -448,6 +451,8 @@ class PipelinedFusedEvaluator {
   simt::GlobalBuffer<C> x_[2], outputs_[2], values_[2];
   simt::Kernel kernels_[2], values_kernels_[2];
   simt::BlockStatsMemo memos_[2], values_memos_[2];  ///< one per kernel
+  /// Set on autotuner probes only (see FusedGpuEvaluator's).
+  bool statistics_only_ = false;
   simt::Stream copy_stream_, compute_stream_, down_stream_;
   simt::Event up_done_[2], kernel_done_[2], down_done_[2];
   std::vector<C> flat_[2];          ///< per-slot upload staging, reused

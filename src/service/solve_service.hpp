@@ -458,7 +458,7 @@ class SolveService {
     try {
       item.entry = cache_.lookup(
           req.target, config_.lockstep_batch, req.options.tuning.mode,
-          std::span<const simt::DeviceSpec>(fleet_spec_list_));
+          std::span<const simt::DeviceSpec>(fleet_spec_list_), config_.workers_per_shard);
     } catch (const std::exception&) {
       return AdmissionVerdict::kInvalid;  // non-uniform / degenerate system
     }
@@ -492,8 +492,8 @@ class SolveService {
   /// and no failure here may reject the request.
   void audit_new_entry(const typename SystemCache<S>::Entry& entry) {
     try {
-      simt::Device probe(fleet_spec_list_.empty() ? config_.spec
-                                                  : fleet_spec_list_[0]);
+      simt::Device probe(fleet_spec_list_.empty() ? config_.spec : fleet_spec_list_[0],
+                         config_.workers_per_shard);
       audit::KernelAuditor auditor;
       auditor.attach(probe);
       typename core::FusedGpuEvaluator<S>::Options opts;

@@ -120,9 +120,11 @@ class SystemCache {
   /// `specs` (deduplicated; empty means one default-spec device).  A
   /// content hit re-resolves only what changed: everything when
   /// capacity/mode moved, just the missing specs when the fleet grew.
+  /// The tuning probes run on devices of `host_workers` pool threads.
   std::shared_ptr<const Entry> lookup(
       const poly::PolynomialSystem& target, unsigned capacity,
-      tune::TuningMode mode, std::span<const simt::DeviceSpec> specs = {}) {
+      tune::TuningMode mode, std::span<const simt::DeviceSpec> specs = {},
+      unsigned host_workers = 1) {
     static const simt::DeviceSpec default_spec = simt::DeviceSpec::tesla_c2050();
     if (specs.empty()) specs = std::span<const simt::DeviceSpec>(&default_spec, 1);
     core::PackedSystem packed = core::pack_system(target);
@@ -131,14 +133,14 @@ class SystemCache {
       if (packed_systems_equal(e->packed, packed)) {
         if (e->tuned_capacity != capacity || e->tuned_mode != mode)
           e->geometries.clear();
-        resolve_missing(*e, capacity, mode, specs);
+        resolve_missing(*e, capacity, mode, specs, host_workers);
         ++hits_;
         return e;
       }
     }
     ++misses_;
     auto entry = std::make_shared<Entry>(target, std::move(packed));
-    resolve_missing(*entry, capacity, mode, specs);
+    resolve_missing(*entry, capacity, mode, specs, host_workers);
     bucket.push_back(entry);
     return entry;
   }
@@ -160,10 +162,12 @@ class SystemCache {
   /// entry) skip the probe.
   static void resolve_missing(Entry& entry, unsigned capacity,
                               tune::TuningMode mode,
-                              std::span<const simt::DeviceSpec> specs) {
+                              std::span<const simt::DeviceSpec> specs,
+                              unsigned host_workers) {
     for (const auto& spec : specs) {
       if (entry.geometry_for(spec) != nullptr) continue;  // covered (dedups too)
-      simt::Device probe(spec);  // scratch: the measured probe builds its own anyway
+      // Scratch: the measured probes copy its spec and worker count.
+      simt::Device probe(spec, host_workers);
       typename core::FusedGpuEvaluator<S>::Options opts;
       opts.tuning = mode;
       core::FusedGpuEvaluator<S> scratch(probe, entry.system, capacity, opts);

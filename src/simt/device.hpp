@@ -41,6 +41,9 @@ class Device {
   }
 
   [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
+  /// Host worker threads of the pool that runs this device's launches
+  /// (the constructor's `host_workers`, resolved: never 0).
+  [[nodiscard]] unsigned host_workers() const noexcept { return pool_.worker_count(); }
 
   // -- allocation -------------------------------------------------------
   template <class T>

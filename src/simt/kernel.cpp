@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "simt/thread_pool.hpp"
 
@@ -17,6 +18,18 @@ bool host_has_fma() noexcept {
 #else
   return false;
 #endif
+}
+
+unsigned block_stats_period(const DeviceSpec& spec,
+                            std::span<const std::uint64_t> stride_bytes,
+                            unsigned blocks) noexcept {
+  const std::uint64_t t = spec.global_transaction_bytes;
+  if (blocks <= 1) return 1;
+  if (t == 0 || GlobalMemory::kAlignment % t != 0) return blocks;
+  // Each T / gcd(T, s) divides T, so their lcm does too: no overflow.
+  std::uint64_t period = 1;
+  for (const std::uint64_t s : stride_bytes) period = std::lcm(period, t / std::gcd(t, s));
+  return static_cast<unsigned>(std::min<std::uint64_t>(period, blocks));
 }
 
 namespace detail {
@@ -241,6 +254,8 @@ struct BlockRunner {
   detail::GlobalRaceJournal* global_races;
   /// The launch's memo, or null when this launch may not use one.
   BlockStatsMemo* memo;
+  /// This launch's claim stamp (BlockStatsMemo::launches_).
+  std::uint64_t stamp = 0;
 
   detail::BlockAccum totals;
   std::mutex merge_mutex;
@@ -313,18 +328,45 @@ struct BlockRunner {
     }
   }
 
-  /// Run one block and merge its counters into the range tally.  With a
-  /// memo, a filled (row, block) entry runs each phase's bare entry once
-  /// and supplies the counters; otherwise the block runs instrumented,
-  /// and fills its entry when there is one.
-  void run_block(unsigned block_index, BlockScratch& scratch,
-                 detail::BlockAccum& accum) {
-    BlockStatsMemo::Entry* entry = nullptr;
-    if (memo != nullptr) {
-      const unsigned row = cfg.memo.rows.empty() ? 0u : cfg.memo.rows[block_index];
-      entry = &memo->entry(row, block_index);
+  [[nodiscard]] BlockStatsMemo::Entry& entry_of(unsigned block_index) const noexcept {
+    const unsigned row = cfg.memo.rows.empty() ? 0u : cfg.memo.rows[block_index];
+    return memo->entry(row, block_index);
+  }
+
+  /// The first pass's blocks, in block order: the lowest block of each
+  /// (row, class) whose entry is unfilled, each entry stamped with this
+  /// launch so the second pass skips its block.
+  void claim_first_runs(std::vector<unsigned>& first) {
+    stamp = ++memo->launches_;
+    if (first.capacity() < memo->blocks_) first.reserve(memo->blocks_);
+    first.clear();
+    for (unsigned b = 0; b < cfg.grid_blocks; ++b) {
+      auto& entry = entry_of(b);
+      if (entry.filled || entry.claimed == stamp) continue;
+      entry.claimed = stamp;
+      entry.first_block = b;
+      first.push_back(b);
     }
+  }
+
+  /// Whether `block_index` ran in this launch's first pass.
+  [[nodiscard]] bool ran_first(unsigned block_index) const noexcept {
+    const auto& entry = entry_of(block_index);
+    return entry.claimed == stamp && entry.first_block == block_index;
+  }
+
+  /// Run one block and merge its counters into the range tally.  With a
+  /// filled entry the block runs each phase's bare entry once (or not at
+  /// all, statistics only) and the entry supplies the counters;
+  /// otherwise the block runs instrumented and fills `entry` when there
+  /// is one.
+  void run_block(unsigned block_index, BlockStatsMemo::Entry* entry,
+                 BlockScratch& scratch, detail::BlockAccum& accum) {
     const bool bare = entry != nullptr && entry->filled;
+    if (bare && cfg.statistics_only) {
+      accum.merge(entry->counters);
+      return;
+    }
 
     detail::BlockCounters block;
     scratch.shared.reset(cfg.shared_bytes);
@@ -362,12 +404,30 @@ struct BlockRunner {
   }
 
   /// Run a contiguous range of blocks on one participant's scratch and
-  /// merge the tallies once for the whole range.
+  /// merge the tallies once for the whole range.  With a memo, blocks
+  /// that ran in the first pass are skipped.
   void run_range(BlockScratch& scratch, std::size_t begin, std::size_t end) {
     detail::BlockAccum accum;
-    for (std::size_t b = begin; b < end; ++b)
-      run_block(static_cast<unsigned>(b), scratch, accum);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto b = static_cast<unsigned>(i);
+      if (memo == nullptr) {
+        run_block(b, nullptr, scratch, accum);
+      } else if (!ran_first(b)) {
+        run_block(b, &entry_of(b), scratch, accum);
+      }
+    }
+    merge(accum);
+  }
 
+  /// Run first-pass blocks on one participant's scratch: each runs
+  /// instrumented and fills its entry.
+  void run_first(BlockScratch& scratch, std::span<const unsigned> blocks) {
+    detail::BlockAccum accum;
+    for (const unsigned b : blocks) run_block(b, &entry_of(b), scratch, accum);
+    merge(accum);
+  }
+
+  void merge(const detail::BlockAccum& accum) {
     const std::lock_guard lock(merge_mutex);
     totals.merge(accum);
     totals.race_hazards += accum.race_hazards;
@@ -404,8 +464,14 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
   // neither read nor written, so journals and auditors see every access.
   BlockStatsMemo* memo =
       cfg.detect_races || cfg.audit != nullptr ? nullptr : cfg.memo.table;
-  BlockRunner runner{kernel, cfg, spec, &scratch.global_races, memo, {}, {}};
-  if (memo != nullptr) runner.bind_memo();
+  BlockRunner runner{kernel, cfg, spec, &scratch.global_races, memo, 0, {}, {}};
+  const auto run_grid = [&] {
+    pool.parallel_for_ranges(
+        cfg.grid_blocks, pool.default_chunk(cfg.grid_blocks),
+        [&](unsigned participant, std::size_t begin, std::size_t end) {
+          runner.run_range(scratch.per_participant[participant], begin, end);
+        });
+  };
   if (cfg.audit != nullptr) {
     // Audited launches run serially on the calling thread: the auditor
     // sees every access in deterministic program order (blocks, then
@@ -414,12 +480,27 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
                             cfg.shared_bytes);
     runner.run_range(scratch.per_participant[0], 0, cfg.grid_blocks);
     cfg.audit->end_launch();
+  } else if (memo == nullptr) {
+    run_grid();
   } else {
-    pool.parallel_for_ranges(
-        cfg.grid_blocks, pool.default_chunk(cfg.grid_blocks),
-        [&](unsigned participant, std::size_t begin, std::size_t end) {
-          runner.run_range(scratch.per_participant[participant], begin, end);
-        });
+    runner.bind_memo();
+    // Pass one: the lowest block of each class the memo lacks,
+    // instrumented, in parallel.
+    auto& first = scratch.first_runs;
+    runner.claim_first_runs(first);
+    if (!first.empty())
+      pool.parallel_for_ranges(
+          first.size(), pool.default_chunk(first.size()),
+          [&](unsigned participant, std::size_t begin, std::size_t end) {
+            runner.run_first(scratch.per_participant[participant],
+                             std::span<const unsigned>(first).subspan(begin, end - begin));
+          });
+    // Pass two: every other block, bare against its class's entry -- or,
+    // statistics only, just that entry, merged on this thread.
+    if (cfg.statistics_only)
+      runner.run_range(scratch.per_participant[0], 0, cfg.grid_blocks);
+    else if (first.size() < cfg.grid_blocks)
+      run_grid();
   }
   for (const auto& bs : scratch.per_participant)
     scratch.observed_shape.merge(bs.collector);
@@ -446,8 +527,9 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
     throw LaunchError(kernel.name + ": block " + std::to_string(b) +
                       " (memo row " +
                       std::to_string(cfg.memo.rows.empty() ? 0u : cfg.memo.rows[b]) +
+                      ", class " + std::to_string(b % memo->period()) +
                       ") did different work than its memoized statistics record: "
-                      "its access stream depends on more than the block index "
+                      "its access stream depends on more than its block class "
                       "and the row's tables");
   }
 

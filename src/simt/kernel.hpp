@@ -21,21 +21,23 @@
 /// Collecting and folding the accesses is most of a launch's host cost.
 /// A kernel whose access stream depends only on its block index and on
 /// caller-keyed tables (the fused evaluators') can hand the launch a
-/// BlockStatsMemo: each (row, block) runs instrumented once, and later
-/// launches run it bare, merging the stored counters instead.  A bare
-/// block calls each phase's bare entry once: the same phase code,
-/// compiled over the lean BareThread context and looped over the block's
-/// threads in the instrumented order, with no collection and no fold.
-/// So a memoized kernel's phases must be generic (`auto& ctx`).  The
-/// modeled clock is unchanged, because every charge comes from the same
-/// counters; checked and audited launches never consult the memo, and
-/// ThreadContext always collects.
+/// BlockStatsMemo keyed by (row, block class): the lowest block of each
+/// class runs instrumented once, and every other block runs bare,
+/// merging its class's counters instead.  A bare block calls each
+/// phase's bare entry once: the same phase code, compiled over the lean
+/// BareThread context and looped over the block's threads in the
+/// instrumented order, with no collection and no fold.  So a memoized
+/// kernel's phases must be generic (`auto& ctx`).  The modeled clock is
+/// unchanged, because every charge comes from the same counters; checked
+/// and audited launches never consult the memo, and ThreadContext always
+/// collects.
 ///
 /// A phase whose arithmetic calls std::fma (double-double products) can
 /// also get FMA entries: both entries compiled a second time for the
 /// FMA target with FP contraction off, where each std::fma is one
 /// inlined instruction instead of a libm call.  See Phase.
 
+#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstdint>
@@ -72,8 +74,9 @@ class BareThread;
 class BareBlock;
 class BlockStatsMemo;
 
-/// A launch's key into a BlockStatsMemo: block b of the launch uses
-/// entry (rows[b], b); empty `rows` keys every block to row 0.
+/// A launch's key into a BlockStatsMemo: block b of the launch uses the
+/// entry of row rows[b] and block class b mod the memo's period; empty
+/// `rows` keys every block to row 0.
 struct MemoRef {
   BlockStatsMemo* table = nullptr;
   std::span<const unsigned> rows;
@@ -99,6 +102,12 @@ struct LaunchConfig {
   /// Per-block statistics memo (see BlockStatsMemo).  Consulted only by
   /// unchecked, unaudited launches; the others neither read nor write it.
   MemoRef memo{};
+  /// A memoized launch that only gathers statistics: the blocks the memo
+  /// lacks run instrumented as usual, and every other block adds its
+  /// class's entry without executing, so its outputs are never written.
+  /// For callers that discard the outputs (the fused autotuner probes);
+  /// launches that do not consult the memo ignore it and run in full.
+  bool statistics_only = false;
 };
 
 /// Whether a phase built with `fma` set gets its FMA entries: this build
@@ -328,21 +337,41 @@ struct BlockAccum : BlockCounters {
 
 }  // namespace detail
 
+/// The period of a kernel's block statistics: the smallest P for which
+/// blocks b and b + P make warp requests touching equally many global
+/// segments, for a kernel whose blocks differ only in where their slices
+/// of its global buffers start.  A buffer whose slice advances by s bytes
+/// per block shifts the block's addresses by b * s, and coalescing counts
+/// distinct T-byte segments (T = spec.global_transaction_bytes), so only
+/// b * s mod T matters, and it repeats every T / gcd(T, s) blocks.  P is
+/// the lcm of that over `stride_bytes`, capped at `blocks`.  It is exact
+/// because no segment spans two allocations (T divides the allocation
+/// alignment; if it does not, every block is its own class), and shared
+/// and constant accesses do not depend on where a block's slices start.
+/// A buffer every lane of a block reads at one address touches one
+/// segment wherever it sits, so it need not be listed.
+[[nodiscard]] unsigned block_stats_period(const DeviceSpec& spec,
+                                          std::span<const std::uint64_t> stride_bytes,
+                                          unsigned blocks) noexcept;
+
 /// Per-block kernel statistics, memoized for kernels whose access stream
 /// depends only on the block index and on tables the caller keys as a
 /// *row* (the routed fused kernel's tenant).  Such a block contributes
-/// the same counters to KernelStats on every launch, so the engine
-/// collects them once -- on the first instrumented run of (row, block)
-/// -- and on later launches runs the block bare: each phase's bare entry
-/// runs the block over BareThread, with no access collection and no
-/// fold, and the stored counters are merged instead.  Every phase of a
-/// memoized kernel must have a bare entry (be generic), or the launch
-/// throws.  The caller owns the memo beside the kernel it describes,
-/// sizes it at construction and invalidates a row whenever that row's
-/// tables change.
+/// the same counters to KernelStats on every launch, and so does every
+/// block of its *class* b mod period (see block_stats_period): entries
+/// are keyed by (row, class).  A memoized launch runs in two passes.
+/// First, the lowest block of each (row, class) whose entry is unfilled
+/// runs instrumented, in parallel, and fills the entry.  Then every
+/// other block runs bare -- each phase's bare entry runs the block over
+/// BareThread, with no access collection and no fold -- and its class's
+/// counters are merged instead (a statistics_only launch merges them
+/// without running the block).  Every phase of a memoized kernel must
+/// have a bare entry (be generic), or the launch throws.  The caller owns
+/// the memo beside the kernel it describes, sizes it at construction and
+/// invalidates a row whenever that row's tables change.
 ///
 /// A guard, not a knob: a bare block still sums the counters BareThread
-/// keeps, and any difference from the stored entry throws LaunchError
+/// keeps, and any difference from its class's entry throws LaunchError
 /// naming the kernel and the block.  A launch whose geometry (block
 /// threads, shared bytes) differs from the one the memo was filled
 /// under throws too.  Only unchecked, unaudited launches consult the
@@ -350,13 +379,23 @@ struct BlockAccum : BlockCounters {
 class BlockStatsMemo {
  public:
   BlockStatsMemo() = default;
-  BlockStatsMemo(unsigned rows, unsigned blocks)
-      : rows_(rows), blocks_(blocks), entries_(std::size_t{rows} * blocks) {}
+  /// `rows` rows of `blocks` blocks, every block its own class.
+  BlockStatsMemo(unsigned rows, unsigned blocks) : BlockStatsMemo(rows, blocks, blocks) {}
+  /// `rows` rows of `blocks` blocks keyed by class b mod `period`
+  /// (clamped to [1, blocks]; see block_stats_period).
+  BlockStatsMemo(unsigned rows, unsigned blocks, unsigned period)
+      : rows_(rows),
+        blocks_(blocks),
+        period_(std::clamp(period, 1u, std::max(blocks, 1u))),
+        entries_(std::size_t{rows} * period_) {}
+
+  /// Blocks b and b + period() share an entry.
+  [[nodiscard]] unsigned period() const noexcept { return period_; }
 
   /// Forget `row` (its tables changed): its blocks run instrumented
   /// again on their next launch.
   void invalidate_row(unsigned row) noexcept {
-    for (unsigned b = 0; b < blocks_; ++b) entry(row, b).filled = false;
+    for (unsigned c = 0; c < period_; ++c) entry(row, c).filled = false;
   }
 
  private:
@@ -365,14 +404,20 @@ class BlockStatsMemo {
   struct Entry {
     detail::BlockCounters counters;
     bool filled = false;
+    /// The launch (see launches_) whose first pass runs `first_block`
+    /// to fill this entry; 0 when none has.
+    std::uint64_t claimed = 0;
+    unsigned first_block = 0;
   };
 
   [[nodiscard]] Entry& entry(unsigned row, unsigned block) noexcept {
-    return entries_[std::size_t{row} * blocks_ + block];
+    return entries_[std::size_t{row} * period_ + block % period_];
   }
 
-  unsigned rows_ = 0, blocks_ = 0;
+  unsigned rows_ = 0, blocks_ = 0, period_ = 1;
   std::vector<Entry> entries_;
+  /// Memoized launches so far, the stamp their claims carry.
+  std::uint64_t launches_ = 0;
   /// Geometry the entries were filled under; 0 threads until first use.
   unsigned block_threads_ = 0;
   std::size_t shared_bytes_ = 0;
@@ -412,6 +457,9 @@ struct EngineScratch {
   /// Largest collector shape any participant has reached; replayed onto
   /// every participant at launch start (see BlockScratch::warm).
   detail::WarpCollector::Shape observed_shape;
+  /// A memoized launch's first-pass blocks (see BlockStatsMemo), reserved
+  /// to the memo's block count.
+  std::vector<unsigned> first_runs;
 
   void prepare(unsigned participants) {
     if (per_participant.size() < participants) per_participant.resize(participants);

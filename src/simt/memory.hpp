@@ -66,6 +66,9 @@ class ConstantBuffer;
 /// on the access pattern, never on placement luck.
 class GlobalMemory {
  public:
+  /// Every allocation starts on a multiple of this many bytes.
+  static constexpr std::uint64_t kAlignment = 256;
+
   explicit GlobalMemory(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
   template <class T>
@@ -90,7 +93,6 @@ class GlobalMemory {
 
  private:
   static constexpr std::uint64_t kBaseAddress = 0x700000000ull;
-  static constexpr std::uint64_t kAlignment = 256;
 
   detail::Allocation* allocate_raw(std::size_t bytes, std::string name);
 

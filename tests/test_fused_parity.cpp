@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
 #include "core/batch_evaluator.hpp"
@@ -89,11 +91,12 @@ poly::PolynomialSystem other_tenant(const poly::PolynomialSystem& sys) {
 /// A tenant-routed evaluator with race detection on and `systems`
 /// installed as tenants 0, 1, ...
 template <prec::RealScalar S>
-core::FusedGpuEvaluator<S> make_routed(simt::Device& device,
-                                       const std::vector<poly::PolynomialSystem>& systems,
-                                       unsigned batch) {
+core::FusedGpuEvaluator<S> make_routed(
+    simt::Device& device, const std::vector<poly::PolynomialSystem>& systems,
+    unsigned batch, std::optional<core::InterchangeLayout> layout = std::nullopt) {
   typename core::FusedGpuEvaluator<S>::Options opt;
   opt.detect_races = true;
+  opt.interchange = layout;
   core::FusedGpuEvaluator<S> ev(device, core::pack_system(systems[0]).structure,
                                 static_cast<unsigned>(systems.size()), batch, opt);
   for (unsigned t = 0; t < systems.size(); ++t) ev.set_tenant(t, systems[t]);
@@ -254,13 +257,18 @@ simt::LaunchLog expect_memo_matches_checked(
   return full;
 }
 
+using Layouts = std::vector<std::optional<core::InterchangeLayout>>;
+
 /// Memoized statistics and outputs against the checked path for `sys`:
 /// the plain evaluator (AoS and SoA, the full batch and then a partial
-/// one), the routed evaluator under interleaved and then flipped
-/// routing, and the pipelined evaluator with a partial tail chunk.
+/// one); then, under each of `layouts` (nullopt: the evaluators' own
+/// resolution), the routed evaluator under interleaved and then flipped
+/// routing, and the pipelined evaluator in `micro_chunk`-point chunks (a
+/// partial tail chunk unless it divides the batch).
 template <prec::RealScalar S>
 void run_memo_parity(const poly::PolynomialSystem& sys,
-                     const std::vector<std::vector<cplx::Complex<S>>>& points) {
+                     const std::vector<std::vector<cplx::Complex<S>>>& points,
+                     const Layouts& layouts = {std::nullopt}, unsigned micro_chunk = 2) {
   const auto batch = static_cast<unsigned>(points.size());
   for (const auto layout : {core::InterchangeLayout::kAoS, core::InterchangeLayout::kSoA}) {
     const std::string label =
@@ -274,34 +282,165 @@ void run_memo_parity(const poly::PolynomialSystem& sys,
     expect_memo_matches_checked(memo, checked, points, batch, label);
     expect_memo_matches_checked(memo, checked, points, batch - 1, label + " partial");
   }
-  {
-    const std::vector<poly::PolynomialSystem> systems = {sys, other_tenant(sys)};
-    const auto st = core::pack_system(sys).structure;
-    simt::Device memo_device, checked_device;
-    core::FusedGpuEvaluator<S> memo(memo_device, st, 2, batch);
-    auto checked = make_routed<S>(checked_device, systems, batch);
-    for (unsigned t = 0; t < 2; ++t) memo.set_tenant(t, systems[t]);
-    std::vector<unsigned> tenants(batch), flipped(batch);
-    for (unsigned p = 0; p < batch; ++p) {
-      tenants[p] = p % 2;
-      flipped[p] = 1 - tenants[p];
+  for (const auto layout : layouts) {
+    const std::string soa = layout == core::InterchangeLayout::kSoA ? " SoA" : "";
+    {
+      const std::vector<poly::PolynomialSystem> systems = {sys, other_tenant(sys)};
+      const auto st = core::pack_system(sys).structure;
+      simt::Device memo_device, checked_device;
+      typename core::FusedGpuEvaluator<S>::Options ropt;
+      ropt.interchange = layout;
+      core::FusedGpuEvaluator<S> memo(memo_device, st, 2, batch, ropt);
+      auto checked = make_routed<S>(checked_device, systems, batch, layout);
+      for (unsigned t = 0; t < 2; ++t) memo.set_tenant(t, systems[t]);
+      std::vector<unsigned> tenants(batch), flipped(batch);
+      for (unsigned p = 0; p < batch; ++p) {
+        tenants[p] = p % 2;
+        flipped[p] = 1 - tenants[p];
+      }
+      for (const auto* routing : {&tenants, &flipped}) {
+        memo.bind_tenants(std::span<const unsigned>(*routing));
+        checked.bind_tenants(std::span<const unsigned>(*routing));
+        expect_memo_matches_checked(
+            memo, checked, points, batch,
+            (routing == &tenants ? "memo routed" : "memo flipped") + soa);
+      }
     }
-    for (const auto* routing : {&tenants, &flipped}) {
-      memo.bind_tenants(std::span<const unsigned>(*routing));
-      checked.bind_tenants(std::span<const unsigned>(*routing));
-      expect_memo_matches_checked(memo, checked, points, batch,
-                                  routing == &tenants ? "memo routed" : "memo flipped");
+    {
+      simt::Device memo_device, checked_device;
+      typename core::PipelinedFusedEvaluator<S>::Options popt;
+      popt.micro_chunk = micro_chunk;
+      popt.interchange = layout;
+      core::PipelinedFusedEvaluator<S> memo(memo_device, sys, batch, popt);
+      popt.detect_races = true;
+      core::PipelinedFusedEvaluator<S> checked(checked_device, sys, batch, popt);
+      expect_memo_matches_checked(memo, checked, points, batch, "memo pipelined" + soa);
     }
   }
-  {
-    simt::Device memo_device, checked_device;
-    typename core::PipelinedFusedEvaluator<S>::Options popt;
-    popt.micro_chunk = 2;  // a partial tail chunk on batch 3
-    core::PipelinedFusedEvaluator<S> memo(memo_device, sys, batch, popt);
-    popt.detect_races = true;
-    core::PipelinedFusedEvaluator<S> checked(checked_device, sys, batch, popt);
-    expect_memo_matches_checked(memo, checked, points, batch, "memo pipelined");
+}
+
+/// Statistics-only launches of the fused full and values kernels, built
+/// the way the evaluators build them (FusedSystemState, build_fused_*,
+/// make_fused_memo), against detect_races launches of the same kernels:
+/// every KernelStats field equal, on the cold launch (the lowest block
+/// of each class runs, every other block adds its class's entry) and on
+/// the warm ones (no block runs).  `grids` are the launches' block
+/// counts over a `capacity`-point state; non-empty `tenants` routes
+/// block b to tenants[b] over a state holding `systems` (the routed
+/// kernel), and a capacity below the batch is a pipeline slot's chunk.
+template <prec::RealScalar S>
+void expect_statistics_only_matches_checked(
+    const std::vector<poly::PolynomialSystem>& systems, unsigned capacity,
+    std::initializer_list<unsigned> grids, core::InterchangeLayout layout,
+    const std::vector<unsigned>& tenants, const std::string& label) {
+  using C = cplx::Complex<S>;
+  simt::Device device;
+  const auto st = core::pack_system(systems[0]).structure;
+  const auto slots = static_cast<unsigned>(systems.size());
+  core::detail::FusedSystemState<S> sys(device, st, slots, capacity,
+                                        core::ExponentEncoding::kChar, layout);
+  for (unsigned t = 0; t < slots; ++t) sys.install(device, t, core::pack_system(systems[t]));
+  const std::uint64_t outs = sys.layout.num_outputs();
+  const auto x = device.alloc_global<C>(std::size_t{capacity} * st.n, "X");
+  const auto outputs = device.alloc_global<C>(std::size_t{capacity} * outs, "Outputs");
+  const auto values = device.alloc_global<C>(std::size_t{capacity} * st.n, "Values");
+  simt::GlobalBuffer<unsigned> ids;
+  if (!tenants.empty()) {
+    ids = device.alloc_global<unsigned>(capacity, "Tenants");
+    device.upload(ids, std::span<const unsigned>(tenants.data(), capacity));
   }
+  const unsigned block =
+      core::pick_block_size(st.n, st.m, st.k, capacity, device.spec().multiprocessors);
+  struct Case {
+    simt::Kernel kernel;
+    simt::BlockStatsMemo memo;
+    const char* what;
+  };
+  Case cases[] = {
+      {core::detail::build_fused_kernel<S>(sys, x, outputs, ids),
+       core::detail::make_fused_memo<S>(sys, outs, slots, capacity, device.spec()), "full"},
+      {core::detail::build_fused_values_kernel<S>(sys, x, values, ids),
+       core::detail::make_fused_memo<S>(sys, st.n, slots, capacity, device.spec()),
+       "values"}};
+  for (auto& c : cases) {
+    for (const unsigned grid : grids) {
+      simt::LaunchConfig cfg{grid, block, sys.shared_bytes};
+      if (!tenants.empty()) cfg.memo.rows = std::span<const unsigned>(tenants.data(), grid);
+      cfg.detect_races = true;
+      const auto want = device.launch(c.kernel, cfg);
+      cfg.detect_races = false;
+      cfg.memo.table = &c.memo;
+      cfg.statistics_only = true;
+      const auto got = device.launch(c.kernel, cfg);
+      expect_same_stats(want, got,
+                        label + " " + c.what + ", grid " + std::to_string(grid));
+    }
+  }
+}
+
+/// The class key (simt::BlockStatsMemo keyed by block class): pin each
+/// layout's period for the shape, then run 19 points -- more than the
+/// largest period and not a multiple of it -- through the memoized plain,
+/// routed and pipelined (9-point chunks) evaluators against the checked
+/// path, plus statistics-only launches of each one's kernels.
+template <prec::RealScalar S>
+void run_class_key_parity(unsigned n, unsigned m, unsigned k, unsigned d,
+                          std::initializer_list<core::InterchangeLayout> layouts,
+                          std::initializer_list<unsigned> periods) {
+  constexpr unsigned kBatch = 19, kMicro = 9;
+  const auto sys = make_system(n, m, k, d);
+  const auto points = points_for<S>(kBatch, n, 4600);
+  ASSERT_EQ(layouts.size(), periods.size());
+  const auto* period = periods.begin();
+  for (const auto layout : layouts) {
+    simt::Device device;
+    core::detail::FusedSystemState<S> state(device, core::pack_system(sys), kBatch,
+                                            core::ExponentEncoding::kChar, layout);
+    for (const std::uint64_t outs : {state.layout.num_outputs(), std::uint64_t{n}})
+      EXPECT_EQ(core::detail::make_fused_memo<S>(state, outs, 1, kBatch, device.spec())
+                    .period(),
+                *period)
+          << "outputs per point " << outs;
+    ++period;
+  }
+
+  run_memo_parity<S>(sys, points, Layouts(layouts.begin(), layouts.end()), kMicro);
+
+  const std::vector<poly::PolynomialSystem> systems = {sys, other_tenant(sys)};
+  std::vector<unsigned> tenants(kBatch);
+  for (unsigned p = 0; p < kBatch; ++p) tenants[p] = (p / 3) % 2;
+  for (const auto layout : layouts) {
+    const std::string at = layout == core::InterchangeLayout::kSoA ? " SoA" : " AoS";
+    expect_statistics_only_matches_checked<S>({sys}, kBatch, {kBatch, kBatch, kBatch - 4},
+                                              layout, {}, "plain" + at);
+    expect_statistics_only_matches_checked<S>(systems, kBatch, {kBatch, kBatch}, layout,
+                                              tenants, "routed" + at);
+    expect_statistics_only_matches_checked<S>({sys}, kMicro,
+                                              {kMicro, kMicro, kBatch % kMicro}, layout,
+                                              {}, "pipeline slot" + at);
+  }
+}
+
+TEST(FusedMemoClassKey, PeriodOne) {
+  run_class_key_parity<double>(8, 6, 4, 3, {core::InterchangeLayout::kAoS,
+                                            core::InterchangeLayout::kSoA},
+                               {1, 1});
+}
+TEST(FusedMemoClassKey, QuadDoublePeriodTwo) {
+  run_class_key_parity<prec::QuadDouble>(5, 3, 2, 3, {core::InterchangeLayout::kSoA},
+                                         {2});
+}
+TEST(FusedMemoClassKey, PeriodFourAndEight) {
+  run_class_key_parity<double>(6, 5, 3, 2, {core::InterchangeLayout::kAoS,
+                                            core::InterchangeLayout::kSoA},
+                               {4, 8});
+}
+TEST(FusedMemoClassKey, PeriodEight) {
+  for (const auto& [n, m, k, d] :
+       {std::array<unsigned, 4>{3, 3, 2, 2}, std::array<unsigned, 4>{5, 3, 2, 3}})
+    run_class_key_parity<double>(n, m, k, d, {core::InterchangeLayout::kAoS,
+                                              core::InterchangeLayout::kSoA},
+                                 {8, 8});
 }
 
 /// `scale` multiplies every coordinate: a power of two far from 1 moves

@@ -487,6 +487,123 @@ TEST(BlockStatsMemo, RejectsAnotherGeometry) {
   EXPECT_NO_THROW((void)device.launch(kernel, memo_config(memo, 1, 32)));
 }
 
+/// A kernel whose block b multiplies (b % 2) + 1 times per lane and
+/// stores b at out[b]: its statistics depend on the block class b mod 2.
+Kernel make_two_class(const GlobalBuffer<unsigned>& out) {
+  return Kernel{"two_class", {[out](auto& ctx) {
+                  ctx.op_cmul(ctx.block_index() % 2 + 1);
+                  if (ctx.thread_index() == 0) ctx.store(out, ctx.block_index(), ctx.block_index());
+                }}};
+}
+
+TEST(BlockStatsMemo, ClassKeyRunsEachClassOnceAndReportsTheFullStatistics) {
+  // Blocks keyed by class b mod 2: the first memoized launch runs blocks
+  // 0 and 1 instrumented and blocks 2..5 bare, and reports what the
+  // checked launch reports.
+  constexpr unsigned kBlocks = 6;
+  Device device;
+  auto out = device.alloc_global<unsigned>(kBlocks, "out");
+  const Kernel kernel = make_two_class(out);
+  const auto reference = device.launch(kernel, {kBlocks, 32, 0});  // checked
+  BlockStatsMemo memo(1, kBlocks, 2);
+  EXPECT_EQ(memo.period(), 2u);
+  for (int launch = 0; launch < 2; ++launch) {
+    device.fill(out, 99u);
+    const auto stats = device.launch(kernel, memo_config(memo, kBlocks, 32));
+    EXPECT_EQ(stats.complex_mul_total, reference.complex_mul_total);
+    EXPECT_EQ(stats.complex_mul_per_thread_max, reference.complex_mul_per_thread_max);
+    EXPECT_EQ(stats.global_store_requests, reference.global_store_requests);
+    EXPECT_EQ(stats.global_store_transactions, reference.global_store_transactions);
+    std::vector<unsigned> got(kBlocks);
+    device.download(out, std::span<unsigned>(got));
+    for (unsigned b = 0; b < kBlocks; ++b) EXPECT_EQ(got[b], b) << "launch " << launch;
+  }
+}
+
+TEST(BlockStatsMemo, StatisticsOnlyLaunchRunsOnlyTheBlocksTheMemoLacks) {
+  // A statistics-only launch runs the lowest block of each unfilled class
+  // and leaves every other block's outputs unwritten, with the checked
+  // launch's statistics; once the memo is full it runs no block at all.
+  constexpr unsigned kBlocks = 6;
+  Device device;
+  auto out = device.alloc_global<unsigned>(kBlocks, "out");
+  const Kernel kernel = make_two_class(out);
+  const auto reference = device.launch(kernel, {kBlocks, 32, 0});  // checked
+  BlockStatsMemo memo(1, kBlocks, 2);
+  LaunchConfig cfg = memo_config(memo, kBlocks, 32);
+  cfg.statistics_only = true;
+  for (const std::vector<unsigned> want : {std::vector<unsigned>{0, 1, 99, 99, 99, 99},
+                                           std::vector<unsigned>(kBlocks, 99)}) {
+    device.fill(out, 99u);
+    const auto stats = device.launch(kernel, cfg);
+    EXPECT_EQ(stats.complex_mul_total, reference.complex_mul_total);
+    EXPECT_EQ(stats.global_store_requests, reference.global_store_requests);
+    EXPECT_EQ(stats.global_store_transactions, reference.global_store_transactions);
+    EXPECT_EQ(stats.global_bytes_stored, reference.global_bytes_stored);
+    std::vector<unsigned> got(kBlocks);
+    device.download(out, std::span<unsigned>(got));
+    EXPECT_EQ(got, want);
+  }
+  // A checked launch ignores the flag and runs every block.
+  cfg.detect_races = true;
+  device.fill(out, 99u);
+  (void)device.launch(kernel, cfg);
+  std::vector<unsigned> got(kBlocks);
+  device.download(out, std::span<unsigned>(got));
+  for (unsigned b = 0; b < kBlocks; ++b) EXPECT_EQ(got[b], b);
+}
+
+TEST(BlockStatsMemo, WorkBeyondTheBlockClassThrows) {
+  // Keyed by class b mod 2, a kernel whose work depends on more of the
+  // block index than its class breaks the key: block 2 runs bare against
+  // block 0's entry in the first memoized launch, and the guard throws.
+  Device device;
+  Kernel kernel{"beyond_class", {[](auto& ctx) {
+                  if (ctx.block_index() >= 2) ctx.op_cmul();
+                }}};
+  BlockStatsMemo memo(1, 4, 2);
+  try {
+    (void)device.launch(kernel, memo_config(memo, 4, 32));
+    FAIL() << "work beyond the block class must throw";
+  } catch (const LaunchError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("beyond_class"), std::string::npos) << what;
+    EXPECT_NE(what.find("block 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("class 0"), std::string::npos) << what;
+  }
+  // Every block its own class (the two-argument memo), the kernel is fine.
+  BlockStatsMemo per_block(1, 4);
+  EXPECT_EQ(device.launch(kernel, memo_config(per_block, 4, 32)).complex_mul_total, 64u);
+  EXPECT_EQ(device.launch(kernel, memo_config(per_block, 4, 32)).complex_mul_total, 64u);
+}
+
+TEST(BlockStatsMemo, PeriodFollowsTheSegmentArithmetic) {
+  const DeviceSpec spec;  // 128-byte segments
+  const auto period = [&](std::initializer_list<std::uint64_t> strides, unsigned blocks) {
+    const std::vector<std::uint64_t> v(strides);
+    return block_stats_period(spec, std::span<const std::uint64_t>(v), blocks);
+  };
+  EXPECT_EQ(period({}, 32), 1u);
+  EXPECT_EQ(period({0}, 32), 1u);        // every block reads the same slice
+  EXPECT_EQ(period({1024}, 32), 1u);     // whole segments per block
+  EXPECT_EQ(period({192}, 32), 2u);      // 1.5 segments
+  EXPECT_EQ(period({96, 192}, 32), 4u);  // lcm(4, 2)
+  EXPECT_EQ(period({48, 576}, 32), 8u);  // lcm(8, 2)
+  EXPECT_EQ(period({4}, 32), 32u);       // capped at the block count
+  EXPECT_EQ(period({16}, 5), 5u);
+  EXPECT_EQ(period({16}, 0), 1u);
+  DeviceSpec odd = spec;
+  odd.global_transaction_bytes = 96;  // does not divide the allocation alignment
+  const std::vector<std::uint64_t> whole = {96};
+  EXPECT_EQ(block_stats_period(odd, std::span<const std::uint64_t>(whole), 7), 7u);
+}
+
+TEST(Device, ReportsItsHostWorkers) {
+  // Autotuner probe devices copy this count from the device being tuned.
+  EXPECT_EQ(Device(DeviceSpec::tesla_c2050(), 3).host_workers(), 3u);
+  EXPECT_GE(Device(DeviceSpec::tesla_c2050(), 0).host_workers(), 1u);  // one per core
+}
+
 TEST(BlockStatsMemo, PhaseWithoutBareEntryThrows) {
   // A phase that takes only ThreadContext& has no bare entry, so a
   // memoized launch of its kernel is refused before any block runs.
