@@ -10,7 +10,9 @@
 //     simulator hot path -- the number the zero-allocation work targets.
 //
 // Results land in BENCH_batch.json so the perf trajectory is tracked
-// across PRs.  `--quick` runs a reduced configuration (CI smoke).
+// across PRs, with the host's CPU steal share over the shootout
+// (`host_steal_frac`, from /proc/stat where it is readable).  `--quick`
+// runs a reduced configuration (CI smoke).
 
 #include <cstring>
 #include <functional>
@@ -178,6 +180,7 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> dims =
       quick ? std::vector<unsigned>{16u} : std::vector<unsigned>{16u, 32u};
   bool all_speedups_ok = true;
+  const auto cpu_before = benchutil::read_host_cpu_times();
   for (const unsigned dim : dims) {
     const auto sys = table1_system(dim);
     const unsigned batch = 16;
@@ -237,6 +240,15 @@ int main(int argc, char** argv) {
                 << benchutil::format_speedup(seed_us / fused_wall) << ")\n\n";
   }
   json.end_array();
+  // The steal share of the timed section: a slow run on a host whose
+  // hypervisor took the CPUs away reads as a regression to the gate.
+  const auto steal =
+      benchutil::host_steal_frac(cpu_before, benchutil::read_host_cpu_times());
+  if (steal) {
+    json.field("host_steal_frac", *steal);
+    std::cout << "host CPU stolen during the shootout: "
+              << benchutil::format_fixed(100.0 * *steal, 1) << "%\n\n";
+  }
   json.field("fused_speedup_target", 2.0);
   json.field("fused_speedup_met", all_speedups_ok);
   json.end_object();

@@ -73,7 +73,8 @@ bool paths_bitwise_equal(const std::vector<homotopy::TrackResult<double>>& a,
     const auto& x = a[p];
     const auto& y = b[p];
     if (x.status != y.status || x.steps != y.steps ||
-        x.rejections != y.rejections || x.winding != y.winding ||
+        x.rejections != y.rejections ||
+        x.endgame_failures != y.endgame_failures || x.winding != y.winding ||
         x.final_residual != y.final_residual ||
         x.solution.size() != y.solution.size())
       return false;

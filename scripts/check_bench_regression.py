@@ -25,7 +25,12 @@ and the floor fires even when no baseline file exists yet.  Other
 modeled-clock and speedup fields are left alone -- they have their own
 in-bench gates.  List elements are matched to the baseline by their
 identity fields (IDENTITY_KEYS), not by position; a baseline element
-with no current counterpart is noted and skipped.
+with no current counterpart is noted and skipped.  Beside every failing
+comparison the gate prints both files' provenance: the `meta` stamp
+and `host_steal_frac` (the share of the host's CPU a hypervisor stole
+during the timed section, which bench_batch records), each "none" where
+the file lacks it -- a wall-clock gate cannot tell steal from a
+regression, but its reader can.  Neither enters the pass/fail verdict.
 
 Usage:
   scripts/check_bench_regression.py [--baseline-dir bench/baselines]
@@ -95,6 +100,24 @@ def gated_leaves(node, path=""):
     elif isinstance(node, list):
         for label, value in zip(element_labels(node), node):
             yield from gated_leaves(value, f"{path}[{label}]")
+
+
+def provenance(doc):
+    """The file's meta stamp and host_steal_frac, "none" where absent
+    (the committed baselines predate both)."""
+    meta = doc.get("meta") if isinstance(doc, dict) else None
+    steal = doc.get("host_steal_frac") if isinstance(doc, dict) else None
+    meta_text = json.dumps(meta, sort_keys=True) if meta else "none"
+    steal_text = (f"{steal:.4f}" if isinstance(steal, (int, float))
+                  else "none")
+    return f"meta {meta_text}, host_steal_frac {steal_text}"
+
+
+def print_provenance(current, baseline=None):
+    """Indented provenance lines under a FAIL line."""
+    print(f"       current:  {provenance(current)}")
+    if baseline is not None:
+        print(f"       baseline: {provenance(baseline)}")
 
 
 def tuned_speedup_leaves(node, path=""):
@@ -178,6 +201,7 @@ def main():
                      value, args.min_tuned_speedup / value if value > 0.0
                      else float("inf"), 1.0)
             if value < args.min_tuned_speedup:
+                print_provenance(current)
                 failures.append((name, path, value))
 
         baseline_path = os.path.join(args.baseline_dir, name)
@@ -215,6 +239,7 @@ def main():
                 # to skip.
                 print(f"FAIL {name}:{path} [higher-is-better]: {base:.1f} -> "
                       f"{value:.1f} (collapsed to zero)")
+                print_provenance(current, baseline)
                 failures.append((name, path, float("inf")))
                 continue
             # Normalize so ratio > 1 always means "got worse".
@@ -228,6 +253,7 @@ def main():
                   f"{limit:.2f}x)")
             consider(name, path, direction, base, value, ratio, limit)
             if ratio > limit:
+                print_provenance(current, baseline)
                 failures.append((name, path, ratio))
 
     if binding:

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "benchutil/json.hpp"
@@ -52,6 +54,30 @@ void emit_stamp(JsonWriter& json) {
       .field("host_cores", std::thread::hardware_concurrency())
       .field("build_type", kBuildType)
       .end_object();
+}
+
+std::optional<HostCpuTimes> read_host_cpu_times() {
+  std::ifstream stat("/proc/stat");
+  std::string label;
+  if (!(stat >> label) || label != "cpu") return std::nullopt;
+  // user nice system idle iowait irq softirq steal (guest time is
+  // already inside user and nice).
+  HostCpuTimes times;
+  for (int column = 0; column < 8; ++column) {
+    std::uint64_t jiffies = 0;
+    if (!(stat >> jiffies)) return std::nullopt;
+    times.total += jiffies;
+    if (column == 7) times.steal = jiffies;
+  }
+  return times;
+}
+
+std::optional<double> host_steal_frac(const std::optional<HostCpuTimes>& begin,
+                                      const std::optional<HostCpuTimes>& end) {
+  if (!begin || !end || end->total <= begin->total || end->steal < begin->steal)
+    return std::nullopt;
+  return static_cast<double>(end->steal - begin->steal) /
+         static_cast<double>(end->total - begin->total);
 }
 
 }  // namespace polyeval::benchutil

@@ -11,6 +11,8 @@
 /// which appear here -- so stamped files compare cleanly against
 /// pre-stamp baselines.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 
 namespace polyeval::benchutil {
@@ -34,5 +36,23 @@ inline constexpr unsigned kBenchSchemaVersion = 1;
 /// the root build).  Call once, right after begin_object() of the
 /// document root.
 void emit_stamp(JsonWriter& json);
+
+/// Cumulative jiffies of the host's aggregate CPU line in /proc/stat:
+/// the steal column (time a hypervisor ran someone else on this
+/// guest's CPUs) and the sum of the eight time columns it is part of.
+struct HostCpuTimes {
+  std::uint64_t steal = 0;
+  std::uint64_t total = 0;
+};
+
+/// The current reading; nullopt where /proc/stat is absent or has no
+/// steal column.
+[[nodiscard]] std::optional<HostCpuTimes> read_host_cpu_times();
+
+/// The steal share of the host's CPU time between two readings --
+/// what a wall-clock gate cannot tell from a regression.  nullopt when
+/// either reading is missing or no time passed between them.
+[[nodiscard]] std::optional<double> host_steal_frac(
+    const std::optional<HostCpuTimes>& begin, const std::optional<HostCpuTimes>& end);
 
 }  // namespace polyeval::benchutil

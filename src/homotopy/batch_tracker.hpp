@@ -10,15 +10,15 @@
 /// the device one point per corrector launch (a grid of one block), a
 /// round here launches:
 ///
-///   * one full batch evaluation for every live path's predictor
+///   * one full batch evaluation for every tracking path's predictor
 ///     (Jacobian + Davidenko right-hand side),
-///   * one full batch per corrector Newton iteration over the
-///     still-unconverged subset, whose values are the residual check and
-///     whose Jacobians the step (newton::refine_batch's masks), and one
-///     values-only batch for the paths that reach the last allowed
-///     iteration,
-///   * one corrector batch advancing every endgame path one Cauchy
-///     circle sample (projective mode),
+///   * ONE Newton wave (newton::refine_batch with a per-path option
+///     class) over the round's correctors, every endgame path's next
+///     Cauchy circle sample (projective mode) and the t = 1 polish of
+///     the previous round's finishers: one full batch per Newton
+///     iteration over every path still iterating, whose values are the
+///     residual checks and whose Jacobians the steps, and one
+///     values-only batch at each cap an unconverged path reaches,
 ///   * one values-only batch retiring the round's dead paths with their
 ///     final residuals,
 ///
@@ -26,7 +26,17 @@
 /// streak, rejection count) exactly as the scalar tracker would have it,
 /// and retired paths -- classified endpoints, at-infinity retirements,
 /// step-underflow and max-step failures -- are compacted out of the
-/// active set between rounds.
+/// live sets between rounds.
+///
+/// A path's Newton work waits for the round's one wave: a path armed
+/// for the endgame takes its first circle sample in the next round's
+/// wave, and a round's finishers (t = 1 arrivals and closed endgame
+/// loops) are polished and classified there.  Until then
+/// a finisher is live (live_paths() counts it, cancellation sweeps it,
+/// donate() and adopt() refuse it).  Every launch pays a fixed floor on
+/// the device, which is why the three sets share the wave's launches;
+/// the polyeval_newton_calls_total metric counts one call per round
+/// with Newton work.
 ///
 /// Geometries: instantiated over a target evaluator the tracker builds
 /// the affine BatchedHomotopy itself (the historical spelling);
@@ -42,7 +52,8 @@
 /// independence, the values kernel's equality with full-evaluation
 /// values, LuArena's equality with lu_solve, the shared step-control
 /// and endgame state arithmetic (tracker.hpp, endgame.hpp), and this
-/// file repeating the scalar tracker's control flow verbatim.  Only the
+/// file repeating the scalar tracker's control flow verbatim, each path
+/// under its own stage's Newton options inside the wave.  Only the
 /// SCHEDULE changes -- which is why track_paths_sharded runs lockstep
 /// only, while the parity tests compare it with the scalar CPU solver
 /// (solver.hpp).
@@ -240,8 +251,10 @@ class BatchPathTracker {
   [[nodiscard]] unsigned dimension() const noexcept { return h_.dimension(); }
   [[nodiscard]] std::size_t max_paths() const noexcept { return max_paths_; }
   [[nodiscard]] std::size_t path_count() const noexcept { return paths_; }
+  /// Tracking, endgame and pending-polish paths (a t = 1 finisher
+  /// stays live until the next round's wave polishes it).
   [[nodiscard]] std::size_t live_paths() const noexcept {
-    return active_.size() + endgame_ids_.size();
+    return active_.size() + endgame_ids_.size() + polish_ids_.size();
   }
   [[nodiscard]] std::size_t rounds() const noexcept { return rounds_; }
 
@@ -260,6 +273,7 @@ class BatchPathTracker {
     rounds_ = 0;
     active_.clear();
     endgame_ids_.clear();
+    polish_ids_.clear();
     for (std::size_t i = 0; i < count; ++i) {
       if (roots[first + i].size() != n)
         throw std::invalid_argument("BatchPathTracker: root has wrong dimension");
@@ -281,16 +295,16 @@ class BatchPathTracker {
   /// from another shard's tracker mid-solve (path state is just
   /// (x, t, step, streak); a path's trajectory depends only on its
   /// state and the homotopy, so adoption preserves the bitwise
-  /// contract).  The slot must not be live.
+  /// contract).  The slot must not be live (tracking, in the endgame
+  /// or awaiting its polish).
   void adopt(std::size_t slot, std::span<const C> x, const detail::StepState& ctl) {
     if (slot >= max_paths_)
       throw std::invalid_argument("BatchPathTracker: bad adopt slot");
     if (x.size() != h_.dimension())
       throw std::invalid_argument("BatchPathTracker: root has wrong dimension");
-    for (const std::size_t id : active_)
-      if (id == slot) throw std::logic_error("BatchPathTracker: slot is live");
-    for (const std::size_t id : endgame_ids_)
-      if (id == slot) throw std::logic_error("BatchPathTracker: slot is live");
+    for (const auto* ids : {&active_, &endgame_ids_, &polish_ids_})
+      if (std::find(ids->begin(), ids->end(), slot) != ids->end())
+        throw std::logic_error("BatchPathTracker: slot is live");
     auto& s = slots_[slot];
     std::copy(x.begin(), x.end(), s.x.begin());
     s.ctl = ctl;
@@ -315,7 +329,8 @@ class BatchPathTracker {
   /// Steal the live tracking path out of `slot`: its point is copied to
   /// x_out, its step-control state returned, and the slot freed for
   /// re-adoption.  Only plain tracking paths are donatable -- endgame
-  /// paths carry Cauchy accumulator state and are pinned to their shard.
+  /// paths carry Cauchy accumulator state and finishers await their
+  /// polish, so both are pinned to their shard.
   detail::StepState donate(std::size_t slot, std::span<C> x_out) {
     const auto it = std::find(active_.begin(), active_.end(), slot);
     if (it == active_.end())
@@ -353,8 +368,8 @@ class BatchPathTracker {
   /// Request cooperative cancellation of path `slot`.  Thread-safe (the
   /// async service's clients call it while round() runs); the path
   /// retires as kCancelled at the next consume point -- round entry, or
-  /// the corrector mask for cancels landing after the predictor (whose
-  /// launch masks they then skip, newton::refine_batch).
+  /// the wave's mask for cancels landing after the predictor (whose
+  /// launches they then skip, newton::refine_batch).
   void cancel(std::size_t slot) {
     if (slot >= max_paths_) return;
     std::lock_guard<std::mutex> lk(cancel_mutex_);
@@ -363,12 +378,14 @@ class BatchPathTracker {
   }
 
   /// Advance every live path one predictor-corrector step (or, for
-  /// paths in the endgame, one Cauchy circle sample), classify and
-  /// retire this round's finishers, and compact the retirees out of the
-  /// live sets.  Returns the number of still-live paths;
+  /// paths in the endgame, one Cauchy circle sample), polish and retire
+  /// the previous round's t = 1 finishers, and compact the retirees out
+  /// of the live sets.  The round's Newton work -- correctors, circle
+  /// samples and polishes -- runs as ONE refine_batch wave, each set
+  /// under its own options.  Returns the number of still-live paths;
   /// allocation-free in steady state.
   std::size_t round() {
-    if (active_.empty() && endgame_ids_.empty()) return 0;
+    if (live_paths() == 0) return 0;
     device_.clear_log();
     ++rounds_;
     if (metrics_) metrics_->rounds->inc();
@@ -380,12 +397,9 @@ class BatchPathTracker {
     if (take_cancel_flags()) {
       sweep_cancelled(active_);
       sweep_cancelled(endgame_ids_);
-      if (active_.empty() && endgame_ids_.empty()) return 0;
+      sweep_cancelled(polish_ids_);
+      if (live_paths() == 0) return 0;
     }
-
-    newton::NewtonOptions copts;
-    copts.max_iterations = options_.corrector_iterations;
-    copts.residual_tolerance = options_.corrector_tolerance;
 
     // Retire exhausted paths first -- the scalar tracker's loop
     // condition, checked before the step -- with one batched probe for
@@ -439,198 +453,168 @@ class BatchPathTracker {
           corr_ts_[g] = C(S(t_next_[g]));
         }
       }
-
-      // Cancellation consume point 2: cancels that landed after the
-      // predictor mask the corrector instead (an all-masked batch pays
-      // no launch at all -- refine_batch's early return), and endgame
-      // paths flagged by the same sweep retire before their stage.
-      const bool mid_cancel = take_cancel_flags();
-      if (mid_cancel) {
-        for (std::size_t j = 0; j < a; ++j)
-          cancel_mask_[j] = round_cancel_[active_[j]];
-        sweep_cancelled(endgame_ids_);
-      }
-
-      // Corrector: masked batched Newton at the clamped advanced t.
-      newton::refine_batch<S>(
-          h_, corr_pts_, std::span<const C>(corr_ts_), a, copts, arena_,
-          nscratch_, std::span<newton::BatchPathStatus>(statuses_),
-          std::span<const std::size_t>(active_),
-          mid_cancel
-              ? std::span<const unsigned char>(cancel_mask_.data(), a)
-              : std::span<const unsigned char>{});
-      if (metrics_)
-        for (std::size_t j = 0; j < a; ++j)
-          if (!(mid_cancel && cancel_mask_[j]))
-            metrics_->newton_iterations_per_path->observe(
-                static_cast<double>(statuses_[j].iterations));
-
-      // Per-path step control -- the scalar tracker's accept/reject
-      // arithmetic (the shared one copy), path by path.
-      keep = 0;
-      for (std::size_t j = 0; j < a; ++j) {
-        const std::size_t id = active_[j];
-        auto& s = slots_[id];
-        if (mid_cancel && cancel_mask_[j]) {
-          retire(s, PathStatus::kCancelled, s.final_residual);
-          continue;
-        }
-        if (statuses_[j].converged) {
-          if (metrics_) metrics_->steps_accepted->inc();
-          std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
-          detail::accept_step(s.ctl, t_next_[j], options_);
-          if constexpr (kProjective) {
-            renormalize_slot(id, std::span<C>(s.x));
-            if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
-                options_.at_infinity_tolerance) {
-              retire(s, PathStatus::kAtInfinity, statuses_[j].final_residual);
-              continue;
-            }
-          }
-          if (s.ctl.t >= 1.0) {
-            end_ids_.push_back(id);
-            continue;
-          }
-        } else {
-          if (metrics_) {
-            metrics_->steps_rejected->inc();
-            // The growth streak the rejection wipes (reject_step zeroes
-            // it), observed before the reset.
-            metrics_->accept_streak->observe(
-                static_cast<double>(s.ctl.streak));
-          }
-          detail::reject_step(s.ctl, options_);
-          if constexpr (kProjective) {
-            if (detail::endgame_triggered(s.ctl, options_)) {
-              s.eg.begin(1.0 - s.ctl.t, std::span<const C>(s.x));
-              endgame_ids_.push_back(id);
-              if (metrics_) metrics_->endgame_entries->inc();
-              continue;
-            }
-          }
-          if (s.ctl.step < options_.min_step) {
-            probe_ids_.push_back(id);
-            continue;
-          }
-        }
-        active_[keep++] = id;
-      }
-      active_.resize(keep);
     }
 
-    // Endgame stage (projective): every endgame path advances ONE
-    // Cauchy circle sample, all correctors batched into whole-set
-    // launches; loops that close hand their integral-mean endpoint to
-    // the t = 1 classification below.
-    if constexpr (kProjective) {
-      if (!endgame_ids_.empty()) {
-        const std::size_t e = endgame_ids_.size();
-        for (std::size_t j = 0; j < e; ++j) {
-          const auto& s = slots_[endgame_ids_[j]];
-          std::copy(s.x.begin(), s.x.end(), corr_pts_[j].begin());
-          corr_ts_[j] = s.eg.next_t(options_.endgame);
-        }
-        newton::NewtonOptions egopts = copts;
-        egopts.max_iterations = options_.endgame.corrector_iterations;
-        egopts.residual_tolerance = options_.endgame.corrector_tolerance;
-        newton::refine_batch<S>(h_, corr_pts_, std::span<const C>(corr_ts_), e,
-                                egopts, arena_, nscratch_,
-                                std::span<newton::BatchPathStatus>(statuses_),
-                                std::span<const std::size_t>(endgame_ids_),
-                                std::span<const unsigned char>{});
-        if (metrics_) {
-          metrics_->endgame_samples->inc(e);
-          for (std::size_t j = 0; j < e; ++j)
-            metrics_->newton_iterations_per_path->observe(
-                static_cast<double>(statuses_[j].iterations));
-        }
-        keep = 0;
-        for (std::size_t j = 0; j < e; ++j) {
-          const std::size_t id = endgame_ids_[j];
-          auto& s = slots_[id];
-          if (!statuses_[j].converged) {
-            // Lost the circle at this radius: fail the attempt, restore
-            // the theta = 0 point and resume tracking (the shared
-            // attempt count decides whether it re-arms, as scalar).
-            fail_endgame_attempt(s, id, obs::TrackerMetrics::kLost);
-            continue;
-          }
-          std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
-          const auto step =
-              s.eg.absorb(std::span<const C>(s.x), options_.endgame);
-          if (step == CauchyEndgame<S>::Step::kClosed) {
-            if (metrics_)
-              metrics_->endgame_attempts[obs::TrackerMetrics::kClosed]->inc();
-            s.eg.endpoint(std::span<C>(s.x));
-            s.winding = s.eg.winding();
-            s.ctl.t = 1.0;
-            end_ids_.push_back(id);
-            continue;
-          }
-          if (step == CauchyEndgame<S>::Step::kExhausted) {
-            fail_endgame_attempt(s, id, obs::TrackerMetrics::kExhausted);
-            continue;
-          }
-          endgame_ids_[keep++] = id;
-        }
-        endgame_ids_.resize(keep);
-      }
+    // Cancellation consume point 2: cancels that landed after the
+    // predictor mask the correctors instead (an all-masked wave pays no
+    // launch at all -- refine_batch's early return), and endgame and
+    // polish paths flagged by the same sweep retire before the wave.
+    const bool mid_cancel = take_cancel_flags();
+    if (mid_cancel) {
+      sweep_cancelled(endgame_ids_);
+      sweep_cancelled(polish_ids_);
     }
 
-    // Endgame polish + classification at t = 1 for this round's
-    // finishers (normal arrivals and closed endgame loops): one batched
-    // polish; a diverged polish keeps the tracked point and ITS
-    // residual (the polish's entry residual), and the status comes from
-    // the kept point's final residual check -- with the projective
-    // at-infinity test taking precedence -- exactly as the scalar
-    // tracker classifies.
-    if (!end_ids_.empty()) {
-      const std::size_t e = end_ids_.size();
-      for (std::size_t j = 0; j < e; ++j) {
-        const auto& s = slots_[end_ids_[j]];
-        std::copy(s.x.begin(), s.x.end(), corr_pts_[j].begin());
-        corr_ts_[j] = C(S(1.0));
-      }
-      newton::NewtonOptions eopts;
-      eopts.max_iterations = options_.end_iterations;
-      eopts.residual_tolerance = options_.end_tolerance;
-      newton::refine_batch<S>(h_, corr_pts_, std::span<const C>(corr_ts_), e,
-                              eopts, arena_, nscratch_,
-                              std::span<newton::BatchPathStatus>(statuses_),
-                              std::span<const std::size_t>(end_ids_),
-                              std::span<const unsigned char>{});
-      if (metrics_)
-        for (std::size_t j = 0; j < e; ++j)
+    // The wave: correctors at the clamped advanced t, then every
+    // endgame path's next circle sample (projective), then the t = 1
+    // polish of the previous round's finishers.
+    const std::size_t e = endgame_ids_.size();
+    const std::size_t p = polish_ids_.size();
+    stage_wave(a, e, mid_cancel);
+    newton::refine_batch<S>(
+        h_, corr_pts_, std::span<const C>(corr_ts_), a + e + p,
+        std::span<const newton::NewtonOptions>(wave_options_),
+        std::span<const unsigned char>(wave_class_), arena_, nscratch_,
+        std::span<newton::BatchPathStatus>(statuses_),
+        std::span<const std::size_t>(wave_ids_),
+        mid_cancel ? std::span<const unsigned char>(cancel_mask_)
+                   : std::span<const unsigned char>{});
+    if (metrics_) {
+      metrics_->endgame_samples->inc(e);
+      for (std::size_t j = 0; j < a + e + p; ++j)
+        if (!(mid_cancel && cancel_mask_[j]))
           metrics_->newton_iterations_per_path->observe(
               static_cast<double>(statuses_[j].iterations));
-      for (std::size_t j = 0; j < e; ++j) {
-        auto& s = slots_[end_ids_[j]];
-        if (statuses_[j].converged) {
-          std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
-          s.final_residual = statuses_[j].final_residual;
-        } else {
-          s.final_residual = statuses_[j].initial_residual;
-        }
+    }
+
+    // Per-path step control -- the scalar tracker's accept/reject
+    // arithmetic (the shared one copy), path by path.  Finishers are
+    // polished in the next round's wave; newly armed endgame paths take
+    // their first circle sample there too (appended past the e paths
+    // sampled in this wave).
+    keep = 0;
+    for (std::size_t j = 0; j < a; ++j) {
+      const std::size_t id = active_[j];
+      auto& s = slots_[id];
+      if (mid_cancel && cancel_mask_[j]) {
+        retire(s, PathStatus::kCancelled, s.final_residual);
+        continue;
+      }
+      if (statuses_[j].converged) {
+        if (metrics_) metrics_->steps_accepted->inc();
+        std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
+        detail::accept_step(s.ctl, t_next_[j], options_);
         if constexpr (kProjective) {
-          if (infinity_ratio_slot(end_ids_[j], std::span<const C>(s.x)) <
+          renormalize_slot(id, std::span<C>(s.x));
+          if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
               options_.at_infinity_tolerance) {
-            retire(s, PathStatus::kAtInfinity, s.final_residual);
+            retire(s, PathStatus::kAtInfinity, statuses_[j].final_residual);
             continue;
           }
-          retire(s,
-                 detail::projective_endpoint_converged(s.final_residual,
-                                                       s.winding, options_)
-                     ? PathStatus::kConverged
-                     : PathStatus::kDiverged,
-                 s.final_residual);
+        }
+        if (s.ctl.t >= 1.0) {
+          end_ids_.push_back(id);
+          continue;
+        }
+      } else {
+        if (metrics_) {
+          metrics_->steps_rejected->inc();
+          // The growth streak the rejection wipes (reject_step zeroes
+          // it), observed before the reset.
+          metrics_->accept_streak->observe(
+              static_cast<double>(s.ctl.streak));
+        }
+        detail::reject_step(s.ctl, options_);
+        if constexpr (kProjective) {
+          if (detail::endgame_triggered(s.ctl, options_)) {
+            s.eg.begin(1.0 - s.ctl.t, std::span<const C>(s.x));
+            endgame_ids_.push_back(id);
+            if (metrics_) metrics_->endgame_entries->inc();
+            continue;
+          }
+        }
+        if (s.ctl.step < options_.min_step) {
+          probe_ids_.push_back(id);
+          continue;
+        }
+      }
+      active_[keep++] = id;
+    }
+    active_.resize(keep);
+
+    // Circle samples (projective): loops that close hand their
+    // integral-mean endpoint to the next round's polish.
+    if constexpr (kProjective) {
+      keep = 0;
+      for (std::size_t j = 0; j < e; ++j) {
+        const std::size_t id = endgame_ids_[j];
+        auto& s = slots_[id];
+        const auto& st = statuses_[a + j];
+        if (!st.converged) {
+          // Lost the circle at this radius: fail the attempt, restore
+          // the theta = 0 point and resume tracking (the shared
+          // attempt count decides whether it re-arms, as scalar).
+          fail_endgame_attempt(s, id, obs::TrackerMetrics::kLost);
+          continue;
+        }
+        std::copy(corr_pts_[a + j].begin(), corr_pts_[a + j].end(), s.x.begin());
+        const auto step = s.eg.absorb(std::span<const C>(s.x), options_.endgame);
+        if (step == CauchyEndgame<S>::Step::kClosed) {
+          if (metrics_)
+            metrics_->endgame_attempts[obs::TrackerMetrics::kClosed]->inc();
+          s.eg.endpoint(std::span<C>(s.x));
+          s.winding = s.eg.winding();
+          s.ctl.t = 1.0;
+          end_ids_.push_back(id);
+          continue;
+        }
+        if (step == CauchyEndgame<S>::Step::kExhausted) {
+          fail_endgame_attempt(s, id, obs::TrackerMetrics::kExhausted);
+          continue;
+        }
+        endgame_ids_[keep++] = id;
+      }
+      endgame_ids_.erase(endgame_ids_.begin() + static_cast<std::ptrdiff_t>(keep),
+                         endgame_ids_.begin() + static_cast<std::ptrdiff_t>(e));
+    }
+
+    // Polish + classification at t = 1 of the previous round's
+    // finishers (normal arrivals and closed endgame loops): a diverged
+    // polish keeps the tracked point and ITS residual (the polish's
+    // entry residual), and the status comes from the kept point's final
+    // residual check -- with the projective at-infinity test taking
+    // precedence -- exactly as the scalar tracker classifies.
+    for (std::size_t j = 0; j < p; ++j) {
+      const std::size_t id = polish_ids_[j];
+      auto& s = slots_[id];
+      const auto& st = statuses_[a + e + j];
+      if (st.converged) {
+        std::copy(corr_pts_[a + e + j].begin(), corr_pts_[a + e + j].end(),
+                  s.x.begin());
+        s.final_residual = st.final_residual;
+      } else {
+        s.final_residual = st.initial_residual;
+      }
+      if constexpr (kProjective) {
+        if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
+            options_.at_infinity_tolerance) {
+          retire(s, PathStatus::kAtInfinity, s.final_residual);
           continue;
         }
         retire(s,
-               s.final_residual <= options_.end_tolerance ? PathStatus::kConverged
-                                                          : PathStatus::kDiverged,
+               detail::projective_endpoint_converged(s.final_residual, s.winding,
+                                                     options_)
+                   ? PathStatus::kConverged
+                   : PathStatus::kDiverged,
                s.final_residual);
+        continue;
       }
+      retire(s,
+             s.final_residual <= options_.end_tolerance ? PathStatus::kConverged
+                                                        : PathStatus::kDiverged,
+             s.final_residual);
     }
+    polish_ids_.swap(end_ids_);  // this round's finishers: next round's polish
 
     // Step-underflow / budget failures: batched residual probe, then
     // retire as stalls.
@@ -646,7 +630,7 @@ class BatchPathTracker {
       newton_iters_seen_ = nscratch_.iterations_applied;
     }
 
-    return active_.size() + endgame_ids_.size();
+    return live_paths();
   }
 
   /// Rounds until every path retired.
@@ -669,6 +653,7 @@ class BatchPathTracker {
     r.success = s.success;
     r.steps = s.ctl.steps;
     r.rejections = s.ctl.rejections;
+    r.endgame_failures = s.ctl.endgame_failures;
     r.winding = s.winding;
     r.final_residual = s.final_residual;
     r.t_reached = s.ctl.t;
@@ -708,7 +693,16 @@ class BatchPathTracker {
     active_.reserve(max_paths_);
     probe_ids_.reserve(max_paths_);
     end_ids_.reserve(max_paths_);
+    polish_ids_.reserve(max_paths_);
     endgame_ids_.reserve(max_paths_);
+    wave_ids_.resize(max_paths_);
+    wave_class_.resize(max_paths_);
+    wave_options_[kCorrector] = {.max_iterations = options_.corrector_iterations,
+                                 .residual_tolerance = options_.corrector_tolerance};
+    wave_options_[kSample] = {.max_iterations = options_.endgame.corrector_iterations,
+                              .residual_tolerance = options_.endgame.corrector_tolerance};
+    wave_options_[kPolish] = {.max_iterations = options_.end_iterations,
+                              .residual_tolerance = options_.end_tolerance};
     batch_pts_.resize(max_paths_);
     for (auto& p : batch_pts_) p.resize(n);
     corr_pts_.resize(max_paths_);
@@ -725,6 +719,33 @@ class BatchPathTracker {
     cancel_flags_.assign(max_paths_, 0);
     round_cancel_.assign(max_paths_, 0);
     cancel_mask_.assign(max_paths_, 0);
+  }
+
+  /// Stage the round's wave behind the a correctors already in
+  /// corr_pts_/corr_ts_: the e endgame paths' next circle samples, then
+  /// the polishes of polish_ids_ at t = 1, with each path's slot id and
+  /// option class, and the cancellation mask after a mid-round cancel.
+  void stage_wave(std::size_t a, std::size_t e, bool mid_cancel) {
+    std::copy(active_.begin(), active_.end(), wave_ids_.begin());
+    std::fill_n(wave_class_.begin(), a, kCorrector);
+    const auto stage = [&](const std::vector<std::size_t>& ids, std::size_t first,
+                           WaveClass option_class, auto t_of) {
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        const auto& s = slots_[ids[j]];
+        std::copy(s.x.begin(), s.x.end(), corr_pts_[first + j].begin());
+        corr_ts_[first + j] = t_of(s);
+        wave_ids_[first + j] = ids[j];
+        wave_class_[first + j] = option_class;
+      }
+    };
+    stage(endgame_ids_, a, kSample,
+          [&](const PathSlot& s) { return s.eg.next_t(options_.endgame); });
+    stage(polish_ids_, a + e, kPolish, [](const PathSlot&) { return C(S(1.0)); });
+    // Endgame and polish paths flagged by the same sweep are gone, so
+    // the mask bites on correctors only.
+    if (mid_cancel)
+      for (std::size_t j = 0; j < a + e + polish_ids_.size(); ++j)
+        cancel_mask_[j] = round_cancel_[wave_ids_[j]];
   }
 
   /// Point -> slot routing for tenant-routed homotopies: before a
@@ -851,8 +872,15 @@ class BatchPathTracker {
   std::vector<PathSlot> slots_;
   std::vector<std::size_t> active_;       ///< live tracking path ids
   std::vector<std::size_t> probe_ids_;    ///< this round's stalls
-  std::vector<std::size_t> end_ids_;      ///< this round's t = 1 set
+  std::vector<std::size_t> end_ids_;      ///< this round's t = 1 finishers
+  std::vector<std::size_t> polish_ids_;   ///< last round's, polished this round
   std::vector<std::size_t> endgame_ids_;  ///< paths circling the endgame
+
+  /// The wave's option classes, indexed by wave_class_ entries.
+  enum WaveClass : unsigned char { kCorrector, kSample, kPolish, kWaveClasses };
+  newton::NewtonOptions wave_options_[kWaveClasses];
+  std::vector<std::size_t> wave_ids_;       ///< slot id per wave position
+  std::vector<unsigned char> wave_class_;   ///< option class per wave position
 
   linalg::LuArena<S> arena_;
   newton::RefineBatchScratch<S> nscratch_;
@@ -873,7 +901,7 @@ class BatchPathTracker {
   std::vector<unsigned char> cancel_flags_;  ///< pending cancels, per slot
   bool cancel_pending_ = false;
   std::vector<unsigned char> round_cancel_;  ///< this round's consumed flags
-  std::vector<unsigned char> cancel_mask_;   ///< corrector mask staging
+  std::vector<unsigned char> cancel_mask_;   ///< wave mask staging
 };
 
 }  // namespace polyeval::homotopy

@@ -31,7 +31,7 @@
 /// parameter, Cauchy sum, closure test, winding count, endpoint mean),
 /// shared by the scalar tracker (which drives it with newton::refine)
 /// and the lockstep batch tracker (newton::refine_batch, one sample per
-/// round for every endgame path in a single whole-set launch) -- so the
+/// round for every endgame path, riding the round's Newton wave) -- so the
 /// per-path trajectories agree bit for bit by construction.
 
 #include <algorithm>

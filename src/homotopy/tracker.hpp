@@ -82,6 +82,7 @@ struct TrackResult {
   std::vector<cplx::Complex<S>> solution;
   unsigned steps = 0;        ///< accepted predictor-corrector steps
   unsigned rejections = 0;   ///< halved steps
+  unsigned endgame_failures = 0;  ///< failed Cauchy endgame attempts (lost, exhausted)
   unsigned winding = 0;      ///< endgame winding number (0 = endgame not run)
   double final_residual = 0.0;
   double t_reached = 0.0;
@@ -312,6 +313,7 @@ class PathTracker {
   void finish(TrackResult<S>& result, const detail::StepState& st) {
     result.steps = st.steps;
     result.rejections = st.rejections;
+    result.endgame_failures = st.endgame_failures;
     result.t_reached = st.t;
     result.success = result.status == PathStatus::kConverged;
   }

@@ -8,27 +8,35 @@
 /// every evaluation batched into device launches and the linear solves
 /// looped through a linalg::LuArena.
 ///
-/// One evaluation per iteration, as in newton::refine: while an update
-/// can still follow (it < max_iterations), one full evaluate_range over
-/// the active set, in Jacobian-chunk launches, gives every path its
+/// One wave, many option classes: each path carries its own iteration
+/// cap and residual tolerance (one of a short span of NewtonOptions,
+/// chosen per path), so one call advances paths with different Newton
+/// budgets -- the lockstep tracker's round puts its tracking
+/// correctors, its Cauchy circle samples and its t = 1 polishes in one
+/// wave.
+///
+/// One evaluation per iteration, as in newton::refine: while any path
+/// can still update (it < its own cap), one full evaluate_range over
+/// those paths, in Jacobian-chunk launches, gives each of them its
 /// residual and its Newton system at once; converged paths retire and
 /// the survivors' systems are packed to the front of the chunk for the
-/// LU batch.  Only the last allowed iteration, after which no update
-/// can follow, runs the values-only probe (evaluate_values_range).  A
-/// probe before every Jacobian step would evaluate most points twice:
-/// on the benchmark's tracking and service workloads 71-73% of the
-/// probed points were unconverged and went straight on to a full
-/// evaluation at the same point.
+/// LU batch.  A path that reaches its own cap, after which no update
+/// can follow, runs the values-only probe (evaluate_values_range) in a
+/// separate launch, one per cap reached.  A probe before every Jacobian
+/// step would evaluate most points twice: on the benchmark's tracking
+/// and service workloads 71-73% of the probed points were unconverged
+/// and went straight on to a full evaluation at the same point.
 ///
 /// Per-path bitwise contract: each path runs EXACTLY newton::refine's
-/// arithmetic -- the batched evaluators guarantee per-point independence
-/// (one block per point), the values-only probe is bit-identical to a
-/// full evaluation's values (build_fused_values_kernel), and LuArena
-/// repeats lu_solve's elimination verbatim -- so a path's iterates,
-/// residuals and convergence verdicts are independent of which other
-/// paths shared its batches.  What the batching buys: paths that
-/// converge or go singular drop out of the later launches (the masks),
-/// and every launch carries the whole surviving set.
+/// arithmetic under its own class's options -- the batched evaluators
+/// guarantee per-point independence (one block per point), the
+/// values-only probe is bit-identical to a full evaluation's values
+/// (build_fused_values_kernel), and LuArena repeats lu_solve's
+/// elimination verbatim -- so a path's iterates, residuals and
+/// convergence verdicts are independent of which other paths shared
+/// its batches.  What the batching buys: paths that converge or go
+/// singular drop out of the later launches (the masks), and every
+/// launch carries the whole surviving set.
 ///
 /// Zero allocation: all working storage lives in RefineBatchScratch and
 /// the caller's LuArena, sized once via reserve(); steady-state
@@ -84,7 +92,7 @@ struct BatchPathStatus {
 
 /// Working storage of refine_batch, owned by the caller so repeated
 /// calls (one per tracker round) stay allocation-free.  Per-path
-/// buffers (points, the last iteration's probe) scale with `max_paths`;
+/// buffers (points, the cap probes) scale with `max_paths`;
 /// the O(n^2) full-evaluation buffers scale only with `jac_chunk` --
 /// the device batch capacity the full launches walk the active set in.
 template <prec::RealScalar S>
@@ -94,7 +102,8 @@ struct RefineBatchScratch {
   std::vector<std::vector<C>> points;  ///< compacted active iterates
   std::vector<C> ts;                   ///< compacted (complex) parameters
   std::vector<std::size_t> active;     ///< surviving slot ids
-  std::vector<C> probe_values;         ///< last-iteration probe values, count*n
+  std::vector<std::size_t> capped;     ///< slot ids at their own cap (probed)
+  std::vector<C> probe_values;         ///< cap probe values, count*n
   std::vector<C> values;               ///< chunk values (residuals, Newton RHS)
   std::vector<C> jacobians;            ///< Jacobian-chunk matrices, chunk*n*n
   std::vector<C> delta;                ///< Jacobian-chunk updates, chunk*n
@@ -118,6 +127,7 @@ struct RefineBatchScratch {
     for (auto& p : points) p.resize(n);
     ts.resize(max_paths);
     active.reserve(max_paths);
+    capped.reserve(max_paths);
     probe_values.resize(max_paths * std::size_t{n});
     values.resize(jac_chunk * std::size_t{n});
     jacobians.resize(jac_chunk * std::size_t{n} * n);
@@ -138,16 +148,18 @@ concept SlotAwareEvaluator = requires(E e, std::span<const std::size_t> ids) {
   e.bind_slots(ids);
 };
 
-/// Refine x[i] (i in [0, count)) toward a root of e(., ts[i]) with at
-/// most options.max_iterations Newton updates each, every stage batched
-/// over the still-active subset: one full evaluation per iteration
-/// while an update can follow, a values-only probe at the last allowed
-/// iteration.  x is updated in place; status[i]
-/// mirrors newton::refine's verdict for path i bit for bit.  The arena
-/// and scratch must be reserved for at least `count` paths of the
-/// evaluator's dimension.  update_tolerance is unsupported (the
-/// trackers never set it): its re-evaluation after the update would
-/// need a second launch per iteration for a knob nothing uses.
+/// Refine x[i] (i in [0, count)) toward a root of e(., ts[i]) under
+/// its own option class, options[class_of[i]] (class 0 for every path
+/// when class_of is empty): at most that class's max_iterations Newton
+/// updates, every stage batched over the still-active subset -- one
+/// full evaluation per iteration over the paths that can still update,
+/// a values-only probe for the paths at their own cap.  x is updated in
+/// place; status[i] mirrors newton::refine's verdict for path i under
+/// its class's options, bit for bit.  The arena and scratch must be
+/// reserved for at least `count` paths of the evaluator's dimension.
+/// update_tolerance is unsupported (the trackers never set it): its
+/// re-evaluation after the update would need a second launch per
+/// iteration for a knob nothing uses.
 ///
 /// `slot_ids` (optional, size >= count when non-empty): caller-side
 /// slot of each path, forwarded through compaction to a SlotAwareEvaluator
@@ -156,12 +168,13 @@ concept SlotAwareEvaluator = requires(E e, std::span<const std::size_t> ids) {
 /// are excluded up front -- the cooperative-cancellation mask.  Their
 /// status is reset but never evaluated, and when ALL paths are masked the
 /// call returns before any staging or device work, exactly like the
-/// count == 0 case (previously only the fully-converged case was free).
+/// count == 0 case.
 template <prec::RealScalar S, class BatchEval>
   requires BatchEvaluator<BatchEval, S>
 void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
                   std::span<const cplx::Complex<S>> ts, std::size_t count,
-                  const NewtonOptions& options, linalg::LuArena<S>& arena,
+                  std::span<const NewtonOptions> options,
+                  std::span<const unsigned char> class_of, linalg::LuArena<S>& arena,
                   RefineBatchScratch<S>& scratch, std::span<BatchPathStatus> status,
                   std::span<const std::size_t> slot_ids,
                   std::span<const unsigned char> masked) {
@@ -171,10 +184,15 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
   // An all-false active mask must not pay a launch/upload round: with
   // nothing to refine, return before any staging or device work.
   if (count == 0) return;
-  if (options.update_tolerance > 0.0)
-    throw std::invalid_argument("refine_batch: update_tolerance unsupported");
+  if (options.empty())
+    throw std::invalid_argument("refine_batch: no option class");
+  for (const NewtonOptions& o : options)
+    if (o.update_tolerance > 0.0)
+      throw std::invalid_argument("refine_batch: update_tolerance unsupported");
   if (x.size() < count || ts.size() < count || status.size() < count)
     throw std::invalid_argument("refine_batch: bad batch spans");
+  if (!class_of.empty() && class_of.size() < count)
+    throw std::invalid_argument("refine_batch: bad class span");
   if (!slot_ids.empty() && slot_ids.size() < count)
     throw std::invalid_argument("refine_batch: bad slot_ids span");
   if (!masked.empty() && masked.size() < count)
@@ -183,10 +201,15 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
       std::min({scratch.jac_chunk, arena.slots(), e.max_batch()});
   if (arena.dimension() != n || chunk == 0 || scratch.points.size() < count)
     throw std::invalid_argument("refine_batch: arena/scratch too small");
+  const auto options_of = [&](std::size_t i) -> const NewtonOptions& {
+    return options[class_of.empty() ? 0 : class_of[i]];
+  };
 
   scratch.active.clear();
   for (std::size_t i = 0; i < count; ++i) {
     status[i] = {};
+    if (!class_of.empty() && class_of[i] >= options.size())
+      throw std::invalid_argument("refine_batch: bad option class");
     if (!masked.empty() && masked[i]) continue;
     scratch.active.push_back(i);
   }
@@ -218,11 +241,31 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
     const double residual = linalg::max_norm_d<S>(vals);
     status[i].final_residual = residual;
     if (it == 0) status[i].initial_residual = residual;
-    status[i].converged = residual <= options.residual_tolerance;
+    status[i].converged = residual <= options_of(i).residual_tolerance;
     return status[i].converged;
   };
 
-  for (unsigned it = 0; it < options.max_iterations; ++it) {
+  for (unsigned it = 0; !scratch.active.empty(); ++it) {
+    // Paths at their own cap: no update can follow, so a values-only
+    // probe settles their verdicts.
+    scratch.capped.clear();
+    std::size_t keep = 0;
+    for (const std::size_t i : scratch.active) {
+      if (options_of(i).max_iterations == it)
+        scratch.capped.push_back(i);
+      else
+        scratch.active[keep++] = i;
+    }
+    scratch.active.resize(keep);
+    if (!scratch.capped.empty()) {
+      const std::size_t p = scratch.capped.size();
+      compact(scratch.capped);
+      e.evaluate_values_range(scratch.points, std::span<const C>(scratch.ts), 0, p,
+                              std::span<C>(scratch.probe_values));
+      for (std::size_t j = 0; j < p; ++j)
+        check(scratch.capped[j],
+              std::span<const C>(scratch.probe_values).subspan(j * n, n), it);
+    }
     if (scratch.active.empty()) return;
 
     // One full evaluation per iteration, walked in chunks of the
@@ -231,7 +274,7 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
     // are packed to the front of the chunk for the LU batch.
     const std::size_t a = scratch.active.size();
     compact(scratch.active);
-    std::size_t keep = 0;
+    keep = 0;
     for (std::size_t c0 = 0; c0 < a; c0 += chunk) {
       const std::size_t cc = std::min(chunk, a - c0);
       e.evaluate_range(scratch.points, std::span<const C>(scratch.ts), c0, cc,
@@ -269,31 +312,20 @@ void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
     }
     scratch.active.resize(keep);
   }
-  if (scratch.active.empty()) return;
-
-  // The last allowed iteration: no update can follow, so a values-only
-  // probe settles the remaining verdicts.
-  const std::size_t a = scratch.active.size();
-  compact(scratch.active);
-  e.evaluate_values_range(scratch.points, std::span<const C>(scratch.ts), 0, a,
-                          std::span<C>(scratch.probe_values));
-  for (std::size_t j = 0; j < a; ++j)
-    check(scratch.active[j],
-          std::span<const C>(scratch.probe_values).subspan(j * n, n),
-          options.max_iterations);
 }
 
-/// Legacy spelling without slot ids or a cancellation mask.
+/// One option class for every path.
 template <prec::RealScalar S, class BatchEval>
   requires BatchEvaluator<BatchEval, S>
 void refine_batch(BatchEval& e, std::vector<std::vector<cplx::Complex<S>>>& x,
                   std::span<const cplx::Complex<S>> ts, std::size_t count,
                   const NewtonOptions& options, linalg::LuArena<S>& arena,
-                  RefineBatchScratch<S>& scratch,
-                  std::span<BatchPathStatus> status) {
-  refine_batch<S>(e, x, ts, count, options, arena, scratch, status,
-                  std::span<const std::size_t>{},
-                  std::span<const unsigned char>{});
+                  RefineBatchScratch<S>& scratch, std::span<BatchPathStatus> status,
+                  std::span<const std::size_t> slot_ids = {},
+                  std::span<const unsigned char> masked = {}) {
+  refine_batch<S>(e, x, ts, count, std::span<const NewtonOptions>(&options, 1),
+                  std::span<const unsigned char>{}, arena, scratch, status, slot_ids,
+                  masked);
 }
 
 }  // namespace polyeval::newton

@@ -222,7 +222,7 @@ struct TrackerMetrics {
   enum EndgameOutcome : std::size_t { kClosed, kLost, kExhausted, kEndgameOutcomes };
   Counter* endgame_attempts[kEndgameOutcomes] = {};
   Counter* endgame_samples = nullptr;     ///< circle samples corrected
-  Counter* newton_calls = nullptr;        ///< refine_batch invocations
+  Counter* newton_calls = nullptr;        ///< refine_batch waves (one per round with Newton work)
   Counter* newton_iterations = nullptr;   ///< Newton updates applied, total
   /// Paths retired, labeled by homotopy::PathStatus.  Index order is
   /// the enum order: converged, at_infinity, stalled, diverged,

@@ -4,8 +4,9 @@
 /// The versioned result surface shared by the solve service and the
 /// one-shot path: `homotopy::SolveSummary` (paths + two counters) is
 /// promoted to a `solve::Report` with per-status counts (including
-/// kCancelled), winding and residual extremes, and a timing breakdown
-/// (queue wait, tracking, modeled device time).  `kVersion` bumps
+/// kCancelled), winding and residual extremes, the Cauchy endgame's
+/// closures and failed attempts, and a timing breakdown (queue wait,
+/// tracking, modeled device time).  `kVersion` bumps
 /// whenever a field changes meaning so persisted dumps stay
 /// interpretable.
 
@@ -37,8 +38,9 @@ struct StatusCounts {
 template <prec::RealScalar S>
 struct Report {
   /// Bumped when any field changes meaning.  v2: added the scheduling
-  /// metrics snapshot (`metrics`).
-  static constexpr unsigned kVersion = 2;
+  /// metrics snapshot (`metrics`).  v3: added the endgame tallies
+  /// (`endgame_closures`, `endgame_failures`).
+  static constexpr unsigned kVersion = 3;
 
   std::vector<homotopy::TrackResult<S>> paths;
   std::uint64_t attempted = 0;
@@ -47,6 +49,11 @@ struct Report {
   double max_final_residual = 0.0; ///< worst endpoint residual
   std::uint64_t total_steps = 0;   ///< accepted steps across all paths
   std::uint64_t total_rejections = 0;
+  /// Cauchy endgame, per request: paths whose endpoint a closed loop
+  /// extrapolated (winding > 0), and failed attempts (a lost sample or
+  /// max_windings loops without closure) across all paths.
+  std::uint64_t endgame_closures = 0;
+  std::uint64_t endgame_failures = 0;
 
   /// Timing breakdown.  Wall fields are host clock; modeled_us is the
   /// device cost model's makespan share for this request (the solve
@@ -91,6 +98,8 @@ struct Report {
     max_final_residual = 0.0;
     total_steps = 0;
     total_rejections = 0;
+    endgame_closures = 0;
+    endgame_failures = 0;
     attempted = paths.size();
     for (const auto& p : paths) {
       ++by_status[p.status];
@@ -98,11 +107,13 @@ struct Report {
       max_final_residual = std::max(max_final_residual, p.final_residual);
       total_steps += p.steps;
       total_rejections += p.rejections;
+      endgame_closures += p.winding > 0 ? 1 : 0;
+      endgame_failures += p.endgame_failures;
     }
   }
 
   /// Human-readable rendering: version, per-status counts, extremes,
-  /// the FULL timing breakdown (every Timing field prints, zero or
+  /// the endgame tallies, the FULL timing breakdown (every Timing field prints, zero or
   /// not -- a zero queue wait is information, not noise) and the
   /// scheduling metrics.  Pinned in test_solve_api.
   [[nodiscard]] std::string to_string() const {
@@ -117,6 +128,8 @@ struct Report {
        << " max_final_residual=" << max_final_residual
        << " steps=" << total_steps << " rejections=" << total_rejections
        << "\n";
+    os << "  endgame: closures=" << endgame_closures
+       << " failed_attempts=" << endgame_failures << "\n";
     os << "  timing: queue_wall_us=" << timing.queue_wall_us
        << " track_wall_us=" << timing.track_wall_us
        << " total_wall_us=" << timing.total_wall_us

@@ -48,6 +48,7 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
     EXPECT_EQ(a.success, b.success) << label << ", path " << p;
     EXPECT_EQ(a.steps, b.steps) << label << ", path " << p;
     EXPECT_EQ(a.rejections, b.rejections) << label << ", path " << p;
+    EXPECT_EQ(a.endgame_failures, b.endgame_failures) << label << ", path " << p;
     EXPECT_EQ(a.final_residual, b.final_residual) << label << ", path " << p;
     EXPECT_EQ(a.t_reached, b.t_reached) << label << ", path " << p;
     ASSERT_EQ(a.solution.size(), b.solution.size()) << label << ", path " << p;

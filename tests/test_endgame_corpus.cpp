@@ -9,10 +9,12 @@
 // uniform in the paper's (n, m, k, d) sense, so their lockstep runs
 // evaluate the target on the CPU; a uniform system with many endgame
 // paths covers the device routes (track_paths_sharded at 1 and 2
-// shards) and pins the endgame's cost.
+// shards), pins the endgame's cost and checks that a round's
+// correctors and circle samples share one Newton wave.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -240,6 +242,7 @@ void expect_bitwise(const homotopy::SolveSummary<double>& want,
     EXPECT_EQ(a.winding, b.winding) << label << ", path " << p;
     EXPECT_EQ(a.steps, b.steps) << label << ", path " << p;
     EXPECT_EQ(a.rejections, b.rejections) << label << ", path " << p;
+    EXPECT_EQ(a.endgame_failures, b.endgame_failures) << label << ", path " << p;
     EXPECT_EQ(a.final_residual, b.final_residual) << label << ", path " << p;
     EXPECT_EQ(a.t_reached, b.t_reached) << label << ", path " << p;
     ASSERT_EQ(a.solution.size(), b.solution.size()) << label << ", path " << p;
@@ -366,6 +369,116 @@ TEST(EndgameCorpus, UniformSystemArmsAtMostTwicePerPath) {
   EXPECT_LE(entries, 2 * roots.size());
   EXPECT_EQ(outcomes, entries) << "every attempt ends closed, lost or exhausted";
   EXPECT_GT(metrics.endgame_samples->value(), 0u);
+}
+
+/// The device homotopy behind a lockstep tracker, recording the tracker
+/// slots of every full-evaluation launch (bind_slots makes it a
+/// SlotAwareEvaluator, so refine_batch binds every compacted launch).
+class RecordingHomotopy {
+ public:
+  using Fused = homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>;
+  using BatchedHomotopyTag = void;
+
+  explicit RecordingHomotopy(Fused& h) : h_(h) {}
+
+  [[nodiscard]] unsigned dimension() const noexcept { return h_.dimension(); }
+  [[nodiscard]] std::size_t max_batch() const noexcept { return h_.max_batch(); }
+  void bind_slots(std::span<const std::size_t> ids) { bound_ = ids; }
+
+  void evaluate_range(const std::vector<std::vector<Cd>>& points, std::span<const Cd> ts,
+                      std::size_t first, std::size_t count, std::span<Cd> values,
+                      std::span<Cd> jacobians) {
+    launches.emplace_back(bound_.begin() + static_cast<std::ptrdiff_t>(first),
+                          bound_.begin() + static_cast<std::ptrdiff_t>(first + count));
+    h_.evaluate_range(points, ts, first, count, values, jacobians);
+  }
+  void evaluate_values_range(const std::vector<std::vector<Cd>>& points,
+                             std::span<const Cd> ts, std::size_t first, std::size_t count,
+                             std::span<Cd> values) {
+    h_.evaluate_values_range(points, ts, first, count, values);
+  }
+  void rhs_from_last(std::size_t i, std::span<Cd> out) const { h_.rhs_from_last(i, out); }
+  void renormalize(std::span<Cd> z) const { h_.renormalize(z); }
+  [[nodiscard]] double infinity_ratio(std::span<const Cd> z) const {
+    return h_.infinity_ratio(z);
+  }
+
+  /// Slot ids of each full launch since the last clear.
+  std::vector<std::vector<std::size_t>> launches;
+
+ private:
+  Fused& h_;
+  std::span<const std::size_t> bound_;
+};
+
+TEST(EndgameCorpus, CorrectorsAndCircleSamplesShareOneWave) {
+  // One Newton wave per round: the round's correctors, its circle
+  // samples and its pending t = 1 polishes ride the same full launch at
+  // every wave iteration, so a round holding both correctors and circle
+  // samples issues one full launch per wave iteration -- the first
+  // carrying every corrector and the endgame paths, each later one a
+  // subset of the one before.  Endpoints stay bitwise equal to the CPU
+  // solver.
+  const auto sys = uniform_6532();
+  auto opt = corpus_options();
+  opt.sharding.max_paths = 16;
+  const auto want = homotopy::solve_total_degree<double>(sys, opt);
+
+  const homotopy::TotalDegreeStart start(sys);
+  auto roots = homotopy::total_degree_roots<double>(start, 16);
+  const auto patch = homotopy::random_patch(7, opt.tracking.patch_seed);
+  homotopy::embed_all_in_patch<double>(roots, patch);
+  simt::Device device;
+  core::FusedGpuEvaluator<double> f(device, sys, 16);  // one launch per wave iteration
+  RecordingHomotopy::Fused h(f, sys, start.system(), homotopy::random_gamma(opt.gamma_seed),
+                             std::span<const Cd>(patch));
+  RecordingHomotopy rec(h);
+  homotopy::BatchPathTracker<double, RecordingHomotopy> tracker(device, rec,
+                                                                opt.tracking.track, 16);
+  obs::MetricsRegistry registry;
+  const auto metrics = obs::TrackerMetrics::from_registry(registry);
+  tracker.set_metrics(&metrics);
+  tracker.start(roots, 0, roots.size());
+
+  unsigned mixed_rounds = 0;
+  for (std::size_t live = roots.size(); live > 0;) {
+    const std::uint64_t steps0 =
+        metrics.steps_accepted->value() + metrics.steps_rejected->value();
+    const std::uint64_t samples0 = metrics.endgame_samples->value();
+    rec.launches.clear();
+    live = tracker.round();
+    const std::uint64_t correctors =
+        metrics.steps_accepted->value() + metrics.steps_rejected->value() - steps0;
+    if (correctors == 0 || metrics.endgame_samples->value() == samples0) continue;
+    ++mixed_rounds;
+    // Launch 0 is the predictor over exactly the correctors; the wave
+    // follows.
+    ASSERT_GE(rec.launches.size(), 2u);
+    auto predictor = rec.launches[0];
+    ASSERT_EQ(predictor.size(), correctors);
+    std::sort(predictor.begin(), predictor.end());
+    auto first = rec.launches[1];
+    std::sort(first.begin(), first.end());
+    EXPECT_TRUE(std::includes(first.begin(), first.end(), predictor.begin(),
+                              predictor.end()))
+        << "round " << tracker.rounds() << ": a corrector missed the first wave launch";
+    EXPECT_GT(first.size(), predictor.size())
+        << "round " << tracker.rounds() << ": circle samples launched apart";
+    for (std::size_t k = 2; k < rec.launches.size(); ++k) {
+      auto later = rec.launches[k];
+      std::sort(later.begin(), later.end());
+      auto before = rec.launches[k - 1];
+      std::sort(before.begin(), before.end());
+      EXPECT_TRUE(std::includes(before.begin(), before.end(), later.begin(), later.end()))
+          << "round " << tracker.rounds() << ": wave launch " << k - 1
+          << " holds a path the launch before it did not";
+    }
+  }
+  EXPECT_GT(mixed_rounds, 0u) << "no round held correctors and circle samples together";
+
+  homotopy::SolveSummary<double> got;
+  for (std::size_t p = 0; p < roots.size(); ++p) got.paths.push_back(tracker.result(p));
+  expect_bitwise(want, got, "lockstep wave");
 }
 
 }  // namespace

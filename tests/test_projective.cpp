@@ -286,6 +286,7 @@ void expect_paths_bitwise(const homotopy::SolveSummary<S>& want,
     EXPECT_EQ(a.winding, b.winding) << label << ", path " << p;
     EXPECT_EQ(a.steps, b.steps) << label << ", path " << p;
     EXPECT_EQ(a.rejections, b.rejections) << label << ", path " << p;
+    EXPECT_EQ(a.endgame_failures, b.endgame_failures) << label << ", path " << p;
     EXPECT_EQ(a.final_residual, b.final_residual) << label << ", path " << p;
     EXPECT_EQ(a.t_reached, b.t_reached) << label << ", path " << p;
     ASSERT_EQ(a.solution.size(), b.solution.size()) << label << ", path " << p;
@@ -781,6 +782,124 @@ TEST(RefineBatch, MatchesScalarRefinePerPathDouble) { expect_refine_parity<doubl
 
 TEST(RefineBatch, MatchesScalarRefinePerPathDoubleDouble) {
   expect_refine_parity<prec::DoubleDouble>();
+}
+
+/// Two option classes in one refine_batch wave (caps 2 and 6,
+/// tolerances 1e-9 and 1e-8), walked in Jacobian chunks of `chunk`:
+/// every path matches newton::refine under its own class's options bit
+/// for bit, and the launch schedule is one full launch per chunk of the
+/// paths that can still update at each iteration, plus one values
+/// launch at each cap an unconverged path reaches.
+template <prec::RealScalar S>
+void expect_two_class_wave(std::size_t chunk) {
+  using C = cplx::Complex<S>;
+  using Fused = core::FusedGpuEvaluator<S>;
+  const auto sys = uniform_target();
+  const unsigned n = sys.dimension();
+  const homotopy::TotalDegreeStart start(sys);
+  const auto gamma = homotopy::random_gamma(3);
+  simt::Device device;
+  Fused f(device, sys, 6);
+  Fused f1(device, sys, 1);
+  ad::CpuEvaluator<S> g(start.system());
+  homotopy::BatchedHomotopy<S, Fused> hb(f, g, gamma);
+  homotopy::Homotopy<S, Fused, ad::CpuEvaluator<S>> hs(f1, g, gamma);
+
+  const auto root = [&](std::uint64_t p, cplx::Complex<double> scale) {
+    std::vector<C> r;
+    for (const auto& z : start.start_root(p)) r.push_back(C::from_double(z * scale));
+    return r;
+  };
+  std::vector<std::vector<C>> entry = {
+      root(0, {1.0, 0.0}),      // A: converged at entry
+      root(1, {1.01, 0.02}),    // B: converges
+      root(2, {1.0, 0.0}),      // A: singular once x0 = 0
+      root(3, {40.0, 10.0}),    // A: reaches cap 2 unconverged
+      root(3, {40.0, 10.0}),    // B: the same point, reaches cap 6 unconverged
+      root(1, {1.3, 0.2}),      // B: converges after more updates than A allows
+  };
+  entry[2][0] = C{};
+  const std::vector<C> ts = {C{}, C{}, C{}, C(S(0.25)), C(S(0.25)), C{}};
+  const std::vector<unsigned char> class_of = {0, 1, 0, 0, 1, 1};
+  std::array<newton::NewtonOptions, 2> classes;
+  classes[0].max_iterations = 2;
+  classes[0].residual_tolerance = 1e-9;
+  classes[1].max_iterations = 6;
+  classes[1].residual_tolerance = 1e-8;
+  const std::size_t count = entry.size();
+
+  linalg::LuArena<S> arena;
+  arena.resize(n, chunk);
+  newton::RefineBatchScratch<S> scratch;
+  scratch.reserve(n, count, chunk);
+  std::vector<newton::BatchPathStatus> status(count);
+  auto x = entry;
+  device.clear_log();
+  newton::refine_batch<S>(hb, x, std::span<const C>(ts), count,
+                          std::span<const newton::NewtonOptions>(classes),
+                          std::span<const unsigned char>(class_of), arena, scratch,
+                          std::span<newton::BatchPathStatus>(status), {}, {});
+  const LaunchCounts launches = count_launches(device);
+
+  // Per path: full evaluations (iterations 0 .. full - 1) and whether
+  // it reached its cap and took the values-only probe.
+  std::vector<unsigned> full(count);
+  std::vector<unsigned> probed_caps;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& o = classes[class_of[i]];
+    hs.set_t_complex(ts[i]);
+    const auto want = newton::refine<S>(hs, std::span<const C>(entry[i]), o);
+    const auto& got = status[i];
+    EXPECT_EQ(got.converged, want.converged) << "path " << i;
+    EXPECT_EQ(got.singular, want.singular) << "path " << i;
+    EXPECT_EQ(got.iterations, want.iterations) << "path " << i;
+    EXPECT_TRUE(same_bits(got.final_residual, want.final_residual)) << "path " << i;
+    EXPECT_TRUE(same_bits(got.initial_residual, want.residual_history.front()))
+        << "path " << i;
+    for (unsigned v = 0; v < n; ++v)
+      EXPECT_TRUE(same_bits(x[i][v], want.solution[v])) << "path " << i << " var " << v;
+    const bool at_cap = !want.singular && want.iterations == o.max_iterations;
+    full[i] = at_cap ? o.max_iterations : want.iterations + 1;
+    if (at_cap && std::find(probed_caps.begin(), probed_caps.end(),
+                            o.max_iterations) == probed_caps.end())
+      probed_caps.push_back(o.max_iterations);
+  }
+
+  // The batch really holds the cases, under both caps.
+  EXPECT_TRUE(status[0].converged);
+  EXPECT_EQ(status[0].iterations, 0u);
+  EXPECT_TRUE(status[1].converged);
+  EXPECT_TRUE(status[2].singular);
+  EXPECT_FALSE(status[3].converged);
+  EXPECT_EQ(status[3].iterations, 2u);
+  EXPECT_FALSE(status[4].converged);
+  EXPECT_EQ(status[4].iterations, 6u);
+  EXPECT_TRUE(status[5].converged);
+  EXPECT_GT(status[5].iterations, classes[0].max_iterations);
+  EXPECT_EQ(probed_caps.size(), 2u);
+
+  unsigned want_full = 0;
+  const unsigned iterations = *std::max_element(full.begin(), full.end());
+  for (unsigned it = 0; it < iterations; ++it) {
+    const auto updating = static_cast<std::size_t>(
+        std::count_if(full.begin(), full.end(), [&](unsigned k) { return k > it; }));
+    want_full += static_cast<unsigned>((updating + chunk - 1) / chunk);
+  }
+  EXPECT_EQ(launches.full, want_full);
+  if (chunk >= count) {
+    EXPECT_EQ(launches.full, iterations) << "one full launch per iteration";
+  }
+  EXPECT_EQ(launches.values, probed_caps.size()) << "one values launch per cap reached";
+}
+
+TEST(RefineBatch, TwoOptionClassesMatchScalarRefineDouble) {
+  expect_two_class_wave<double>(3);
+  expect_two_class_wave<double>(6);
+}
+
+TEST(RefineBatch, TwoOptionClassesMatchScalarRefineDoubleDouble) {
+  expect_two_class_wave<prec::DoubleDouble>(3);
+  expect_two_class_wave<prec::DoubleDouble>(6);
 }
 
 TEST(RefineBatch, EmptyBatchTouchesNothing) {

@@ -86,6 +86,7 @@ void expect_paths_bitwise_equal(const std::vector<homotopy::TrackResult<double>>
     EXPECT_EQ(a[p].status, b[p].status) << "path " << p;
     EXPECT_EQ(a[p].steps, b[p].steps) << "path " << p;
     EXPECT_EQ(a[p].rejections, b[p].rejections) << "path " << p;
+    EXPECT_EQ(a[p].endgame_failures, b[p].endgame_failures) << "path " << p;
     EXPECT_EQ(a[p].winding, b[p].winding) << "path " << p;
     EXPECT_EQ(a[p].final_residual, b[p].final_residual) << "path " << p;
     ASSERT_EQ(a[p].solution.size(), b[p].solution.size()) << "path " << p;

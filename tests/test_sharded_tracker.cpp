@@ -48,6 +48,7 @@ TEST(ShardedTracker, BitwiseReproducibleAcrossShardCounts) {
       EXPECT_EQ(a.success, b.success) << "path " << p;
       EXPECT_EQ(a.steps, b.steps) << "path " << p;
       EXPECT_EQ(a.rejections, b.rejections) << "path " << p;
+      EXPECT_EQ(a.endgame_failures, b.endgame_failures) << "path " << p;
       ASSERT_EQ(a.solution.size(), b.solution.size()) << "path " << p;
       for (std::size_t i = 0; i < a.solution.size(); ++i)
         EXPECT_EQ(cplx::max_abs_diff(a.solution[i], b.solution[i]), 0.0)

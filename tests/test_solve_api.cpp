@@ -61,7 +61,9 @@ TEST(SolveReport, RetallyCountsEveryStatus) {
   r.paths[0].final_residual = 1e-12;
   r.paths[1].status = homotopy::PathStatus::kAtInfinity;
   r.paths[1].rejections = 3;
+  r.paths[1].endgame_failures = 2;
   r.paths[2].status = homotopy::PathStatus::kStalled;
+  r.paths[2].endgame_failures = 1;
   r.paths[3].status = homotopy::PathStatus::kDiverged;
   r.paths[4].status = homotopy::PathStatus::kCancelled;
   r.retally();
@@ -77,6 +79,8 @@ TEST(SolveReport, RetallyCountsEveryStatus) {
   EXPECT_EQ(r.max_final_residual, 1e-12);
   EXPECT_EQ(r.total_steps, 10u);
   EXPECT_EQ(r.total_rejections, 3u);
+  EXPECT_EQ(r.endgame_closures, 1u);  // path 0, winding 2
+  EXPECT_EQ(r.endgame_failures, 3u);
 
   const auto summary = r.to_summary();
   EXPECT_EQ(summary.attempted, 5u);
@@ -101,8 +105,10 @@ TEST(SolveReport, ToStringPrintsEveryTimingAndMetricsField) {
   r.paths[0].steps = 12;
   r.paths[0].winding = 2;
   r.paths[0].final_residual = 0.25;
+  r.paths[0].endgame_failures = 1;
   r.paths[1].status = homotopy::PathStatus::kAtInfinity;
   r.paths[1].rejections = 4;
+  r.paths[1].endgame_failures = 2;
   r.paths[2].status = homotopy::PathStatus::kCancelled;
   r.retally();
   r.timing.queue_wall_us = 1.5;
@@ -116,10 +122,11 @@ TEST(SolveReport, ToStringPrintsEveryTimingAndMetricsField) {
   r.metrics.queue_pulls = 5;
 
   EXPECT_EQ(r.to_string(),
-            "solve report v2: 3 paths (converged=1, at_infinity=1, "
+            "solve report v3: 3 paths (converged=1, at_infinity=1, "
             "stalled=0, diverged=0, cancelled=1)\n"
             "  extremes: max_winding=2 max_final_residual=0.25 steps=12 "
             "rejections=4\n"
+            "  endgame: closures=1 failed_attempts=3\n"
             "  timing: queue_wall_us=1.5 track_wall_us=200.25 "
             "total_wall_us=210.5 modeled_us=1234.5 rounds=17\n"
             "  scheduling: shared_rounds=9 peak_tenants=3 steals=2 "
@@ -131,7 +138,7 @@ TEST(SolveReport, ToStringPrintsEveryTimingAndMetricsField) {
                 "timing: queue_wall_us=0 track_wall_us=0 total_wall_us=0 "
                 "modeled_us=0 rounds=0"),
             std::string::npos);
-  EXPECT_EQ(solve::Report<double>::kVersion, 2u);
+  EXPECT_EQ(solve::Report<double>::kVersion, 3u);
 }
 
 TEST(SolveReport, StatusToStringCoversEveryValue) {

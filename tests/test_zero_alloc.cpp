@@ -324,13 +324,32 @@ TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   EXPECT_GE(endgame_paths, 1u);
   EXPECT_GE(at_infinity, 1u);
 
+  // Rounds whose wave holds correctors, circle samples and pending
+  // t = 1 polishes at once, told apart by the counters' deltas (every
+  // wave path observes its Newton iterations once; reads allocate
+  // nothing).
+  const auto correctors = [&] {
+    return metrics.steps_accepted->value() + metrics.steps_rejected->value();
+  };
+  unsigned full_waves = 0;
   tracker.start(roots, 0, roots.size());
   const std::uint64_t before = g_allocations.load();
-  tracker.run();
+  for (std::size_t live = roots.size(); live > 0;) {
+    const std::uint64_t c0 = correctors();
+    const std::uint64_t s0 = metrics.endgame_samples->value();
+    const std::uint64_t w0 = metrics.newton_iterations_per_path->count();
+    live = tracker.round();
+    const std::uint64_t c = correctors() - c0;
+    const std::uint64_t s = metrics.endgame_samples->value() - s0;
+    const std::uint64_t polishes = metrics.newton_iterations_per_path->count() - w0 - c - s;
+    if (c > 0 && s > 0 && polishes > 0) ++full_waves;
+  }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "steady-state projective lockstep rounds (incl. endgame) allocated "
       << (after - before) << " times over " << tracker.rounds() << " rounds";
+  EXPECT_GT(full_waves, 0u)
+      << "no measured round held correctors, circle samples and a polish";
   std::uint64_t outcomes = 0;
   for (const obs::Counter* c : metrics.endgame_attempts) outcomes += c->value();
   EXPECT_GT(metrics.endgame_entries->value(), 0u);
