@@ -13,11 +13,19 @@ prints for each pair:
     change/parent ratio.
 
 Host-CPU metrics are left out: one run of each side says nothing about
-them (compare medians over alternating runs instead).  The exit status
-is 1 only when a record has no partner on the other side or the two
-sides' inputs digests differ -- then the runs did not measure the same
-work.  A changed output digest or `fixed` metric is reported, not
-failed: a change may move them on purpose.
+them (compare medians over alternating runs instead).
+
+Exit status:
+  0  same bits: every output digest and every `fixed` metric off the
+     modeled clock (solved_frac, quota_paths, first_request_digest,
+     launches_per_call, ...) equals the parent's; only modeled metrics
+     may move;
+  1  bits moved: an output digest or such a `fixed` metric differs (the
+     report is printed either way, so a change that moves them on
+     purpose reads it the same);
+  2  not comparable: a record has no partner on the other side, the two
+     sides' inputs digests differ, or there are no records -- the runs
+     did not measure the same work.
 
 Usage:
   scripts/compare_perfbench_records.py PARENT_DIR CHANGE_DIR
@@ -28,6 +36,9 @@ import glob
 import json
 import os
 import sys
+
+BITS_MOVED = 1
+NOT_COMPARABLE = 2
 
 
 def load_records(root):
@@ -46,22 +57,26 @@ def fmt(value):
 
 
 def compare(parent, change):
-    """Print one pair; return False when its inputs digests differ."""
-    ok = True
+    """Print one pair; return its exit status (0 same bits, 1 bits
+    moved, 2 inputs digests differ)."""
+    status = 0
     for key in ("inputs_digest", "output_digest"):
         a, b = parent.get(key), change.get(key)
         verdict = "same" if a == b else "changed"
         print(f"  {key}: {verdict} ({a}" + ("" if a == b else f" -> {b}") + ")")
-        if key == "inputs_digest" and a != b:
-            ok = False
+        if a != b:
+            moved = NOT_COMPARABLE if key == "inputs_digest" else BITS_MOVED
+            status = max(status, moved)
     fixed_a, fixed_b = parent.get("fixed", {}), change.get("fixed", {})
     for name in sorted(set(fixed_a) | set(fixed_b)):
         a = fixed_a.get(name, {}).get("value")
         b = fixed_b.get(name, {}).get("value")
         if a == b:
             print(f"  fixed {name}: same ({fmt(a)})")
-        else:
-            print(f"  fixed {name}: changed ({fmt(a)} -> {fmt(b)})")
+            continue
+        print(f"  fixed {name}: changed ({fmt(a)} -> {fmt(b)})")
+        if (fixed_a.get(name) or fixed_b.get(name)).get("unit") != "modeled_ms":
+            status = max(status, BITS_MOVED)
     metrics_a, metrics_b = parent.get("metrics", {}), change.get("metrics", {})
     for name in sorted(set(metrics_a) | set(metrics_b)):
         entry = metrics_a.get(name) or metrics_b.get(name)
@@ -71,7 +86,7 @@ def compare(parent, change):
         b = metrics_b.get(name, {}).get("value")
         ratio = f"{b / a:.4f}x" if a and b is not None else "n/a"
         print(f"  modeled {name}: {fmt(a)} -> {fmt(b)} ms ({ratio})")
-    return ok
+    return status
 
 
 def main():
@@ -82,20 +97,20 @@ def main():
 
     parent = load_records(args.parent_dir)
     change = load_records(args.change_dir)
-    ok = True
+    status = 0
     for key in sorted(set(parent) | set(change)):
         workload, seed, trace = key
         print(f"{workload} seed {seed} trace {trace}:")
         if key not in parent or key not in change:
             side = args.parent_dir if key not in parent else args.change_dir
             print(f"  MISSING: no record in {side}")
-            ok = False
+            status = NOT_COMPARABLE
             continue
-        ok = compare(parent[key], change[key]) and ok
+        status = max(status, compare(parent[key], change[key]))
     if not parent and not change:
         print("no records found")
-        ok = False
-    return 0 if ok else 1
+        status = NOT_COMPARABLE
+    return status
 
 
 if __name__ == "__main__":

@@ -110,13 +110,13 @@ class CpuEvaluator {
     return out;
   }
 
-  /// Values only, no derivative work: f_p(x) into values[p] -- the CPU
-  /// half of a tracker's residual probes.  Every value repeats the full
-  /// evaluate()'s arithmetic operation for operation (powers table,
-  /// common factor, the forward prefix v_0..v_{k-2} that evaluate()
-  /// holds in derivs[k-1], then * cf, * v_{k-1}, * coefficient, summed
-  /// in monomial order), so results are BITWISE equal to
-  /// evaluate().values.
+  /// Values only, no derivative work: f_p(x) into values[p] -- used by
+  /// perfbench's quad-double endpoint check and the evaluator tests.
+  /// Every value repeats the full evaluate()'s arithmetic operation for
+  /// operation (powers table, common factor, the forward prefix
+  /// v_0..v_{k-2} that evaluate() holds in derivs[k-1], then * cf,
+  /// * v_{k-1}, * coefficient, summed in monomial order), so results
+  /// are BITWISE equal to evaluate().values.
   void evaluate_values(std::span<const C> x, std::span<C> values) const {
     if (values.size() < n_)
       throw std::invalid_argument("CpuEvaluator: values span too small");

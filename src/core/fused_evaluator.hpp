@@ -533,16 +533,17 @@ template <prec::RealScalar S>
 
 /// Build the fused VALUES-ONLY kernel over the given point/values buffer
 /// pair: one launch computes f(x) for every point of the batch, skipping
-/// all Jacobian work -- the residual probes and convergence checks of a
-/// tracker corrector, which would otherwise pay for n^2 derivative sums
-/// they discard.
+/// all Jacobian work and the n^2 derivative sums a residual discards.
+/// The trackers do not launch it (a lockstep round's cap and stall
+/// probes read the values of its one full launch); perfbench's values
+/// figures, kernel_audit and the evaluator tests do.
 ///
 /// Bitwise contract: every value is computed with EXACTLY the full
 /// kernel's operation order -- common factor from the powers table, the
 /// forward prefix product var(0)..var(k-2) (the full kernel's L_{k-1}
 /// before suffix scaling), then * cf, * var(k-1), * value coefficient --
 /// so values-only results equal the values of a full evaluation bit for
-/// bit, and a tracker may mix the two paths freely.  Only the value
+/// bit, and a caller may mix the two paths freely.  Only the value
 /// slots of Mons are written; the summation phase reads only the n value
 /// rows (outputs [0, n)), never the stale derivative slots.
 template <prec::RealScalar S>
@@ -705,9 +706,10 @@ class FusedGpuEvaluator {
   /// Values-only counterpart of evaluate_range: f at the `count` points
   /// starting at points[first] in ONE launch of the fused values kernel,
   /// out[i*n + q] receiving value q of the i-th point of the range.  No
-  /// Jacobian work runs and only batch*n values ride the PCIe download
-  /// -- the corrector-residual fast path -- while every value is bitwise
-  /// identical to a full evaluation's (build_fused_values_kernel).
+  /// Jacobian work runs and only batch*n values ride the PCIe download,
+  /// while every value is bitwise identical to a full evaluation's
+  /// (build_fused_values_kernel).  Callers: perfbench's values figures,
+  /// kernel_audit and the evaluator tests.
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::size_t first, std::size_t count, std::span<C> out) {
     const unsigned s_n = dimension();

@@ -190,9 +190,9 @@ class PipelinedFusedEvaluator {
   /// double-buffered schedule with the fused VALUES kernel
   /// (build_fused_values_kernel), out[i*n + q] receiving value q of the
   /// i-th point of the range.  The per-chunk downloads are micro_chunk*n
-  /// values instead of micro_chunk*(n^2+n) outputs, so a corrector's
-  /// residual probes leave the DMA engines almost idle for the
-  /// neighbouring full batches to fill.  Values are bitwise identical to
+  /// values instead of micro_chunk*(n^2+n) outputs, so values-only
+  /// batches leave the DMA engines almost idle for the neighbouring full
+  /// batches to fill.  Values are bitwise identical to
   /// FusedGpuEvaluator's (full or values-only) for every chunking.
   void evaluate_values_range(const std::vector<std::vector<C>>& points,
                              std::size_t first, std::size_t count, std::span<C> out) {

@@ -1,42 +1,34 @@
 #pragma once
 
 /// \file batch_tracker.hpp
-/// Lockstep batched path tracking: advance ALL live paths of a shard one
-/// predictor-corrector step per round, with every stage that touches the
-/// target system batched into single device launches -- the follow-on
-/// the paper's lineage builds (Verschelde & Yu's batched GPU Newton,
-/// Chen's GPU path tracker), and the workload the fused one-block-per-
-/// point schedule was designed for.  Where the per-path tracker feeds
-/// the device one point per corrector launch (a grid of one block), a
-/// round here launches:
+/// Lockstep batched path tracking: every round gives EACH live path of
+/// a shard exactly one evaluation of the homotopy, all of them batched
+/// into one full device launch per device-capacity chunk -- the
+/// follow-on the paper's lineage builds (Verschelde & Yu's batched GPU
+/// Newton, Chen's GPU path tracker), and the workload the fused
+/// one-block-per-point schedule was designed for.  Where the per-path
+/// tracker feeds the device one point per launch (a grid of one block),
+/// a round launches the next point of every live path at once, whatever
+/// that point is for:
 ///
-///   * one full batch evaluation for every tracking path's predictor
-///     (Jacobian + Davidenko right-hand side),
-///   * ONE Newton wave (newton::refine_batch with a per-path option
-///     class) over the round's correctors, every endgame path's next
-///     Cauchy circle sample (projective mode) and the t = 1 polish of
-///     the previous round's finishers: one full batch per Newton
-///     iteration over every path still iterating, whose values are the
-///     residual checks and whose Jacobians the steps, and one
-///     values-only batch at each cap an unconverged path reaches,
-///   * one values-only batch retiring the round's dead paths with their
-///     final residuals,
+///   * a predictor at (x, t) -- Jacobian and Davidenko right-hand side
+///     for the Euler step,
+///   * a Newton iteration of the tracking corrector at the step target,
+///     of an endgame path's Cauchy circle sample at complex t, or of an
+///     endpoint's polish at t = 1 (newton::step, each under its own
+///     options: the three share nothing but the launch),
+///   * the stall probe of a path whose step underflowed or whose step
+///     budget is spent -- its final residual at (x, t).
 ///
-/// while each path keeps its own adaptive state (t, step size, growth
-/// streak, rejection count) exactly as the scalar tracker would have it,
-/// and retired paths -- classified endpoints, at-infinity retirements,
-/// step-underflow and max-step failures -- are compacted out of the
-/// live sets between rounds.
-///
-/// A path's Newton work waits for the round's one wave: a path armed
-/// for the endgame takes its first circle sample in the next round's
-/// wave, and a round's finishers (t = 1 arrivals and closed endgame
-/// loops) are polished and classified there.  Until then
-/// a finisher is live (live_paths() counts it, cancellation sweeps it,
-/// donate() and adopt() refuse it).  Every launch pays a fixed floor on
-/// the device, which is why the three sets share the wave's launches;
-/// the polyeval_newton_calls_total metric counts one call per round
-/// with Newton work.
+/// Each path is a small state machine (its phase, Newton iterate and
+/// parameter, Newton progress, adaptive step state and endgame
+/// accumulators); the round stages every live path's next point,
+/// launches, and consumes the results path by path with the scalar
+/// tracker's transitions -- accept/reject, renormalize, at-infinity,
+/// endgame arm/absorb/fail, classification.  A path's modeled cost is
+/// thus its own evaluation count, and a round costs one launch per
+/// device-capacity chunk of the live set.  Retired paths drop out of
+/// the live set at the end of the round.
 ///
 /// Geometries: instantiated over a target evaluator the tracker builds
 /// the affine BatchedHomotopy itself (the historical spelling);
@@ -44,25 +36,26 @@
 /// BatchedHomotopyTag) it tracks whatever that homotopy models -- the
 /// projective patch with renormalization, at-infinity classification
 /// and the lockstep Cauchy endgame when the homotopy provides the
-/// renormalize() hook.
+/// renormalize() hook.  The tracker calls no homotopy member beyond
+/// dimension, max_batch, evaluate_range, rhs_from_last, the projective
+/// hooks and (slot-aware homotopies) bind_slots.
 ///
 /// Bitwise contract: a path's trajectory is IDENTICAL to
 /// PathTracker::track over the same evaluators and geometry.  Every
 /// ingredient holds bit for bit: the fused evaluators' per-point batch
-/// independence, the values kernel's equality with full-evaluation
-/// values, LuArena's equality with lu_solve, the shared step-control
-/// and endgame state arithmetic (tracker.hpp, endgame.hpp), and this
-/// file repeating the scalar tracker's control flow verbatim, each path
-/// under its own stage's Newton options inside the wave.  Only the
-/// SCHEDULE changes -- which is why track_paths_sharded runs lockstep
-/// only, while the parity tests compare it with the scalar CPU solver
-/// (solver.hpp).
+/// independence, LuArena's equality with lu_solve, newton::step's
+/// equality with newton::refine, the shared step-control and endgame
+/// state arithmetic (tracker.hpp, endgame.hpp), and this file repeating
+/// the scalar tracker's control flow transition by transition.  Only
+/// the SCHEDULE changes -- which is why track_paths_sharded runs
+/// lockstep only, while the parity tests compare it with the scalar CPU
+/// solver (solver.hpp).
 ///
-/// Zero allocation: all per-path state, batch staging, Newton scratch,
-/// endgame accumulators and LU slots are sized in the constructor for
-/// `max_paths`; steady-state round() calls never touch the allocator
-/// (the device log is cleared -- capacity kept -- at each round's
-/// start, the long-running-caller convention).
+/// Zero allocation: all per-path state, batch staging, LU scratch and
+/// endgame accumulators are sized in the constructor for `max_paths`;
+/// steady-state round() calls never touch the allocator (the device
+/// log is cleared -- capacity kept -- at each round's start, the
+/// long-running-caller convention).
 
 #include <algorithm>
 #include <limits>
@@ -81,11 +74,11 @@ namespace polyeval::homotopy {
 /// points each at its OWN (complex) t -- the lockstep tracker's paths
 /// sit at different parameter values after their first diverging step,
 /// and the endgame circles t around 1.  The target system f runs on the
-/// device in batched launches (evaluate_range / evaluate_values_range);
-/// the start system g stays on the CPU per point, as in the sharded
-/// per-path tracker.  The per-point combination h = gamma (1-t) g + t f
-/// repeats Homotopy::evaluate's arithmetic exactly, so batching changes
-/// nothing bitwise.
+/// device in batched launches (evaluate_range); the start system g
+/// stays on the CPU per point, as in the sharded per-path tracker.  The
+/// per-point combination h = gamma (1-t) g + t f repeats
+/// Homotopy::evaluate's arithmetic exactly, so batching changes nothing
+/// bitwise.
 template <prec::RealScalar S, class TargetEval>
 class BatchedHomotopy {
   using C = cplx::Complex<S>;
@@ -100,8 +93,7 @@ class BatchedHomotopy {
         g_(g),
         gamma_(C::from_double(gamma)),
         max_batch_(f.batch_capacity()),
-        g_eval_(f.dimension()),
-        g_vals_(f.dimension()) {
+        g_eval_(f.dimension()) {
     if (f_.dimension() != g_.dimension())
       throw std::invalid_argument("BatchedHomotopy: dimension mismatch");
     const unsigned n = f_.dimension();
@@ -149,33 +141,6 @@ class BatchedHomotopy {
     }
   }
 
-  /// Values-only h(x_{first+i}, ts_{first+i}) into values[i*n ..] for
-  /// i in [0, count), any count: the target system runs the fused
-  /// values kernel in max_batch-sized launches (no Jacobian work,
-  /// n-value downloads) and g its values-only CPU path.  Bitwise equal
-  /// to evaluate_range's values.
-  void evaluate_values_range(const std::vector<std::vector<C>>& points,
-                             std::span<const C> ts, std::size_t first,
-                             std::size_t count, std::span<C> values) {
-    const unsigned n = dimension();
-    if (ts.size() < first + count || values.size() < count * n)
-      throw std::invalid_argument("BatchedHomotopy: bad batch spans");
-
-    for (std::size_t c0 = 0; c0 < count; c0 += max_batch_) {
-      const std::size_t cnt = std::min(max_batch_, count - c0);
-      f_.evaluate_values_range(points, first + c0, cnt,
-                               std::span<C>(values).subspan(c0 * n, cnt * n));
-      for (std::size_t i = 0; i < cnt; ++i) {
-        const std::size_t slot = c0 + i;
-        g_.evaluate_values(std::span<const C>(points[first + slot]),
-                           std::span<C>(g_vals_));
-        const detail::GammaBlend<S> blend(gamma_, ts[first + slot]);
-        for (unsigned q = 0; q < n; ++q)
-          values[slot * n + q] = blend.combine(g_vals_[q], values[slot * n + q]);
-      }
-    }
-  }
-
   /// Davidenko right-hand side dh/dt = f(x) - gamma g(x) of chunk slot
   /// i of the most recent evaluate_range call (the predictor follows
   /// the corrector state, as in Homotopy::dt_from_last).
@@ -192,7 +157,6 @@ class BatchedHomotopy {
   C gamma_;
   std::size_t max_batch_;
   poly::EvalResult<S> g_eval_;                ///< per-point CPU scratch
-  std::vector<C> g_vals_;                     ///< per-point values-only scratch
   std::vector<poly::EvalResult<S>> f_chunk_;  ///< device chunk results
   std::vector<C> f_values_, g_values_;        ///< last full eval, per chunk slot
 };
@@ -251,11 +215,9 @@ class BatchPathTracker {
   [[nodiscard]] unsigned dimension() const noexcept { return h_.dimension(); }
   [[nodiscard]] std::size_t max_paths() const noexcept { return max_paths_; }
   [[nodiscard]] std::size_t path_count() const noexcept { return paths_; }
-  /// Tracking, endgame and pending-polish paths (a t = 1 finisher
-  /// stays live until the next round's wave polishes it).
-  [[nodiscard]] std::size_t live_paths() const noexcept {
-    return active_.size() + endgame_ids_.size() + polish_ids_.size();
-  }
+  /// Paths not yet retired, whatever their next evaluation is for.
+  [[nodiscard]] std::size_t live_paths() const noexcept { return live_.size(); }
+  /// Evaluation rounds run since start().
   [[nodiscard]] std::size_t rounds() const noexcept { return rounds_; }
 
   /// Load paths i = 0..count-1 from roots[first + i] (state reset; the
@@ -264,56 +226,36 @@ class BatchPathTracker {
   /// on a warm tracker allocates nothing.
   void start(const std::vector<std::vector<C>>& roots, std::size_t first,
              std::size_t count) {
-    const unsigned n = h_.dimension();
     if (count > max_paths_)
       throw std::invalid_argument("BatchPathTracker: batch exceeds max_paths");
     if (first > roots.size() || count > roots.size() - first)
       throw std::invalid_argument("BatchPathTracker: bad root range");
+    for (std::size_t i = 0; i < count; ++i)
+      if (roots[first + i].size() != h_.dimension())
+        throw std::invalid_argument("BatchPathTracker: root has wrong dimension");
+    for (const std::size_t id : live_) slots_[id].phase = Phase::kIdle;
+    live_.clear();
     paths_ = count;
     rounds_ = 0;
-    active_.clear();
-    endgame_ids_.clear();
-    polish_ids_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (roots[first + i].size() != n)
-        throw std::invalid_argument("BatchPathTracker: root has wrong dimension");
-      auto& s = slots_[i];
-      std::copy(roots[first + i].begin(), roots[first + i].end(), s.x.begin());
-      s.ctl = detail::initial_step_state(options_);
-      s.final_residual = 0.0;
-      s.status = PathStatus::kStalled;
-      s.winding = 0;
-      s.retired = false;
-      s.success = false;
-      active_.push_back(i);
-    }
+    for (std::size_t i = 0; i < count; ++i)
+      load(i, std::span<const C>(roots[first + i]), detail::initial_step_state(options_));
   }
 
   /// Seat one path in free slot `slot` with explicit step-control state
   /// -- the solve service's incremental entry point, used both for
   /// fresh admissions (initial_step_state) and for live paths stolen
-  /// from another shard's tracker mid-solve (path state is just
-  /// (x, t, step, streak); a path's trajectory depends only on its
-  /// state and the homotopy, so adoption preserves the bitwise
-  /// contract).  The slot must not be live (tracking, in the endgame
-  /// or awaiting its polish).
+  /// from another shard's tracker mid-solve (path state between steps
+  /// is just (x, t, step, streak); a path's trajectory depends only on
+  /// its state and the homotopy, so adoption preserves the bitwise
+  /// contract).  The slot must not be live.
   void adopt(std::size_t slot, std::span<const C> x, const detail::StepState& ctl) {
     if (slot >= max_paths_)
       throw std::invalid_argument("BatchPathTracker: bad adopt slot");
     if (x.size() != h_.dimension())
       throw std::invalid_argument("BatchPathTracker: root has wrong dimension");
-    for (const auto* ids : {&active_, &endgame_ids_, &polish_ids_})
-      if (std::find(ids->begin(), ids->end(), slot) != ids->end())
-        throw std::logic_error("BatchPathTracker: slot is live");
-    auto& s = slots_[slot];
-    std::copy(x.begin(), x.end(), s.x.begin());
-    s.ctl = ctl;
-    s.final_residual = 0.0;
-    s.status = PathStatus::kStalled;
-    s.winding = 0;
-    s.retired = false;
-    s.success = false;
-    active_.push_back(slot);
+    if (slots_[slot].phase != Phase::kIdle)
+      throw std::logic_error("BatchPathTracker: slot is live");
+    load(slot, x, ctl);
     paths_ = std::max(paths_, slot + 1);
     {
       std::lock_guard<std::mutex> lk(cancel_mutex_);
@@ -326,24 +268,25 @@ class BatchPathTracker {
     adopt(slot, x, detail::initial_step_state(options_));
   }
 
-  /// Steal the live tracking path out of `slot`: its point is copied to
-  /// x_out, its step-control state returned, and the slot freed for
-  /// re-adoption.  Only plain tracking paths are donatable -- endgame
-  /// paths carry Cauchy accumulator state and finishers await their
-  /// polish, so both are pinned to their shard.
+  /// Steal the live path out of `slot`: its point is copied to x_out,
+  /// its step-control state returned, and the slot freed for
+  /// re-adoption.  Only a path between steps (its next evaluation a
+  /// predictor) is donatable -- a corrector, circle sample or polish in
+  /// flight carries Newton and endgame state that adopt() cannot take.
   detail::StepState donate(std::size_t slot, std::span<C> x_out) {
-    const auto it = std::find(active_.begin(), active_.end(), slot);
-    if (it == active_.end())
+    if (!donatable(slot))
       throw std::logic_error("BatchPathTracker: slot not donatable");
-    active_.erase(it);  // order-preserving, so later rounds stay deterministic
+    // Order-preserving, so later rounds stay deterministic.
+    live_.erase(std::find(live_.begin(), live_.end(), slot));
     auto& s = slots_[slot];
+    s.phase = Phase::kIdle;
     std::copy(s.x.begin(), s.x.end(), x_out.begin());
     return s.ctl;
   }
 
-  /// True when `slot` holds a tracking path that donate() may take.
+  /// True when `slot` holds a path between steps that donate() may take.
   [[nodiscard]] bool donatable(std::size_t slot) const {
-    return std::find(active_.begin(), active_.end(), slot) != active_.end();
+    return slot < max_paths_ && slots_[slot].phase == Phase::kPredict;
   }
 
   /// Whether path i has retired (result() is ready).
@@ -367,9 +310,9 @@ class BatchPathTracker {
 
   /// Request cooperative cancellation of path `slot`.  Thread-safe (the
   /// async service's clients call it while round() runs); the path
-  /// retires as kCancelled at the next consume point -- round entry, or
-  /// the wave's mask for cancels landing after the predictor (whose
-  /// launches they then skip, newton::refine_batch).
+  /// retires as kCancelled at the start of the next round, before any
+  /// staging, so a round whose live paths are all cancelled launches
+  /// nothing.
   void cancel(std::size_t slot) {
     if (slot >= max_paths_) return;
     std::lock_guard<std::mutex> lk(cancel_mutex_);
@@ -377,260 +320,51 @@ class BatchPathTracker {
     cancel_pending_ = true;
   }
 
-  /// Advance every live path one predictor-corrector step (or, for
-  /// paths in the endgame, one Cauchy circle sample), polish and retire
-  /// the previous round's t = 1 finishers, and compact the retirees out
-  /// of the live sets.  The round's Newton work -- correctors, circle
-  /// samples and polishes -- runs as ONE refine_batch wave, each set
-  /// under its own options.  Returns the number of still-live paths;
-  /// allocation-free in steady state.
+  /// One evaluation round: stage the next point of every live path --
+  /// predictor, Newton iterate of a corrector, circle sample or polish,
+  /// or stall probe -- into one full launch per device-capacity chunk,
+  /// consume each result with the path's own transition, and drop the
+  /// retirees from the live set.  Returns the number of still-live
+  /// paths; allocation-free in steady state.
   std::size_t round() {
-    if (live_paths() == 0) return 0;
+    if (live_.empty()) return 0;
     device_.clear_log();
     ++rounds_;
     if (metrics_) metrics_->rounds->inc();
-    const unsigned n = h_.dimension();
 
-    // Cancellation consume point 1: requests that arrived between
-    // rounds retire before any staging -- no probe launch, cancellation
-    // must be cheap.
+    // Cancellation's consume point: requests that arrived since the last
+    // round retire before any staging -- no launch, cancellation must be
+    // cheap.
     if (take_cancel_flags()) {
-      sweep_cancelled(active_);
-      sweep_cancelled(endgame_ids_);
-      sweep_cancelled(polish_ids_);
-      if (live_paths() == 0) return 0;
+      for (const std::size_t id : live_)
+        if (round_cancel_[id])
+          retire(slots_[id], PathStatus::kCancelled, slots_[id].final_residual);
+      drop_retired();
+      if (live_.empty()) return 0;
     }
 
-    // Retire exhausted paths first -- the scalar tracker's loop
-    // condition, checked before the step -- with one batched probe for
-    // their final residuals.  (Endgame paths are exempt: their work is
-    // bounded by max_windings loops, not by the step budget.)
-    probe_ids_.clear();
-    end_ids_.clear();
-    std::size_t keep = 0;
-    for (const std::size_t id : active_) {
-      if (slots_[id].ctl.steps + slots_[id].ctl.rejections >= options_.max_steps)
-        probe_ids_.push_back(id);
-      else
-        active_[keep++] = id;
-    }
-    active_.resize(keep);
-
-    const std::size_t a = active_.size();
-    if (a > 0) {
-      // Predictor: full batches at (x_p, t_p) -- Euler along the
-      // Davidenko flow, per-path dt clamped to the remaining interval --
-      // walked in device-capacity chunks so the Jacobian scratch stays
-      // bounded.
-      for (std::size_t j = 0; j < a; ++j) {
-        const auto& s = slots_[active_[j]];
-        dts_[j] = detail::clamped_dt(s.ctl);
-        t_next_[j] = detail::step_target(s.ctl, dts_[j]);
-        ts_[j] = C(S(s.ctl.t));
-        std::copy(s.x.begin(), s.x.end(), batch_pts_[j].begin());
+    const unsigned n = h_.dimension();
+    const std::size_t nn = std::size_t{n} * n;
+    updates_ = 0;
+    for (std::size_t c0 = 0; c0 < live_.size(); c0 += cap_) {
+      const std::size_t cc = std::min(cap_, live_.size() - c0);
+      const auto ids = std::span<const std::size_t>(live_).subspan(c0, cc);
+      for (std::size_t j = 0; j < cc; ++j) {
+        const auto& s = slots_[ids[j]];
+        const auto& point = newton_phase(s.phase) ? s.z : s.x;
+        std::copy(point.begin(), point.end(), batch_pts_[j].begin());
+        ts_[j] = s.tz;
       }
-      bind_ids(active_);
-      for (std::size_t c0 = 0; c0 < a; c0 += cap_) {
-        const std::size_t cc = std::min(cap_, a - c0);
-        h_.evaluate_range(batch_pts_, std::span<const C>(ts_), c0, cc,
-                          std::span<C>(hv_), std::span<C>(hj_));
-        for (std::size_t j = 0; j < cc; ++j)
-          h_.rhs_from_last(j, std::span<C>(rhs_).subspan(j * n, n));
-        linalg::lu_solve_batch(arena_, cc, std::span<const C>(hj_),
-                               std::span<const C>(rhs_), std::span<C>(flow_),
-                               std::span<unsigned char>(singular_));
-        for (std::size_t j = 0; j < cc; ++j) {
-          const std::size_t g = c0 + j;
-          std::copy(batch_pts_[g].begin(), batch_pts_[g].end(),
-                    corr_pts_[g].begin());
-          if (!singular_[j]) {
-            // A singular Jacobian mid-path leaves the predictor at the
-            // current point; the corrector decides viability (as scalar).
-            const S h_dt(dts_[g]);
-            for (unsigned v = 0; v < n; ++v)
-              corr_pts_[g][v] -= flow_[j * n + v] * h_dt;
-          }
-          corr_ts_[g] = C(S(t_next_[g]));
-        }
-      }
+      if constexpr (kSlotAware) h_.bind_slots(ids);
+      h_.evaluate_range(batch_pts_, std::span<const C>(ts_), 0, cc, std::span<C>(hv_),
+                        std::span<C>(hj_));
+      for (std::size_t j = 0; j < cc; ++j)
+        consume(ids[j], j, std::span<const C>(hv_).subspan(j * n, n),
+                std::span<const C>(hj_).subspan(j * nn, nn));
     }
-
-    // Cancellation consume point 2: cancels that landed after the
-    // predictor mask the correctors instead (an all-masked wave pays no
-    // launch at all -- refine_batch's early return), and endgame and
-    // polish paths flagged by the same sweep retire before the wave.
-    const bool mid_cancel = take_cancel_flags();
-    if (mid_cancel) {
-      sweep_cancelled(endgame_ids_);
-      sweep_cancelled(polish_ids_);
-    }
-
-    // The wave: correctors at the clamped advanced t, then every
-    // endgame path's next circle sample (projective), then the t = 1
-    // polish of the previous round's finishers.
-    const std::size_t e = endgame_ids_.size();
-    const std::size_t p = polish_ids_.size();
-    stage_wave(a, e, mid_cancel);
-    newton::refine_batch<S>(
-        h_, corr_pts_, std::span<const C>(corr_ts_), a + e + p,
-        std::span<const newton::NewtonOptions>(wave_options_),
-        std::span<const unsigned char>(wave_class_), arena_, nscratch_,
-        std::span<newton::BatchPathStatus>(statuses_),
-        std::span<const std::size_t>(wave_ids_),
-        mid_cancel ? std::span<const unsigned char>(cancel_mask_)
-                   : std::span<const unsigned char>{});
-    if (metrics_) {
-      metrics_->endgame_samples->inc(e);
-      for (std::size_t j = 0; j < a + e + p; ++j)
-        if (!(mid_cancel && cancel_mask_[j]))
-          metrics_->newton_iterations_per_path->observe(
-              static_cast<double>(statuses_[j].iterations));
-    }
-
-    // Per-path step control -- the scalar tracker's accept/reject
-    // arithmetic (the shared one copy), path by path.  Finishers are
-    // polished in the next round's wave; newly armed endgame paths take
-    // their first circle sample there too (appended past the e paths
-    // sampled in this wave).
-    keep = 0;
-    for (std::size_t j = 0; j < a; ++j) {
-      const std::size_t id = active_[j];
-      auto& s = slots_[id];
-      if (mid_cancel && cancel_mask_[j]) {
-        retire(s, PathStatus::kCancelled, s.final_residual);
-        continue;
-      }
-      if (statuses_[j].converged) {
-        if (metrics_) metrics_->steps_accepted->inc();
-        std::copy(corr_pts_[j].begin(), corr_pts_[j].end(), s.x.begin());
-        detail::accept_step(s.ctl, t_next_[j], options_);
-        if constexpr (kProjective) {
-          renormalize_slot(id, std::span<C>(s.x));
-          if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
-              options_.at_infinity_tolerance) {
-            retire(s, PathStatus::kAtInfinity, statuses_[j].final_residual);
-            continue;
-          }
-        }
-        if (s.ctl.t >= 1.0) {
-          end_ids_.push_back(id);
-          continue;
-        }
-      } else {
-        if (metrics_) {
-          metrics_->steps_rejected->inc();
-          // The growth streak the rejection wipes (reject_step zeroes
-          // it), observed before the reset.
-          metrics_->accept_streak->observe(
-              static_cast<double>(s.ctl.streak));
-        }
-        detail::reject_step(s.ctl, options_);
-        if constexpr (kProjective) {
-          if (detail::endgame_triggered(s.ctl, options_)) {
-            s.eg.begin(1.0 - s.ctl.t, std::span<const C>(s.x));
-            endgame_ids_.push_back(id);
-            if (metrics_) metrics_->endgame_entries->inc();
-            continue;
-          }
-        }
-        if (s.ctl.step < options_.min_step) {
-          probe_ids_.push_back(id);
-          continue;
-        }
-      }
-      active_[keep++] = id;
-    }
-    active_.resize(keep);
-
-    // Circle samples (projective): loops that close hand their
-    // integral-mean endpoint to the next round's polish.
-    if constexpr (kProjective) {
-      keep = 0;
-      for (std::size_t j = 0; j < e; ++j) {
-        const std::size_t id = endgame_ids_[j];
-        auto& s = slots_[id];
-        const auto& st = statuses_[a + j];
-        if (!st.converged) {
-          // Lost the circle at this radius: fail the attempt, restore
-          // the theta = 0 point and resume tracking (the shared
-          // attempt count decides whether it re-arms, as scalar).
-          fail_endgame_attempt(s, id, obs::TrackerMetrics::kLost);
-          continue;
-        }
-        std::copy(corr_pts_[a + j].begin(), corr_pts_[a + j].end(), s.x.begin());
-        const auto step = s.eg.absorb(std::span<const C>(s.x), options_.endgame);
-        if (step == CauchyEndgame<S>::Step::kClosed) {
-          if (metrics_)
-            metrics_->endgame_attempts[obs::TrackerMetrics::kClosed]->inc();
-          s.eg.endpoint(std::span<C>(s.x));
-          s.winding = s.eg.winding();
-          s.ctl.t = 1.0;
-          end_ids_.push_back(id);
-          continue;
-        }
-        if (step == CauchyEndgame<S>::Step::kExhausted) {
-          fail_endgame_attempt(s, id, obs::TrackerMetrics::kExhausted);
-          continue;
-        }
-        endgame_ids_[keep++] = id;
-      }
-      endgame_ids_.erase(endgame_ids_.begin() + static_cast<std::ptrdiff_t>(keep),
-                         endgame_ids_.begin() + static_cast<std::ptrdiff_t>(e));
-    }
-
-    // Polish + classification at t = 1 of the previous round's
-    // finishers (normal arrivals and closed endgame loops): a diverged
-    // polish keeps the tracked point and ITS residual (the polish's
-    // entry residual), and the status comes from the kept point's final
-    // residual check -- with the projective at-infinity test taking
-    // precedence -- exactly as the scalar tracker classifies.
-    for (std::size_t j = 0; j < p; ++j) {
-      const std::size_t id = polish_ids_[j];
-      auto& s = slots_[id];
-      const auto& st = statuses_[a + e + j];
-      if (st.converged) {
-        std::copy(corr_pts_[a + e + j].begin(), corr_pts_[a + e + j].end(),
-                  s.x.begin());
-        s.final_residual = st.final_residual;
-      } else {
-        s.final_residual = st.initial_residual;
-      }
-      if constexpr (kProjective) {
-        if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
-            options_.at_infinity_tolerance) {
-          retire(s, PathStatus::kAtInfinity, s.final_residual);
-          continue;
-        }
-        retire(s,
-               detail::projective_endpoint_converged(s.final_residual, s.winding,
-                                                     options_)
-                   ? PathStatus::kConverged
-                   : PathStatus::kDiverged,
-               s.final_residual);
-        continue;
-      }
-      retire(s,
-             s.final_residual <= options_.end_tolerance ? PathStatus::kConverged
-                                                        : PathStatus::kDiverged,
-             s.final_residual);
-    }
-    polish_ids_.swap(end_ids_);  // this round's finishers: next round's polish
-
-    // Step-underflow / budget failures: batched residual probe, then
-    // retire as stalls.
-    retire_failed(probe_ids_);
-
-    // The Newton totals come from the scratch's cumulative counters
-    // (the newton-layer plumbing), folded in once per round as deltas.
-    if (metrics_) {
-      metrics_->newton_calls->inc(nscratch_.calls - newton_calls_seen_);
-      metrics_->newton_iterations->inc(nscratch_.iterations_applied -
-                                       newton_iters_seen_);
-      newton_calls_seen_ = nscratch_.calls;
-      newton_iters_seen_ = nscratch_.iterations_applied;
-    }
-
-    return live_paths();
+    drop_retired();
+    if (metrics_) metrics_->newton_iterations->inc(updates_);
+    return live_.size();
   }
 
   /// Rounds until every path retired.
@@ -662,9 +396,31 @@ class BatchPathTracker {
   }
 
  private:
+  /// What a path's next evaluation is for.  The Newton phases come
+  /// first: they index newton_options_.
+  enum class Phase : unsigned char {
+    kCorrect,  ///< tracking corrector at the step target
+    kSample,   ///< Cauchy circle sample at complex t (projective)
+    kPolish,   ///< endpoint polish at t = 1
+    kPredict,  ///< Euler predictor at (x, t)
+    kProbe,    ///< final residual at (x, t) of a path that stopped short
+    kIdle,     ///< not live: free, retired or donated
+  };
+  static constexpr std::size_t kNewtonPhases = 3;
+
+  /// The phases whose evaluation is an iteration of a Newton solve.
+  [[nodiscard]] static bool newton_phase(Phase p) noexcept {
+    return static_cast<std::size_t>(p) < kNewtonPhases;
+  }
+
   struct PathSlot {
-    std::vector<C> x;
+    std::vector<C> x;  ///< the path's point
+    std::vector<C> z;  ///< Newton iterate of the solve in flight
+    C tz;              ///< parameter of the next evaluation
+    double t_next = 0.0;  ///< the corrector's step target
+    newton::SolveState newton;
     detail::StepState ctl;
+    Phase phase = Phase::kIdle;
     double final_residual = 0.0;
     PathStatus status = PathStatus::kStalled;
     unsigned winding = 0;
@@ -673,86 +429,239 @@ class BatchPathTracker {
   };
 
   /// Constructor-time buffer sizing shared by both constructors: all
-  /// per-path state and batch staging for `max_paths_` paths of the
-  /// homotopy's dimension, Jacobian-stage traffic bounded by the device
-  /// batch capacity.
+  /// per-path state for `max_paths_` paths of the homotopy's dimension,
+  /// launch staging bounded by the device batch capacity.
   void reserve_buffers() {
     detail::validate_track_options(options_);
     const unsigned n = h_.dimension();
     const std::size_t nn = std::size_t{n} * n;
     cap_ = std::min<std::size_t>(std::max<std::size_t>(h_.max_batch(), 1),
                                  std::max<std::size_t>(max_paths_, 1));
-    arena_.resize(n, cap_);
-    nscratch_.reserve(n, max_paths_, cap_);
-    statuses_.resize(max_paths_);
+    arena_.resize(n, 1);
     slots_.resize(max_paths_);
     for (auto& s : slots_) {
       s.x.resize(n);
+      s.z.resize(n);
       s.eg.reserve(n, options_.endgame);
     }
-    active_.reserve(max_paths_);
-    probe_ids_.reserve(max_paths_);
-    end_ids_.reserve(max_paths_);
-    polish_ids_.reserve(max_paths_);
-    endgame_ids_.reserve(max_paths_);
-    wave_ids_.resize(max_paths_);
-    wave_class_.resize(max_paths_);
-    wave_options_[kCorrector] = {.max_iterations = options_.corrector_iterations,
-                                 .residual_tolerance = options_.corrector_tolerance};
-    wave_options_[kSample] = {.max_iterations = options_.endgame.corrector_iterations,
-                              .residual_tolerance = options_.endgame.corrector_tolerance};
-    wave_options_[kPolish] = {.max_iterations = options_.end_iterations,
-                              .residual_tolerance = options_.end_tolerance};
-    batch_pts_.resize(max_paths_);
+    live_.reserve(max_paths_);
+    const auto phase = [](Phase p) { return static_cast<std::size_t>(p); };
+    newton_options_[phase(Phase::kCorrect)] = {
+        .max_iterations = options_.corrector_iterations,
+        .residual_tolerance = options_.corrector_tolerance};
+    newton_options_[phase(Phase::kSample)] = {
+        .max_iterations = options_.endgame.corrector_iterations,
+        .residual_tolerance = options_.endgame.corrector_tolerance};
+    newton_options_[phase(Phase::kPolish)] = {.max_iterations = options_.end_iterations,
+                                              .residual_tolerance = options_.end_tolerance};
+    batch_pts_.resize(cap_);
     for (auto& p : batch_pts_) p.resize(n);
-    corr_pts_.resize(max_paths_);
-    for (auto& p : corr_pts_) p.resize(n);
-    ts_.resize(max_paths_);
-    corr_ts_.resize(max_paths_);
-    dts_.resize(max_paths_);
-    t_next_.resize(max_paths_);
-    hv_.resize(max_paths_ * std::size_t{n});
+    ts_.resize(cap_);
+    hv_.resize(cap_ * std::size_t{n});
     hj_.resize(cap_ * nn);
-    rhs_.resize(cap_ * std::size_t{n});
-    flow_.resize(cap_ * std::size_t{n});
-    singular_.resize(cap_);
+    rhs_.resize(n);
+    delta_.resize(n);
     cancel_flags_.assign(max_paths_, 0);
     round_cancel_.assign(max_paths_, 0);
-    cancel_mask_.assign(max_paths_, 0);
   }
 
-  /// Stage the round's wave behind the a correctors already in
-  /// corr_pts_/corr_ts_: the e endgame paths' next circle samples, then
-  /// the polishes of polish_ids_ at t = 1, with each path's slot id and
-  /// option class, and the cancellation mask after a mid-round cancel.
-  void stage_wave(std::size_t a, std::size_t e, bool mid_cancel) {
-    std::copy(active_.begin(), active_.end(), wave_ids_.begin());
-    std::fill_n(wave_class_.begin(), a, kCorrector);
-    const auto stage = [&](const std::vector<std::size_t>& ids, std::size_t first,
-                           WaveClass option_class, auto t_of) {
-      for (std::size_t j = 0; j < ids.size(); ++j) {
-        const auto& s = slots_[ids[j]];
-        std::copy(s.x.begin(), s.x.end(), corr_pts_[first + j].begin());
-        corr_ts_[first + j] = t_of(s);
-        wave_ids_[first + j] = ids[j];
-        wave_class_[first + j] = option_class;
+  /// Seat a fresh or adopted path in `slot` and queue its first step.
+  void load(std::size_t slot, std::span<const C> x, const detail::StepState& ctl) {
+    auto& s = slots_[slot];
+    std::copy(x.begin(), x.end(), s.x.begin());
+    s.ctl = ctl;
+    s.final_residual = 0.0;
+    s.status = PathStatus::kStalled;
+    s.winding = 0;
+    s.retired = false;
+    s.success = false;
+    next_step(s, /*stopped=*/false);
+    live_.push_back(slot);
+  }
+
+  /// Consume path `id`'s evaluation (its values and Jacobian).
+  void consume(std::size_t id, std::size_t j, std::span<const C> values,
+               std::span<const C> jacobian) {
+    auto& s = slots_[id];
+    if (s.phase == Phase::kPredict) {
+      predict(s, j, jacobian);
+      return;
+    }
+    if (s.phase == Phase::kProbe) {
+      // The scalar tracker's mid-track exit: a stop point already on
+      // the hyperplane at infinity is a classified endpoint, not a stall.
+      retire(s,
+             infinity_ratio_slot(id, std::span<const C>(s.x)) <
+                     options_.at_infinity_tolerance
+                 ? PathStatus::kAtInfinity
+                 : PathStatus::kStalled,
+             linalg::max_norm_d<S>(values));
+      return;
+    }
+    const auto verdict = newton::step<S>(
+        s.newton, newton_options_[static_cast<std::size_t>(s.phase)],
+        std::span<C>(s.z), values, jacobian, arena_, std::span<C>(delta_));
+    if (verdict == newton::Verdict::kContinue) {
+      ++updates_;
+      return;
+    }
+    if (metrics_)
+      metrics_->newton_iterations_per_path->observe(
+          static_cast<double>(s.newton.iterations));
+    const bool converged = verdict == newton::Verdict::kConverged;
+    if (s.phase == Phase::kCorrect)
+      corrected(s, id, converged);
+    else if (s.phase == Phase::kSample)
+      sampled(s, converged);
+    else
+      polished(s, id, converged);
+  }
+
+  /// Euler step along the Davidenko flow from the evaluation at (x, t),
+  /// dt clamped to the remaining interval; the corrector starts there.
+  void predict(PathSlot& s, std::size_t j, std::span<const C> jacobian) {
+    h_.rhs_from_last(j, std::span<C>(rhs_));
+    const double dt = detail::clamped_dt(s.ctl);
+    std::copy(s.x.begin(), s.x.end(), s.z.begin());
+    // A singular Jacobian mid-path leaves the predictor at the current
+    // point; the corrector decides viability (as scalar).
+    if (arena_.solve(0, jacobian, std::span<const C>(rhs_), std::span<C>(delta_))) {
+      const S h_dt(dt);
+      for (std::size_t v = 0; v < s.z.size(); ++v) s.z[v] -= delta_[v] * h_dt;
+    }
+    s.t_next = detail::step_target(s.ctl, dt);
+    s.tz = C(S(s.t_next));
+    s.newton = {};
+    s.phase = Phase::kCorrect;
+  }
+
+  /// The corrector's verdict: the scalar tracker's accept/reject step
+  /// control (the shared one copy).
+  void corrected(PathSlot& s, std::size_t id, bool converged) {
+    if (converged) {
+      if (metrics_) metrics_->steps_accepted->inc();
+      std::copy(s.z.begin(), s.z.end(), s.x.begin());
+      detail::accept_step(s.ctl, s.t_next, options_);
+      if constexpr (kProjective) {
+        renormalize_slot(id, std::span<C>(s.x));
+        if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
+            options_.at_infinity_tolerance) {
+          retire(s, PathStatus::kAtInfinity, s.newton.final_residual);
+          return;
+        }
       }
-    };
-    stage(endgame_ids_, a, kSample,
-          [&](const PathSlot& s) { return s.eg.next_t(options_.endgame); });
-    stage(polish_ids_, a + e, kPolish, [](const PathSlot&) { return C(S(1.0)); });
-    // Endgame and polish paths flagged by the same sweep are gone, so
-    // the mask bites on correctors only.
-    if (mid_cancel)
-      for (std::size_t j = 0; j < a + e + polish_ids_.size(); ++j)
-        cancel_mask_[j] = round_cancel_[wave_ids_[j]];
+      if (s.ctl.t >= 1.0) {
+        begin_solve(s, Phase::kPolish, C(S(1.0)));
+        return;
+      }
+      next_step(s, /*stopped=*/false);
+      return;
+    }
+    if (metrics_) {
+      metrics_->steps_rejected->inc();
+      // The growth streak the rejection wipes (reject_step zeroes it),
+      // observed before the reset.
+      metrics_->accept_streak->observe(static_cast<double>(s.ctl.streak));
+    }
+    detail::reject_step(s.ctl, options_);
+    if constexpr (kProjective) {
+      if (detail::endgame_triggered(s.ctl, options_)) {
+        s.eg.begin(1.0 - s.ctl.t, std::span<const C>(s.x));
+        if (metrics_) metrics_->endgame_entries->inc();
+        begin_solve(s, Phase::kSample, s.eg.next_t(options_.endgame));
+        return;
+      }
+    }
+    next_step(s, s.ctl.step < options_.min_step);
   }
 
-  /// Point -> slot routing for tenant-routed homotopies: before a
-  /// staged launch whose point i came from slot ids[i], hand the id list
-  /// to a slot-aware homotopy (no-op for the others).
-  void bind_ids([[maybe_unused]] const std::vector<std::size_t>& ids) {
-    if constexpr (kSlotAware) h_.bind_slots(std::span<const std::size_t>(ids));
+  /// A circle sample's verdict (projective): absorb it, and either
+  /// circle on, hand a closed loop's integral-mean endpoint to the
+  /// polish, or fail the attempt.
+  void sampled(PathSlot& s, bool converged) {
+    if (metrics_) metrics_->endgame_samples->inc();
+    if (!converged) {
+      fail_endgame_attempt(s, obs::TrackerMetrics::kLost);  // lost the circle
+      return;
+    }
+    std::copy(s.z.begin(), s.z.end(), s.x.begin());
+    const auto step = s.eg.absorb(std::span<const C>(s.x), options_.endgame);
+    if (step == CauchyEndgame<S>::Step::kClosed) {
+      if (metrics_) metrics_->endgame_attempts[obs::TrackerMetrics::kClosed]->inc();
+      s.eg.endpoint(std::span<C>(s.x));
+      s.winding = s.eg.winding();
+      s.ctl.t = 1.0;
+      begin_solve(s, Phase::kPolish, C(S(1.0)));
+      return;
+    }
+    if (step == CauchyEndgame<S>::Step::kExhausted) {
+      fail_endgame_attempt(s, obs::TrackerMetrics::kExhausted);
+      return;
+    }
+    begin_solve(s, Phase::kSample, s.eg.next_t(options_.endgame));
+  }
+
+  /// Polish + classification at t = 1 (normal arrivals and closed
+  /// endgame loops): a diverged polish keeps the tracked point and ITS
+  /// residual (the polish's entry residual), and the status comes from
+  /// the kept point's final residual check -- with the projective
+  /// at-infinity test taking precedence -- exactly as the scalar
+  /// tracker classifies.
+  void polished(PathSlot& s, std::size_t id, bool converged) {
+    if (converged) {
+      std::copy(s.z.begin(), s.z.end(), s.x.begin());
+      s.final_residual = s.newton.final_residual;
+    } else {
+      s.final_residual = s.newton.initial_residual;
+    }
+    if constexpr (kProjective) {
+      if (infinity_ratio_slot(id, std::span<const C>(s.x)) <
+          options_.at_infinity_tolerance) {
+        retire(s, PathStatus::kAtInfinity, s.final_residual);
+        return;
+      }
+      retire(s,
+             detail::projective_endpoint_converged(s.final_residual, s.winding, options_)
+                 ? PathStatus::kConverged
+                 : PathStatus::kDiverged,
+             s.final_residual);
+      return;
+    }
+    retire(s,
+           s.final_residual <= options_.end_tolerance ? PathStatus::kConverged
+                                                      : PathStatus::kDiverged,
+           s.final_residual);
+  }
+
+  /// A failed endgame attempt (lost sample or no closure, `outcome`):
+  /// restore the theta = 0 point, count the failure and resume tracking
+  /// (PathTracker's resume arithmetic, including the step-underflow
+  /// death check the scalar loop applies right after a failed attempt
+  /// -- which stops a path whose last attempt, armed at underflow,
+  /// failed).
+  void fail_endgame_attempt(PathSlot& s, std::size_t outcome) {
+    if (metrics_) metrics_->endgame_attempts[outcome]->inc();
+    const auto z0 = s.eg.start_point();
+    std::copy(z0.begin(), z0.end(), s.x.begin());
+    detail::endgame_failed(s.ctl);
+    next_step(s, s.ctl.step < options_.min_step);
+  }
+
+  /// Queue the path's next tracking step at (x, t): the predictor, or
+  /// -- when the path `stopped` (step underflow) or its step budget is
+  /// spent (the scalar tracker's loop condition) -- the stall probe.
+  void next_step(PathSlot& s, bool stopped) {
+    stopped = stopped || s.ctl.steps + s.ctl.rejections >= options_.max_steps;
+    s.phase = stopped ? Phase::kProbe : Phase::kPredict;
+    s.tz = C(S(s.ctl.t));
+  }
+
+  /// Start a Newton solve of `phase` from the path's point at parameter t.
+  void begin_solve(PathSlot& s, Phase phase, const C& t) {
+    std::copy(s.x.begin(), s.x.end(), s.z.begin());
+    s.tz = t;
+    s.newton = {};
+    s.phase = phase;
   }
 
   /// The projective hooks, routed per slot on tenant-routed homotopies
@@ -787,39 +696,10 @@ class BatchPathTracker {
     return true;
   }
 
-  /// Retire every round_cancel_-flagged path of `ids` as kCancelled and
-  /// compact it out (no probe launch; the last known residual stands).
-  void sweep_cancelled(std::vector<std::size_t>& ids) {
-    std::size_t keep = 0;
-    for (const std::size_t id : ids) {
-      if (round_cancel_[id])
-        retire(slots_[id], PathStatus::kCancelled, slots_[id].final_residual);
-      else
-        ids[keep++] = id;
-    }
-    ids.resize(keep);
-  }
-
-  /// A failed endgame attempt (lost sample or no closure, `outcome`):
-  /// restore the theta = 0 point, count the failure and hand the path
-  /// back to the tracking set (PathTracker's resume arithmetic,
-  /// including the step-underflow death check the scalar loop applies
-  /// right after a failed attempt -- which retires a path whose last
-  /// attempt, armed at underflow, failed).
-  void fail_endgame_attempt(PathSlot& s, std::size_t id, std::size_t outcome) {
-    if (metrics_) metrics_->endgame_attempts[outcome]->inc();
-    const auto z0 = s.eg.start_point();
-    std::copy(z0.begin(), z0.end(), s.x.begin());
-    detail::endgame_failed(s.ctl);
-    if (s.ctl.step < options_.min_step)
-      probe_ids_.push_back(id);  // retired by this round's stall probe
-    else
-      active_.push_back(id);
-  }
-
   /// Retire a slot with its classified status (success mirrors
   /// kConverged for legacy consumers).
   void retire(PathSlot& s, PathStatus status, double residual) {
+    s.phase = Phase::kIdle;
     s.status = status;
     s.final_residual = residual;
     s.success = status == PathStatus::kConverged;
@@ -830,78 +710,38 @@ class BatchPathTracker {
     }
   }
 
-  /// Retire `ids` as stalls with one batched values probe at their
-  /// current (x, t) -- the scalar tracker's mid-track exit residual.
-  void retire_failed(const std::vector<std::size_t>& ids) {
-    if (ids.empty()) return;
-    const unsigned n = h_.dimension();
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      const auto& s = slots_[ids[j]];
-      std::copy(s.x.begin(), s.x.end(), batch_pts_[j].begin());
-      ts_[j] = C(S(s.ctl.t));
-    }
-    bind_ids(ids);
-    h_.evaluate_values_range(batch_pts_, std::span<const C>(ts_), 0, ids.size(),
-                             std::span<C>(hv_));
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      auto& s = slots_[ids[j]];
-      PathStatus status = PathStatus::kStalled;
-      if constexpr (kProjective) {
-        // A stop point already on the hyperplane at infinity is a
-        // classified endpoint, not a stall (as scalar).
-        if (infinity_ratio_slot(ids[j], std::span<const C>(s.x)) <
-            options_.at_infinity_tolerance)
-          status = PathStatus::kAtInfinity;
-      }
-      retire(s, status,
-             linalg::max_norm_d<S>(std::span<const C>(hv_).subspan(j * n, n)));
-    }
+  /// Compact the retirees out of the live set, order-preserving.
+  void drop_retired() {
+    std::erase_if(live_, [&](std::size_t id) { return slots_[id].phase == Phase::kIdle; });
   }
 
   simt::Device& device_;
   HomoMember h_;
   TrackOptions options_;
   const obs::TrackerMetrics* metrics_ = nullptr;
-  std::uint64_t newton_calls_seen_ = 0;  ///< scratch counter watermark
-  std::uint64_t newton_iters_seen_ = 0;
   std::size_t max_paths_;
-  std::size_t cap_ = 0;  ///< Jacobian-stage chunk bound (device batch capacity)
+  std::size_t cap_ = 0;  ///< launch chunk bound (device batch capacity)
   std::size_t paths_ = 0;
   std::size_t rounds_ = 0;
+  std::uint64_t updates_ = 0;  ///< Newton updates applied this round
 
   std::vector<PathSlot> slots_;
-  std::vector<std::size_t> active_;       ///< live tracking path ids
-  std::vector<std::size_t> probe_ids_;    ///< this round's stalls
-  std::vector<std::size_t> end_ids_;      ///< this round's t = 1 finishers
-  std::vector<std::size_t> polish_ids_;   ///< last round's, polished this round
-  std::vector<std::size_t> endgame_ids_;  ///< paths circling the endgame
+  std::vector<std::size_t> live_;  ///< live slot ids, in admission order
+  /// Newton options by phase (corrector, circle sample, polish).
+  newton::NewtonOptions newton_options_[kNewtonPhases];
 
-  /// The wave's option classes, indexed by wave_class_ entries.
-  enum WaveClass : unsigned char { kCorrector, kSample, kPolish, kWaveClasses };
-  newton::NewtonOptions wave_options_[kWaveClasses];
-  std::vector<std::size_t> wave_ids_;       ///< slot id per wave position
-  std::vector<unsigned char> wave_class_;   ///< option class per wave position
-
-  linalg::LuArena<S> arena_;
-  newton::RefineBatchScratch<S> nscratch_;
-  std::vector<newton::BatchPathStatus> statuses_;
-
-  std::vector<std::vector<C>> batch_pts_;  ///< predictor/probe staging
-  std::vector<std::vector<C>> corr_pts_;   ///< corrector/endgame iterates
-  std::vector<C> ts_, corr_ts_;            ///< per-slot (complex) parameters
-  std::vector<double> dts_;
-  std::vector<double> t_next_;  ///< clamped step targets
-  std::vector<C> hv_;   ///< batched h values
-  std::vector<C> hj_;   ///< batched h Jacobians
-  std::vector<C> rhs_;  ///< batched Davidenko right-hand sides
-  std::vector<C> flow_; ///< batched predictor flows
-  std::vector<unsigned char> singular_;
+  linalg::LuArena<S> arena_;               ///< one slot: solves run path by path
+  std::vector<std::vector<C>> batch_pts_;  ///< launch staging, one chunk
+  std::vector<C> ts_;                      ///< per-point (complex) parameters
+  std::vector<C> hv_;     ///< chunk h values
+  std::vector<C> hj_;     ///< chunk h Jacobians
+  std::vector<C> rhs_;    ///< one Davidenko right-hand side
+  std::vector<C> delta_;  ///< one LU solution (Euler flow or Newton update)
 
   std::mutex cancel_mutex_;                  ///< guards the two flag fields
   std::vector<unsigned char> cancel_flags_;  ///< pending cancels, per slot
   bool cancel_pending_ = false;
   std::vector<unsigned char> round_cancel_;  ///< this round's consumed flags
-  std::vector<unsigned char> cancel_mask_;   ///< wave mask staging
 };
 
 }  // namespace polyeval::homotopy

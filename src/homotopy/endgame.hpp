@@ -30,9 +30,10 @@
 /// This class is the ONE copy of the endgame state arithmetic (sample
 /// parameter, Cauchy sum, closure test, winding count, endpoint mean),
 /// shared by the scalar tracker (which drives it with newton::refine)
-/// and the lockstep batch tracker (newton::refine_batch, one sample per
-/// round for every endgame path, riding the round's Newton wave) -- so the
-/// per-path trajectories agree bit for bit by construction.
+/// and the lockstep batch tracker (newton::step, one Newton iteration
+/// of a sample per round, in the same launch as every other live
+/// path's evaluation) -- so the per-path trajectories agree bit for bit
+/// by construction.
 
 #include <algorithm>
 #include <cmath>

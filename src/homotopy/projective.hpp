@@ -34,7 +34,7 @@
 /// already do for g.
 ///
 /// The per-point lift/blend arithmetic lives in ONE copy
-/// (detail::ProjectiveSystem + detail::assemble_projective*), shared by
+/// (detail::ProjectiveSystem + detail::assemble_projective), shared by
 /// the scalar ProjectiveHomotopy and the lockstep
 /// BatchedProjectiveHomotopy, so the scalar and batched projective
 /// trackers agree bit for bit by construction -- the same contract the
@@ -87,20 +87,10 @@ class ProjectiveSystem {
     for (unsigned i = 0; i < n_; ++i) x[i] = z[i] / z[n_];
   }
 
-  /// Lift affine values f(x) at x = z / z_n into the ROW-SCALED
-  /// homogeneous rows: fhat[i] = (z_n / m)^{d_i} f_i(x) with
-  /// m = ||z||_inf (prepare()'s scale).
-  void lift_values(std::span<const C> z, std::span<const C> f_values,
-                   std::span<C> fhat) const {
-    prepare(z);
-    for (unsigned i = 0; i < n_; ++i)
-      fhat[i] = zn_pow_[degrees_[i]] * f_values[i];
-  }
-
-  /// Lift values and Jacobian (row-scaled); fhat_jac is n rows of n+1
-  /// entries (row-major).  The value arithmetic repeats lift_values
-  /// exactly, so full and values-only projective evaluations agree
-  /// bitwise.
+  /// Lift affine values f(x) and Jacobian at x = z / z_n into the
+  /// ROW-SCALED homogeneous rows: fhat[i] = (z_n / m)^{d_i} f_i(x) with
+  /// m = ||z||_inf (prepare()'s scale); fhat_jac is n rows of n+1
+  /// entries (row-major).
   void lift_full(std::span<const C> z, std::span<const C> x,
                  std::span<const C> f_values, std::span<const C> f_jac,
                  std::span<C> fhat, std::span<C> fhat_jac) const {
@@ -155,11 +145,10 @@ class ProjectiveSystem {
   }
 
  private:
-  /// Per-point preparation (the shared one copy feeding both lift
-  /// paths): the scale m = ||z||_inf in 1-norms, the inverse-scale
-  /// powers minv_pow_[e] = (1/m)^e, and the scaled homogeneous-
-  /// coordinate powers zn_pow_[e] = (z_n / m)^e, all by repeated
-  /// multiplication.
+  /// Per-point preparation of the lift: the scale m = ||z||_inf in
+  /// 1-norms, the inverse-scale powers minv_pow_[e] = (1/m)^e, and the
+  /// scaled homogeneous-coordinate powers zn_pow_[e] = (z_n / m)^e, all
+  /// by repeated multiplication.
   void prepare(std::span<const C> z) const {
     S m = cplx::norm1(z[0]);
     for (unsigned j = 1; j <= n_; ++j) {
@@ -220,25 +209,6 @@ void assemble_projective(const ProjectiveSystem<S>& ps,
   h_values[n] = s_values[n];
   for (unsigned j = 0; j < np1; ++j)
     h_jac[std::size_t{n} * np1 + j] = s_jac[std::size_t{n} * np1 + j];
-}
-
-/// Values-only assembly; bitwise equal to assemble_projective's values
-/// (same lift, same scaling, same blend, same patch row).
-template <prec::RealScalar S>
-void assemble_projective_values(const ProjectiveSystem<S>& ps,
-                                const cplx::Complex<S>& gamma,
-                                const cplx::Complex<S>& t,
-                                std::span<const cplx::Complex<S>> z,
-                                std::span<const cplx::Complex<S>> f_values,
-                                std::span<const cplx::Complex<S>> s_values,
-                                std::span<cplx::Complex<S>> fhat,
-                                std::span<cplx::Complex<S>> h_values) {
-  const unsigned n = ps.affine_dimension();
-  ps.lift_values(z, f_values, fhat);
-  const GammaBlend<S> blend(gamma, t);
-  for (unsigned i = 0; i < n; ++i)
-    h_values[i] = blend.combine(s_values[i] * ps.row_scale(i), fhat[i]);
-  h_values[n] = s_values[n];
 }
 
 }  // namespace detail
@@ -336,10 +306,10 @@ class ProjectiveHomotopy {
 
 /// Batched projective homotopy: the lockstep tracker's counterpart of
 /// BatchedHomotopy, evaluating a batch of patch points each at its own
-/// complex t.  The affine target runs evaluate_range /
-/// evaluate_values_range on the device at the pullback points; the
-/// patched start system and the lift/blend run per point on the CPU,
-/// repeating ProjectiveHomotopy's arithmetic exactly.
+/// complex t.  The affine target runs evaluate_range on the device at
+/// the pullback points; the patched start system and the lift/blend
+/// run per point on the CPU, repeating ProjectiveHomotopy's arithmetic
+/// exactly.
 ///
 /// Tenant routing (the solve service's cross-request batching): over a
 /// tenant-routed FusedGpuEvaluator, the (f, slot_capacity) constructor
@@ -456,7 +426,7 @@ class BatchedProjectiveHomotopy {
         values.size() < count * np1 || jacobians.size() < count * nn1)
       throw std::invalid_argument("BatchedProjectiveHomotopy: bad batch spans");
 
-    stage(points, first, count, chunk_tenants_);
+    stage(points, first, count);
     f_.evaluate_range(x_pts_, 0, count,
                       std::span<poly::EvalResult<S>>(f_chunk_).subspan(0, count));
     for (std::size_t i = 0; i < count; ++i) {
@@ -472,35 +442,6 @@ class BatchedProjectiveHomotopy {
           std::span<C>(fhat_).subspan(i * n, n),
           std::span<C>(ghat_).subspan(i * n, n), std::span<C>(fhat_jac_),
           values.subspan(i * np1, np1), jacobians.subspan(i * nn1, nn1));
-    }
-  }
-
-  /// Values-only H, any count (the affine target walks max_batch-sized
-  /// values-kernel launches).  Bitwise equal to evaluate_range's values.
-  void evaluate_values_range(const std::vector<std::vector<C>>& points,
-                             std::span<const C> ts, std::size_t first,
-                             std::size_t count, std::span<C> values) {
-    const unsigned n = affine_dimension();
-    const unsigned np1 = n + 1;
-    if (ts.size() < first + count || values.size() < count * np1)
-      throw std::invalid_argument("BatchedProjectiveHomotopy: bad batch spans");
-
-    for (std::size_t c0 = 0; c0 < count; c0 += max_batch_) {
-      const std::size_t cnt = std::min(max_batch_, count - c0);
-      stage(points, first + c0, cnt, values_tenants_);
-      f_.evaluate_values_range(x_pts_, 0, cnt,
-                               std::span<C>(f_values_).subspan(0, cnt * n));
-      for (std::size_t i = 0; i < cnt; ++i) {
-        const std::size_t slot = c0 + i;
-        const Tenant& ten = *tenants_[values_tenants_[i]];
-        const auto z = std::span<const C>(points[first + slot]);
-        ten.g.evaluate_values(z, std::span<C>(s_vals_));
-        detail::assemble_projective_values<S>(
-            ten.ps, ten.gamma, ts[first + slot], z,
-            std::span<const C>(f_values_).subspan(i * n, n),
-            std::span<const C>(s_vals_), std::span<C>(fhat_v_),
-            values.subspan(slot * np1, np1));
-      }
     }
   }
 
@@ -558,19 +499,15 @@ class BatchedProjectiveHomotopy {
         tenants_(tenants),
         slot_tenant_(slot_capacity, kUnassigned),
         chunk_tenants_(max_batch_),
-        values_tenants_(max_batch_),
-        s_eval_(f.dimension() + 1),
-        s_vals_(f.dimension() + 1) {
+        s_eval_(f.dimension() + 1) {
     const unsigned n = f.dimension();
     x_pts_.resize(max_batch_);
     for (auto& p : x_pts_) p.resize(n);
     f_chunk_.resize(max_batch_);
     for (auto& r : f_chunk_) r.resize(n);
-    f_values_.resize(max_batch_ * std::size_t{n});
     fhat_.resize(max_batch_ * std::size_t{n});
     ghat_.resize(max_batch_ * std::size_t{n});
     fhat_jac_.resize(std::size_t{n} * (n + 1));
-    fhat_v_.resize(n);
   }
 
   static void check_degrees(const poly::PolynomialSystem& target,
@@ -595,24 +532,26 @@ class BatchedProjectiveHomotopy {
   }
 
   /// Pull points[first + i] (i < count) back to the affine chunk, each
-  /// with its own tenant's system, recording the tenants in `tenants`;
-  /// when routed, the device launch that follows is routed by them.
+  /// with its own tenant's system, recording the tenants in
+  /// chunk_tenants_; when routed, the device launch that follows is
+  /// routed by them.
   void stage(const std::vector<std::vector<C>>& points, std::size_t first,
-             std::size_t count, std::vector<unsigned>& tenants) {
+             std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       if (routed_) {
         if (bound_.size() <= first + i)
           throw std::logic_error(
               "BatchedProjectiveHomotopy: evaluate without bind_slots");
-        tenants[i] = tenant_of_slot(bound_[first + i]);
+        chunk_tenants_[i] = tenant_of_slot(bound_[first + i]);
       } else {
-        tenants[i] = 0;
+        chunk_tenants_[i] = 0;
       }
-      tenants_[tenants[i]]->ps.dehomogenize_into(std::span<const C>(points[first + i]),
-                                                 std::span<C>(x_pts_[i]));
+      tenants_[chunk_tenants_[i]]->ps.dehomogenize_into(
+          std::span<const C>(points[first + i]), std::span<C>(x_pts_[i]));
     }
     if constexpr (kRoutable)
-      if (routed_) f_.bind_tenants(std::span<const unsigned>(tenants.data(), count));
+      if (routed_)
+        f_.bind_tenants(std::span<const unsigned>(chunk_tenants_.data(), count));
   }
 
   TargetEval& f_;
@@ -621,17 +560,13 @@ class BatchedProjectiveHomotopy {
   std::vector<std::optional<Tenant>> tenants_;  ///< tenant 0 alone unless routed
   std::vector<unsigned> slot_tenant_;           ///< by tracker slot (routed)
   std::span<const std::size_t> bound_;          ///< slot ids of the next chunk
-  std::vector<unsigned> chunk_tenants_;   ///< tenant per point of the last full chunk
-  std::vector<unsigned> values_tenants_;  ///< tenant per point of a values chunk
+  std::vector<unsigned> chunk_tenants_;  ///< tenant per point of the last chunk
 
   poly::EvalResult<S> s_eval_;             ///< per-point start scratch
-  std::vector<C> s_vals_;                  ///< per-point values-only scratch
   std::vector<std::vector<C>> x_pts_;      ///< pullback chunk staging
   std::vector<poly::EvalResult<S>> f_chunk_;  ///< affine device chunk results
-  std::vector<C> f_values_;                ///< affine values-only staging
   std::vector<C> fhat_, ghat_;             ///< last full eval lifts, per slot
   std::vector<C> fhat_jac_;                ///< per-point lift Jacobian scratch
-  std::vector<C> fhat_v_;                  ///< values-only lift scratch
 };
 
 }  // namespace polyeval::homotopy

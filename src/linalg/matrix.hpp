@@ -58,12 +58,15 @@ class Matrix {
   std::vector<C> data_;
 };
 
-/// Infinity norm of a complex vector, as the scalar type.
+/// Infinity norm of a complex vector, as the scalar type; NaN when any
+/// component's norm is NaN (a residual that is NaN anywhere must never
+/// read as small).
 template <prec::RealScalar T>
 [[nodiscard]] T max_norm(std::span<const cplx::Complex<T>> v) noexcept {
   T worst(0.0);
   for (const auto& z : v) {
     const T m = cplx::norm1(z);
+    if (!(m == m)) return m;
     if (m > worst) worst = m;
   }
   return worst;

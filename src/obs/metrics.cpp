@@ -185,7 +185,8 @@ void MetricsRegistry::expose(std::ostream& os) const {
 TrackerMetrics TrackerMetrics::from_registry(MetricsRegistry& r) {
   TrackerMetrics m;
   m.rounds = &r.counter("polyeval_tracker_rounds_total",
-                        "lockstep tracker rounds executed");
+                        "lockstep tracker evaluation rounds executed (one "
+                        "evaluation per live path)");
   m.steps_accepted = &r.counter("polyeval_tracker_steps_accepted_total",
                                 "predictor/corrector steps accepted");
   m.steps_rejected = &r.counter("polyeval_tracker_steps_rejected_total",
@@ -201,8 +202,6 @@ TrackerMetrics TrackerMetrics::from_registry(MetricsRegistry& r) {
                    "Cauchy endgame attempts, by outcome");
   m.endgame_samples = &r.counter("polyeval_endgame_samples_total",
                                  "Cauchy endgame circle samples corrected");
-  m.newton_calls = &r.counter("polyeval_newton_calls_total",
-                              "batched Newton (refine_batch) invocations");
   m.newton_iterations =
       &r.counter("polyeval_newton_iterations_total",
                  "Newton updates applied across all paths");
@@ -215,7 +214,8 @@ TrackerMetrics TrackerMetrics::from_registry(MetricsRegistry& r) {
   static constexpr std::array<double, 6> kIterBounds = {0, 1, 2, 3, 5, 8};
   m.newton_iterations_per_path =
       &r.histogram("polyeval_newton_iterations_per_path", kIterBounds,
-                   "Newton iterations per path per corrector call");
+                   "Newton iterations per finished Newton solve "
+                   "(corrector, circle sample or polish)");
   static constexpr std::array<double, 7> kStepBounds = {4,  8,   16,  32,
                                                         64, 128, 256};
   m.path_steps = &r.histogram("polyeval_path_steps", kStepBounds,

@@ -211,7 +211,7 @@ class MetricsRegistry {
 /// from_registry; a default-constructed instance (all null) means "not
 /// instrumented" and must not be attached.
 struct TrackerMetrics {
-  Counter* rounds = nullptr;              ///< lockstep rounds executed
+  Counter* rounds = nullptr;              ///< evaluation rounds (one evaluation per live path)
   Counter* steps_accepted = nullptr;      ///< predictor/corrector accepts
   Counter* steps_rejected = nullptr;      ///< step-control rejections
   Counter* endgame_entries = nullptr;     ///< Cauchy endgame attempts armed
@@ -222,14 +222,13 @@ struct TrackerMetrics {
   enum EndgameOutcome : std::size_t { kClosed, kLost, kExhausted, kEndgameOutcomes };
   Counter* endgame_attempts[kEndgameOutcomes] = {};
   Counter* endgame_samples = nullptr;     ///< circle samples corrected
-  Counter* newton_calls = nullptr;        ///< refine_batch waves (one per round with Newton work)
   Counter* newton_iterations = nullptr;   ///< Newton updates applied, total
   /// Paths retired, labeled by homotopy::PathStatus.  Index order is
   /// the enum order: converged, at_infinity, stalled, diverged,
   /// cancelled (pinned against homotopy::to_string in test_obs).
   static constexpr std::size_t kStatuses = 5;
   Counter* retired_by_status[kStatuses] = {};
-  Histogram* newton_iterations_per_path = nullptr;  ///< per corrector call
+  Histogram* newton_iterations_per_path = nullptr;  ///< per finished Newton solve
   Histogram* path_steps = nullptr;                  ///< accepted steps at retire
   Histogram* accept_streak = nullptr;  ///< growth streak length at rejection
 

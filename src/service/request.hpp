@@ -78,7 +78,9 @@ struct SolveRequest {
   std::optional<StartData> start;
 
   /// Cancel the request after this many service ticks spent tracking
-  /// (0 = unlimited).  Deterministic -- the test-friendly deadline.
+  /// (0 = unlimited); a tick is one lockstep evaluation round, which
+  /// gives each live path one evaluation.  Deterministic -- the
+  /// test-friendly deadline.
   std::uint64_t round_budget = 0;
   /// Cancel once the service's modeled device clock has advanced this
   /// many microseconds past admission (0 = none).
@@ -90,7 +92,7 @@ struct Progress {
   RequestStatus status = RequestStatus::kQueued;
   std::uint64_t paths_total = 0;
   std::uint64_t paths_retired = 0;
-  std::uint64_t rounds = 0;  ///< lockstep rounds this request rode in
+  std::uint64_t rounds = 0;  ///< lockstep evaluation rounds this request rode in
   [[nodiscard]] bool done() const noexcept {
     return status == RequestStatus::kDone || status == RequestStatus::kRejected;
   }

@@ -14,12 +14,13 @@
 /// a BatchPathTracker.  The service tracks in projective geometry only:
 /// admission rejects affine requests (track_paths_sharded runs those on
 /// its lockstep loop).
-/// Each service tick runs one lockstep round on every shard with live
-/// paths -- shards advance in parallel (their devices are independent)
-/// -- then a single coordinator phase drains retired slots into
-/// reports, applies cancellations and deadlines, pulls queued paths
-/// into freed slots, steals live paths from a loaded shard when a
-/// sibling idles (path state is just (x, t, step, streak), and a
+/// Each service tick runs one lockstep evaluation round on every shard
+/// with live paths -- one evaluation per live path; shards advance in
+/// parallel (their devices are independent) -- then a single
+/// coordinator phase drains retired slots into reports, applies
+/// cancellations and deadlines, pulls queued paths into freed slots,
+/// steals paths between steps from a loaded shard when a sibling idles
+/// (path state between steps is just (x, t, step, streak), and a
 /// path's trajectory is schedule-independent, so coalescing, pulling
 /// and stealing all preserve bitwise parity with a standalone solve),
 /// and admits queued requests as tenant slots free up.
@@ -98,7 +99,7 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t cancelled_requests = 0;  ///< completed by cancel/deadline
   std::uint64_t ticks = 0;
-  std::uint64_t shard_rounds = 0;       ///< lockstep rounds run, all shards
+  std::uint64_t shard_rounds = 0;       ///< lockstep evaluation rounds run, all shards
   std::uint64_t coalesced_rounds = 0;   ///< rounds carrying >= 2 requests
   unsigned max_tenants_in_round = 0;    ///< most requests in one round
   std::uint64_t live_steals = 0;        ///< paths moved between shards
@@ -832,8 +833,9 @@ class SolveService {
   }
 
   /// Between rounds, rebalance a group whose pending queue is dry: move
-  /// plain tracking paths (donate/adopt) from the most loaded shard to
-  /// an early-retired one.  Endgame paths are pinned to their shard.
+  /// paths between steps (donate/adopt) from the most loaded shard to
+  /// an early-retired one.  A path with a Newton solve in flight (a
+  /// corrector, circle sample or polish) is pinned to its shard.
   /// Loads compare per unit of throughput weight -- on a uniform fleet
   /// that reduces exactly to the historical raw-count rule (move while
   /// idle + 2 <= busy), on a mixed fleet a slow shard counts as "busy"
@@ -869,7 +871,7 @@ class SolveService {
           donor = slot;
           break;
         }
-      if (donor == busy->owners.size()) return;  // all endgame-pinned
+      if (donor == busy->owners.size()) return;  // all mid-solve
       const auto owner = busy->owners[donor];
       const auto ctl = busy->tracker.donate(donor, std::span<C>(x));
       busy->owners[donor] = {};
@@ -1185,7 +1187,7 @@ class SolveService {
     inst_.ticks =
         &r.counter("polyeval_service_ticks_total", "scheduler ticks");
     inst_.shard_rounds = &r.counter("polyeval_shard_rounds_total",
-                                    "lockstep rounds run, all shards");
+                                    "lockstep evaluation rounds run, all shards");
     inst_.coalesced_rounds =
         &r.counter("polyeval_coalesced_rounds_total",
                    "rounds carrying >= 2 requests in one launch");

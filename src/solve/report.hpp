@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -39,8 +40,11 @@ template <prec::RealScalar S>
 struct Report {
   /// Bumped when any field changes meaning.  v2: added the scheduling
   /// metrics snapshot (`metrics`).  v3: added the endgame tallies
-  /// (`endgame_closures`, `endgame_failures`).
-  static constexpr unsigned kVersion = 3;
+  /// (`endgame_closures`, `endgame_failures`).  v4: `timing.rounds` and
+  /// `metrics.shared_rounds` count evaluation rounds (one evaluation per
+  /// live path), and a NaN endpoint residual makes `max_final_residual`
+  /// NaN.
+  static constexpr unsigned kVersion = 4;
 
   std::vector<homotopy::TrackResult<S>> paths;
   std::uint64_t attempted = 0;
@@ -63,7 +67,9 @@ struct Report {
     double track_wall_us = 0.0;  ///< first adoption -> last retirement
     double total_wall_us = 0.0;  ///< submit -> report finalized
     double modeled_us = 0.0;     ///< modeled device time attributed
-    std::uint64_t rounds = 0;    ///< lockstep rounds this request rode in
+    /// Lockstep evaluation rounds this request rode in (one per service
+    /// tick; each gives every live path one evaluation).
+    std::uint64_t rounds = 0;
   } timing;
 
   /// Per-request scheduling metrics, filled by the solve service (zero
@@ -71,7 +77,7 @@ struct Report {
   /// stealer actually did to THIS request -- the per-request view of
   /// the registry-level counters SolveService::metrics() aggregates.
   struct Metrics {
-    std::uint64_t shared_rounds = 0;  ///< rounds ridden with >= 2 tenants
+    std::uint64_t shared_rounds = 0;  ///< evaluation rounds ridden with >= 2 tenants
     unsigned peak_tenants = 0;        ///< most co-tenants in one round
     std::uint64_t steals = 0;         ///< times a path moved shards
     std::uint64_t queue_pulls = 0;    ///< paths pulled from pending to slots
@@ -104,7 +110,9 @@ struct Report {
     for (const auto& p : paths) {
       ++by_status[p.status];
       max_winding = std::max(max_winding, p.winding);
-      max_final_residual = std::max(max_final_residual, p.final_residual);
+      // A NaN residual is the worst one and stays (std::max drops it).
+      if (std::isnan(p.final_residual) || p.final_residual > max_final_residual)
+        max_final_residual = p.final_residual;
       total_steps += p.steps;
       total_rejections += p.rejections;
       endgame_closures += p.winding > 0 ? 1 : 0;

@@ -9,8 +9,9 @@
 // uniform in the paper's (n, m, k, d) sense, so their lockstep runs
 // evaluate the target on the CPU; a uniform system with many endgame
 // paths covers the device routes (track_paths_sharded at 1 and 2
-// shards), pins the endgame's cost and checks that a round's
-// correctors and circle samples share one Newton wave.
+// shards), pins the endgame's cost and checks that every round gives
+// each live path -- tracking, circling or polishing -- one evaluation in
+// one launch.
 
 #include <gtest/gtest.h>
 
@@ -43,14 +44,6 @@ class CpuBatchTarget {
                       std::size_t count, std::span<poly::EvalResult<double>> out) {
     for (std::size_t i = 0; i < count; ++i)
       eval_.evaluate(std::span<const Cd>(points[first + i]), out[i]);
-  }
-
-  void evaluate_values_range(const std::vector<std::vector<Cd>>& points,
-                             std::size_t first, std::size_t count, std::span<Cd> values) {
-    const unsigned n = dimension();
-    for (std::size_t i = 0; i < count; ++i)
-      eval_.evaluate_values(std::span<const Cd>(points[first + i]),
-                            values.subspan(i * n, n));
   }
 
  private:
@@ -372,8 +365,8 @@ TEST(EndgameCorpus, UniformSystemArmsAtMostTwicePerPath) {
 }
 
 /// The device homotopy behind a lockstep tracker, recording the tracker
-/// slots of every full-evaluation launch (bind_slots makes it a
-/// SlotAwareEvaluator, so refine_batch binds every compacted launch).
+/// slots of every launch (bind_slots makes it a SlotAwareEvaluator, so
+/// the tracker binds the slots of every chunk it stages).
 class RecordingHomotopy {
  public:
   using Fused = homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>;
@@ -392,18 +385,13 @@ class RecordingHomotopy {
                           bound_.begin() + static_cast<std::ptrdiff_t>(first + count));
     h_.evaluate_range(points, ts, first, count, values, jacobians);
   }
-  void evaluate_values_range(const std::vector<std::vector<Cd>>& points,
-                             std::span<const Cd> ts, std::size_t first, std::size_t count,
-                             std::span<Cd> values) {
-    h_.evaluate_values_range(points, ts, first, count, values);
-  }
   void rhs_from_last(std::size_t i, std::span<Cd> out) const { h_.rhs_from_last(i, out); }
   void renormalize(std::span<Cd> z) const { h_.renormalize(z); }
   [[nodiscard]] double infinity_ratio(std::span<const Cd> z) const {
     return h_.infinity_ratio(z);
   }
 
-  /// Slot ids of each full launch since the last clear.
+  /// Slot ids of each launch since the last clear.
   std::vector<std::vector<std::size_t>> launches;
 
  private:
@@ -411,14 +399,13 @@ class RecordingHomotopy {
   std::span<const std::size_t> bound_;
 };
 
-TEST(EndgameCorpus, CorrectorsAndCircleSamplesShareOneWave) {
-  // One Newton wave per round: the round's correctors, its circle
-  // samples and its pending t = 1 polishes ride the same full launch at
-  // every wave iteration, so a round holding both correctors and circle
-  // samples issues one full launch per wave iteration -- the first
-  // carrying every corrector and the endgame paths, each later one a
-  // subset of the one before.  Endpoints stay bitwise equal to the CPU
-  // solver.
+/// The seeded (6,5,3,2) system's 16 paths through a lockstep tracker on
+/// a device of `capacity` points per launch: every round must issue
+/// ceil(live / capacity) full launches and no values-only kernel, which
+/// together hold each live path exactly once -- whether its evaluation
+/// is a predictor, a corrector or circle-sample iteration, a polish or
+/// a stall probe.  Endpoints stay bitwise equal to the CPU solver.
+void expect_one_evaluation_per_live_path(unsigned capacity) {
   const auto sys = uniform_6532();
   auto opt = corpus_options();
   opt.sharding.max_paths = 16;
@@ -429,7 +416,7 @@ TEST(EndgameCorpus, CorrectorsAndCircleSamplesShareOneWave) {
   const auto patch = homotopy::random_patch(7, opt.tracking.patch_seed);
   homotopy::embed_all_in_patch<double>(roots, patch);
   simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, 16);  // one launch per wave iteration
+  core::FusedGpuEvaluator<double> f(device, sys, capacity);
   RecordingHomotopy::Fused h(f, sys, start.system(), homotopy::random_gamma(opt.gamma_seed),
                              std::span<const Cd>(patch));
   RecordingHomotopy rec(h);
@@ -440,45 +427,40 @@ TEST(EndgameCorpus, CorrectorsAndCircleSamplesShareOneWave) {
   tracker.set_metrics(&metrics);
   tracker.start(roots, 0, roots.size());
 
-  unsigned mixed_rounds = 0;
+  const std::string where = "capacity " + std::to_string(capacity) + ", round ";
   for (std::size_t live = roots.size(); live > 0;) {
-    const std::uint64_t steps0 =
-        metrics.steps_accepted->value() + metrics.steps_rejected->value();
-    const std::uint64_t samples0 = metrics.endgame_samples->value();
+    std::vector<std::size_t> live_ids;
+    for (std::size_t p = 0; p < roots.size(); ++p)
+      if (!tracker.retired(p)) live_ids.push_back(p);
+    ASSERT_EQ(live_ids.size(), tracker.live_paths());
     rec.launches.clear();
     live = tracker.round();
-    const std::uint64_t correctors =
-        metrics.steps_accepted->value() + metrics.steps_rejected->value() - steps0;
-    if (correctors == 0 || metrics.endgame_samples->value() == samples0) continue;
-    ++mixed_rounds;
-    // Launch 0 is the predictor over exactly the correctors; the wave
-    // follows.
-    ASSERT_GE(rec.launches.size(), 2u);
-    auto predictor = rec.launches[0];
-    ASSERT_EQ(predictor.size(), correctors);
-    std::sort(predictor.begin(), predictor.end());
-    auto first = rec.launches[1];
-    std::sort(first.begin(), first.end());
-    EXPECT_TRUE(std::includes(first.begin(), first.end(), predictor.begin(),
-                              predictor.end()))
-        << "round " << tracker.rounds() << ": a corrector missed the first wave launch";
-    EXPECT_GT(first.size(), predictor.size())
-        << "round " << tracker.rounds() << ": circle samples launched apart";
-    for (std::size_t k = 2; k < rec.launches.size(); ++k) {
-      auto later = rec.launches[k];
-      std::sort(later.begin(), later.end());
-      auto before = rec.launches[k - 1];
-      std::sort(before.begin(), before.end());
-      EXPECT_TRUE(std::includes(before.begin(), before.end(), later.begin(), later.end()))
-          << "round " << tracker.rounds() << ": wave launch " << k - 1
-          << " holds a path the launch before it did not";
-    }
+    const std::string round = where + std::to_string(tracker.rounds());
+    ASSERT_EQ(rec.launches.size(), (live_ids.size() + capacity - 1) / capacity) << round;
+    std::vector<std::size_t> launched;
+    for (const auto& launch : rec.launches)
+      launched.insert(launched.end(), launch.begin(), launch.end());
+    std::sort(launched.begin(), launched.end());
+    EXPECT_EQ(launched, live_ids) << round << ": not every live path exactly once";
+    ASSERT_EQ(device.log().kernels.size(), rec.launches.size()) << round;
+    for (const auto& k : device.log().kernels)
+      EXPECT_EQ(k.kernel, "fused_eval") << round;
   }
-  EXPECT_GT(mixed_rounds, 0u) << "no round held correctors and circle samples together";
+  // The run crossed every kind of evaluation.
+  EXPECT_GT(metrics.steps_accepted->value(), 0u);
+  EXPECT_GT(metrics.endgame_samples->value(), 0u);
 
   homotopy::SolveSummary<double> got;
   for (std::size_t p = 0; p < roots.size(); ++p) got.paths.push_back(tracker.result(p));
-  expect_bitwise(want, got, "lockstep wave");
+  expect_bitwise(want, got, where + "endpoints");
+}
+
+TEST(EndgameCorpus, EveryRoundLaunchesEachLivePathOnce) {
+  expect_one_evaluation_per_live_path(16);
+}
+
+TEST(EndgameCorpus, SmallCapacityRoundsLaunchCeilLiveOverCapacity) {
+  expect_one_evaluation_per_live_path(5);
 }
 
 }  // namespace

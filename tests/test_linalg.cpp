@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "cplx/complex.hpp"
 #include "linalg/lu.hpp"
 #include "poly/random_system.hpp"
@@ -240,6 +243,22 @@ TEST(Lu, ResidualLadderAcrossPrecisions) {
 TEST(MaxNorm, ComplexVectors) {
   const std::vector<C<double>> v = {{1.0, -2.0}, {0.5, 0.5}, {-3.0, 0.0}};
   EXPECT_DOUBLE_EQ(linalg::max_norm_d<double>(v), 3.0);
+}
+
+TEST(MaxNorm, NaNComponentMakesTheNormNaN) {
+  // A NaN component must never read as a small norm: neither when it
+  // follows a finite one nor when every component is NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<C<double>> mixed = {{1e-3, 0.0}, {nan, 0.0}, {2e-3, 0.0}};
+  EXPECT_TRUE(std::isnan(linalg::max_norm_d<double>(mixed)));
+  const std::vector<C<double>> all_nan = {{nan, nan}, {0.0, nan}};
+  EXPECT_TRUE(std::isnan(linalg::max_norm_d<double>(all_nan)));
+  const std::vector<C<DoubleDouble>> dd = {C<DoubleDouble>(DoubleDouble(1e-3)),
+                                           C<DoubleDouble>(DoubleDouble(nan))};
+  EXPECT_TRUE(std::isnan(linalg::max_norm_d<DoubleDouble>(dd)));
+  const std::vector<C<QuadDouble>> qd = {C<QuadDouble>(QuadDouble(nan)),
+                                         C<QuadDouble>(QuadDouble(5.0))};
+  EXPECT_TRUE(std::isnan(linalg::max_norm_d<QuadDouble>(qd)));
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Newton's method over the evaluators: quadratic convergence on known
 // roots, GPU/CPU interchangeability, the quality-up refinement ladder
-// (double -> double-double -> quad-double), and failure reporting.
+// (double -> double-double -> quad-double), and failure reporting --
+// including a NaN residual, which must never read as converged.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "ad/cpu_evaluator.hpp"
 #include "core/gpu_evaluator.hpp"
+#include "newton/batch.hpp"
 #include "newton/newton.hpp"
 #include "poly/families.hpp"
 #include "poly/random_system.hpp"
@@ -152,6 +157,50 @@ TEST(Newton, ReportsSingularJacobian) {
   const auto r = newton::refine<double>(eval, std::span<const C<double>>(x0));
   EXPECT_TRUE(r.singular);
   EXPECT_FALSE(r.converged);
+}
+
+/// A 2-variable "system" whose values are NaN everywhere, with an
+/// identity Jacobian (so every LU solve succeeds).
+struct NaNEvaluator {
+  [[nodiscard]] unsigned dimension() const { return 2; }
+  void evaluate(std::span<const C<double>>, poly::EvalResult<double>& out) const {
+    out.resize(2);
+    for (auto& v : out.values) v = C<double>(std::numeric_limits<double>::quiet_NaN());
+    out.jacobian[0] = out.jacobian[3] = C<double>(1.0);
+  }
+};
+
+TEST(Newton, NaNResidualIsNotConverged) {
+  // The residual norm used to skip NaN components, so a NaN point read
+  // as converged with residual 0 after 0 iterations.
+  NaNEvaluator eval;
+  const std::vector<C<double>> x0 = {{1.0, 0.0}, {2.0, 0.0}};
+  newton::NewtonOptions opts;
+  opts.max_iterations = 3;
+  const auto r = newton::refine<double>(eval, std::span<const C<double>>(x0), opts);
+  EXPECT_FALSE(r.converged);
+  EXPECT_TRUE(std::isnan(r.final_residual));
+  EXPECT_EQ(r.iterations, opts.max_iterations);
+
+  // The lockstep tracker's per-evaluation Newton step agrees.
+  newton::SolveState state;
+  std::vector<C<double>> x = x0, delta(2);
+  linalg::LuArena<double> arena(2, 1);
+  poly::EvalResult<double> out(2);
+  newton::Verdict verdict = newton::Verdict::kContinue;
+  // Bounded, so a step that ignored its cap fails instead of hanging.
+  for (unsigned e = 0; e <= opts.max_iterations && verdict == newton::Verdict::kContinue;
+       ++e) {
+    eval.evaluate(std::span<const C<double>>(x), out);
+    verdict = newton::step<double>(state, opts, std::span<C<double>>(x),
+                                   std::span<const C<double>>(out.values),
+                                   std::span<const C<double>>(out.jacobian), arena,
+                                   std::span<C<double>>(delta));
+  }
+  EXPECT_EQ(verdict, newton::Verdict::kFailed);
+  EXPECT_TRUE(std::isnan(state.final_residual));
+  EXPECT_TRUE(std::isnan(state.initial_residual));
+  EXPECT_EQ(state.iterations, opts.max_iterations);
 }
 
 TEST(Newton, UpdateToleranceStopsEarly) {

@@ -3,8 +3,8 @@
 // affine tracker stalls), winding-number measurement on singular
 // endpoints, bitwise lockstep-vs-scalar parity for projective mode
 // across shard counts, the shared step-control arithmetic, and
-// newton::refine_batch's launch schedule and per-path parity with
-// newton::refine.
+// newton::step -- the lockstep tracker's per-evaluation Newton
+// iteration -- against newton::refine, path by path.
 
 #include <gtest/gtest.h>
 
@@ -344,9 +344,8 @@ TEST(RoutedProjectiveHomotopy, InterleavedTenantsMatchSingleSystemBitwise) {
   // Two tenants of one structure, each with its own gamma and patch,
   // their slots interleaved (and permuted) in one call: every routed
   // output must equal its own system's single-system homotopy bit for
-  // bit.  Capacity 4 under 6 points: the full evaluation walks two
-  // chunks (the second at first = 4) and the values-only call walks
-  // two device launches.
+  // bit.  Capacity 4 under 6 points: the evaluation walks two chunks
+  // (the second at first = 4).
   const std::array<poly::PolynomialSystem, 2> sys = {uniform_target(3, 99),
                                                      uniform_target(3, 123)};
   const auto st = core::pack_system(sys[0]).structure;
@@ -422,18 +421,9 @@ TEST(RoutedProjectiveHomotopy, InterleavedTenantsMatchSingleSystemBitwise) {
     }
   }
 
-  // Values-only over all six points: two device launches of capacity 4.
-  std::vector<Cd> all_values(kPoints * np1);
-  hr.evaluate_values_range(points, std::span<const Cd>(ts), 0, kPoints,
-                           std::span<Cd>(all_values));
+  // The slot hooks use the slot's own tenant patch.
   for (std::size_t p = 0; p < kPoints; ++p) {
     const unsigned t = slot_tenant[ids[p]];
-    single[t]->evaluate_values_range(points, std::span<const Cd>(ts), p, 1,
-                                     std::span<Cd>(want_v));
-    expect_same_bits(want_v, std::span<const Cd>(all_values).subspan(p * np1, np1),
-                     "values-only point " + std::to_string(p));
-
-    // The slot hooks use the slot's own tenant patch.
     auto want_z = points[p], got_z = points[p];
     single[t]->renormalize(std::span<Cd>(want_z));
     hr.renormalize(ids[p], std::span<Cd>(got_z));
@@ -448,8 +438,8 @@ TEST(RoutedProjectiveHomotopy, InterleavedTenantsMatchSingleSystemBitwise) {
   EXPECT_THROW(hr.assign_slot(8, 0), std::invalid_argument) << "slot out of range";
   const std::vector<std::size_t> unassigned = {7};
   hr.bind_slots(std::span<const std::size_t>(unassigned));
-  EXPECT_THROW(hr.evaluate_values_range(points, std::span<const Cd>(ts), 0, 1,
-                                        std::span<Cd>(want_v)),
+  EXPECT_THROW(hr.evaluate_range(points, std::span<const Cd>(ts), 0, 1,
+                                 std::span<Cd>(values), std::span<Cd>(jacs)),
                std::logic_error)
       << "unassigned slot";
 }
@@ -617,7 +607,7 @@ TEST(StepControl, ZeroSamplesPerLoopRejectedAtConstruction) {
       std::invalid_argument);
 }
 
-// -- refine_batch's launch schedule and its parity with newton::refine --
+// -- newton::step against newton::refine ---------------------------------
 
 /// Kernel launches in the device log, split into full (values and
 /// Jacobian) and values-only fused launches.
@@ -634,164 +624,21 @@ LaunchCounts count_launches(const simt::Device& device) {
   return c;
 }
 
-TEST(RefineBatch, OneFullLaunchPerIterationProbeOnlyAtTheLast) {
-  // One device evaluation per Newton iteration: while an update can
-  // follow, the full launch's values are the residuals; only the last
-  // allowed iteration probes values alone.
-  const auto sys = uniform_target();
-  const unsigned n = sys.dimension();
-  const homotopy::TotalDegreeStart start(sys);
-  simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, 4);
-  ad::CpuEvaluator<double> g(start.system());
-  homotopy::BatchedHomotopy<double, core::FusedGpuEvaluator<double>> h(
-      f, g, homotopy::random_gamma(1));
-
-  // At t = 0 the start roots are exact zeros of h = gamma g.
-  std::vector<std::vector<Cd>> roots;
-  for (std::uint64_t p = 0; p < 4; ++p) roots.push_back(widen(start.start_root(p)));
-  const std::vector<Cd> ts(4, Cd(0.0));
-
-  linalg::LuArena<double> arena;
-  arena.resize(n, 4);
-  newton::RefineBatchScratch<double> scratch;
-  scratch.reserve(n, 4, 4);
-  std::vector<newton::BatchPathStatus> status(4);
-  newton::NewtonOptions opts;
-  opts.max_iterations = 8;
-  opts.residual_tolerance = 1e-9;
-
-  const auto run = [&](std::vector<std::vector<Cd>> x, const newton::NewtonOptions& o) {
-    device.clear_log();
-    newton::refine_batch<double>(h, x, std::span<const Cd>(ts), 4, o, arena,
-                                 scratch, std::span<newton::BatchPathStatus>(status));
-    return count_launches(device);
-  };
-
-  // Converged at entry: one full launch, no probe.
-  auto c = run(roots, opts);
-  EXPECT_EQ(c.full, 1u);
-  EXPECT_EQ(c.values, 0u);
-  for (const auto& s : status) {
-    EXPECT_TRUE(s.converged);
-    EXPECT_EQ(s.iterations, 0u);
-  }
-
-  // No update allowed: the values-only probe alone.
-  newton::NewtonOptions none = opts;
-  none.max_iterations = 0;
-  c = run(roots, none);
-  EXPECT_EQ(c.full, 0u);
-  EXPECT_EQ(c.values, 1u);
-  for (const auto& s : status) EXPECT_TRUE(s.converged);
-
-  // q < max_iterations updates: q + 1 full launches, no probe.
-  auto near = roots;
-  for (auto& r : near)
-    for (auto& z : r) z = z * Cd(1.01, 0.02);
-  c = run(near, opts);
-  unsigned q = 0;
-  for (const auto& s : status) {
-    EXPECT_TRUE(s.converged);
-    q = std::max(q, s.iterations);
-  }
-  ASSERT_GT(q, 0u);
-  ASSERT_LT(q, opts.max_iterations);
-  EXPECT_EQ(c.full, q + 1);
-  EXPECT_EQ(c.values, 0u);
-}
-
 template <class T>
 bool same_bits(const T& a, const T& b) {
   return std::memcmp(&a, &b, sizeof(T)) == 0;
 }
 
-/// refine_batch against newton::refine path by path, over a mixed batch
-/// walked in Jacobian chunks of 3 (so survivors are packed and carried
-/// across chunks): a path converged at entry, one that converges, one
-/// with a singular Jacobian and one that exhausts max_iterations.
+/// newton::step against newton::refine path by path, driven the way the
+/// lockstep tracker drives it: each round one full launch of the
+/// batched homotopy over every path whose solve is still running, then
+/// one step per path under its own options.  The paths cover each
+/// per-path outcome -- converged at entry, converging, singular,
+/// unconverged at its cap -- under two option classes (caps 2 and 6,
+/// tolerances 1e-9 and 1e-8); each must match newton::refine under its
+/// own options bit for bit, evaluation for evaluation.
 template <prec::RealScalar S>
-void expect_refine_parity() {
-  using C = cplx::Complex<S>;
-  using Fused = core::FusedGpuEvaluator<S>;
-  const auto sys = uniform_target();
-  const unsigned n = sys.dimension();
-  const homotopy::TotalDegreeStart start(sys);
-  const auto gamma = homotopy::random_gamma(3);
-  simt::Device device;
-  Fused f(device, sys, 4);
-  Fused f1(device, sys, 1);
-  ad::CpuEvaluator<S> g(start.system());
-  homotopy::BatchedHomotopy<S, Fused> hb(f, g, gamma);
-  homotopy::Homotopy<S, Fused, ad::CpuEvaluator<S>> hs(f1, g, gamma);
-
-  const auto root = [&](std::uint64_t p, cplx::Complex<double> scale) {
-    std::vector<C> r;
-    for (const auto& z : start.start_root(p)) r.push_back(C::from_double(z * scale));
-    return r;
-  };
-  std::vector<std::vector<C>> entry = {
-      root(0, {1.0, 0.0}),    // converged at entry (t = 0: a zero of gamma g)
-      root(1, {1.01, 0.02}),  // converges
-      root(2, {1.0, 0.0}),    // singular once x0 = 0 zeroes Jacobian column 0
-      root(3, {40.0, 10.0}),  // exhausts max_iterations
-  };
-  entry[2][0] = C{};
-  const std::vector<C> ts = {C{}, C{}, C{}, C(S(0.25))};
-
-  newton::NewtonOptions opts;
-  opts.max_iterations = 4;
-  opts.residual_tolerance = 1e-9;
-
-  linalg::LuArena<S> arena;
-  arena.resize(n, 3);
-  newton::RefineBatchScratch<S> scratch;
-  scratch.reserve(n, 4, 3);
-  std::vector<newton::BatchPathStatus> status(4);
-  auto x = entry;
-  newton::refine_batch<S>(hb, x, std::span<const C>(ts), 4, opts, arena, scratch,
-                          std::span<newton::BatchPathStatus>(status));
-
-  for (std::size_t i = 0; i < 4; ++i) {
-    hs.set_t_complex(ts[i]);
-    const auto want = newton::refine<S>(hs, std::span<const C>(entry[i]), opts);
-    const auto& got = status[i];
-    EXPECT_EQ(got.converged, want.converged) << "path " << i;
-    EXPECT_EQ(got.singular, want.singular) << "path " << i;
-    EXPECT_EQ(got.iterations, want.iterations) << "path " << i;
-    EXPECT_TRUE(same_bits(got.final_residual, want.final_residual)) << "path " << i;
-    EXPECT_TRUE(same_bits(got.initial_residual, want.residual_history.front()))
-        << "path " << i;
-    for (unsigned v = 0; v < n; ++v)
-      EXPECT_TRUE(same_bits(x[i][v], want.solution[v])) << "path " << i << " var " << v;
-  }
-
-  // The batch really holds the four cases.
-  EXPECT_TRUE(status[0].converged);
-  EXPECT_EQ(status[0].iterations, 0u);
-  EXPECT_TRUE(status[1].converged);
-  EXPECT_GT(status[1].iterations, 0u);
-  EXPECT_TRUE(status[2].singular);
-  EXPECT_FALSE(status[2].converged);
-  EXPECT_FALSE(status[3].converged);
-  EXPECT_FALSE(status[3].singular);
-  EXPECT_EQ(status[3].iterations, opts.max_iterations);
-}
-
-TEST(RefineBatch, MatchesScalarRefinePerPathDouble) { expect_refine_parity<double>(); }
-
-TEST(RefineBatch, MatchesScalarRefinePerPathDoubleDouble) {
-  expect_refine_parity<prec::DoubleDouble>();
-}
-
-/// Two option classes in one refine_batch wave (caps 2 and 6,
-/// tolerances 1e-9 and 1e-8), walked in Jacobian chunks of `chunk`:
-/// every path matches newton::refine under its own class's options bit
-/// for bit, and the launch schedule is one full launch per chunk of the
-/// paths that can still update at each iteration, plus one values
-/// launch at each cap an unconverged path reaches.
-template <prec::RealScalar S>
-void expect_two_class_wave(std::size_t chunk) {
+void expect_step_matches_refine() {
   using C = cplx::Complex<S>;
   using Fused = core::FusedGpuEvaluator<S>;
   const auto sys = uniform_target();
@@ -811,16 +658,16 @@ void expect_two_class_wave(std::size_t chunk) {
     return r;
   };
   std::vector<std::vector<C>> entry = {
-      root(0, {1.0, 0.0}),      // A: converged at entry
-      root(1, {1.01, 0.02}),    // B: converges
-      root(2, {1.0, 0.0}),      // A: singular once x0 = 0
-      root(3, {40.0, 10.0}),    // A: reaches cap 2 unconverged
-      root(3, {40.0, 10.0}),    // B: the same point, reaches cap 6 unconverged
-      root(1, {1.3, 0.2}),      // B: converges after more updates than A allows
+      root(0, {1.0, 0.0}),    // A: converged at entry (t = 0: a zero of gamma g)
+      root(1, {1.01, 0.02}),  // B: converges
+      root(2, {1.0, 0.0}),    // A: singular once x0 = 0 zeroes Jacobian column 0
+      root(3, {40.0, 10.0}),  // A: reaches cap 2 unconverged
+      root(3, {40.0, 10.0}),  // B: the same point, reaches cap 6 unconverged
+      root(1, {1.3, 0.2}),    // B: converges after more updates than A allows
   };
   entry[2][0] = C{};
   const std::vector<C> ts = {C{}, C{}, C{}, C(S(0.25)), C(S(0.25)), C{}};
-  const std::vector<unsigned char> class_of = {0, 1, 0, 0, 1, 1};
+  const std::vector<unsigned> class_of = {0, 1, 0, 0, 1, 1};
   std::array<newton::NewtonOptions, 2> classes;
   classes[0].max_iterations = 2;
   classes[0].residual_tolerance = 1e-9;
@@ -828,104 +675,84 @@ void expect_two_class_wave(std::size_t chunk) {
   classes[1].residual_tolerance = 1e-8;
   const std::size_t count = entry.size();
 
-  linalg::LuArena<S> arena;
-  arena.resize(n, chunk);
-  newton::RefineBatchScratch<S> scratch;
-  scratch.reserve(n, count, chunk);
-  std::vector<newton::BatchPathStatus> status(count);
   auto x = entry;
+  std::vector<newton::SolveState> state(count);
+  std::vector<newton::Verdict> verdict(count, newton::Verdict::kContinue);
+  std::vector<unsigned> evaluations(count, 0);
+  std::vector<std::size_t> running(count);
+  for (std::size_t i = 0; i < count; ++i) running[i] = i;
+  linalg::LuArena<S> arena(n, 1);
+  std::vector<C> values(count * n), jacobians(count * n * n), delta(n);
+  std::vector<std::vector<C>> staged(count);
+  std::vector<C> staged_t(count);
+  unsigned rounds = 0;
   device.clear_log();
-  newton::refine_batch<S>(hb, x, std::span<const C>(ts), count,
-                          std::span<const newton::NewtonOptions>(classes),
-                          std::span<const unsigned char>(class_of), arena, scratch,
-                          std::span<newton::BatchPathStatus>(status), {}, {});
+  while (!running.empty()) {
+    ++rounds;
+    for (std::size_t j = 0; j < running.size(); ++j) {
+      staged[j] = x[running[j]];
+      staged_t[j] = ts[running[j]];
+    }
+    hb.evaluate_range(staged, std::span<const C>(staged_t), 0, running.size(),
+                      std::span<C>(values), std::span<C>(jacobians));
+    std::size_t keep = 0;
+    for (std::size_t j = 0; j < running.size(); ++j) {
+      const std::size_t i = running[j];
+      ++evaluations[i];
+      verdict[i] = newton::step<S>(state[i], classes[class_of[i]], std::span<C>(x[i]),
+                                   std::span<const C>(values).subspan(j * n, n),
+                                   std::span<const C>(jacobians).subspan(j * n * n, n * n),
+                                   arena, std::span<C>(delta));
+      if (verdict[i] == newton::Verdict::kContinue) running[keep++] = i;
+    }
+    running.resize(keep);
+  }
   const LaunchCounts launches = count_launches(device);
 
-  // Per path: full evaluations (iterations 0 .. full - 1) and whether
-  // it reached its cap and took the values-only probe.
-  std::vector<unsigned> full(count);
-  std::vector<unsigned> probed_caps;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto& o = classes[class_of[i]];
     hs.set_t_complex(ts[i]);
-    const auto want = newton::refine<S>(hs, std::span<const C>(entry[i]), o);
-    const auto& got = status[i];
-    EXPECT_EQ(got.converged, want.converged) << "path " << i;
+    const auto want =
+        newton::refine<S>(hs, std::span<const C>(entry[i]), classes[class_of[i]]);
+    const auto& got = state[i];
+    EXPECT_EQ(verdict[i] == newton::Verdict::kConverged, want.converged) << "path " << i;
     EXPECT_EQ(got.singular, want.singular) << "path " << i;
     EXPECT_EQ(got.iterations, want.iterations) << "path " << i;
+    EXPECT_EQ(evaluations[i], want.residual_history.size()) << "path " << i;
     EXPECT_TRUE(same_bits(got.final_residual, want.final_residual)) << "path " << i;
     EXPECT_TRUE(same_bits(got.initial_residual, want.residual_history.front()))
         << "path " << i;
     for (unsigned v = 0; v < n; ++v)
       EXPECT_TRUE(same_bits(x[i][v], want.solution[v])) << "path " << i << " var " << v;
-    const bool at_cap = !want.singular && want.iterations == o.max_iterations;
-    full[i] = at_cap ? o.max_iterations : want.iterations + 1;
-    if (at_cap && std::find(probed_caps.begin(), probed_caps.end(),
-                            o.max_iterations) == probed_caps.end())
-      probed_caps.push_back(o.max_iterations);
   }
 
   // The batch really holds the cases, under both caps.
-  EXPECT_TRUE(status[0].converged);
-  EXPECT_EQ(status[0].iterations, 0u);
-  EXPECT_TRUE(status[1].converged);
-  EXPECT_TRUE(status[2].singular);
-  EXPECT_FALSE(status[3].converged);
-  EXPECT_EQ(status[3].iterations, 2u);
-  EXPECT_FALSE(status[4].converged);
-  EXPECT_EQ(status[4].iterations, 6u);
-  EXPECT_TRUE(status[5].converged);
-  EXPECT_GT(status[5].iterations, classes[0].max_iterations);
-  EXPECT_EQ(probed_caps.size(), 2u);
+  using newton::Verdict;
+  EXPECT_EQ(verdict[0], Verdict::kConverged);
+  EXPECT_EQ(state[0].iterations, 0u);
+  EXPECT_EQ(verdict[1], Verdict::kConverged);
+  EXPECT_GT(state[1].iterations, 0u);
+  EXPECT_TRUE(state[2].singular);
+  EXPECT_EQ(verdict[2], Verdict::kFailed);
+  EXPECT_EQ(verdict[3], Verdict::kFailed);
+  EXPECT_FALSE(state[3].singular);
+  EXPECT_EQ(state[3].iterations, classes[0].max_iterations);
+  EXPECT_EQ(verdict[4], Verdict::kFailed);
+  EXPECT_EQ(state[4].iterations, classes[1].max_iterations);
+  EXPECT_EQ(verdict[5], Verdict::kConverged);
+  EXPECT_GT(state[5].iterations, classes[0].max_iterations);
 
-  unsigned want_full = 0;
-  const unsigned iterations = *std::max_element(full.begin(), full.end());
-  for (unsigned it = 0; it < iterations; ++it) {
-    const auto updating = static_cast<std::size_t>(
-        std::count_if(full.begin(), full.end(), [&](unsigned k) { return k > it; }));
-    want_full += static_cast<unsigned>((updating + chunk - 1) / chunk);
-  }
-  EXPECT_EQ(launches.full, want_full);
-  if (chunk >= count) {
-    EXPECT_EQ(launches.full, iterations) << "one full launch per iteration";
-  }
-  EXPECT_EQ(launches.values, probed_caps.size()) << "one values launch per cap reached";
+  // One full launch per round, the cap evaluations included.
+  EXPECT_EQ(launches.full, rounds);
+  EXPECT_EQ(launches.values, 0u);
+  EXPECT_EQ(rounds, *std::max_element(evaluations.begin(), evaluations.end()));
 }
 
-TEST(RefineBatch, TwoOptionClassesMatchScalarRefineDouble) {
-  expect_two_class_wave<double>(3);
-  expect_two_class_wave<double>(6);
+TEST(NewtonStep, MatchesScalarRefinePerPathDouble) {
+  expect_step_matches_refine<double>();
 }
 
-TEST(RefineBatch, TwoOptionClassesMatchScalarRefineDoubleDouble) {
-  expect_two_class_wave<prec::DoubleDouble>(3);
-  expect_two_class_wave<prec::DoubleDouble>(6);
-}
-
-TEST(RefineBatch, EmptyBatchTouchesNothing) {
-  const auto sys = uniform_target();
-  const unsigned n = sys.dimension();
-  const homotopy::TotalDegreeStart start(sys);
-  simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, 4);
-  ad::CpuEvaluator<double> g(start.system());
-  homotopy::BatchedHomotopy<double, core::FusedGpuEvaluator<double>> h(
-      f, g, homotopy::random_gamma(1));
-
-  std::vector<std::vector<Cd>> x;
-  std::vector<Cd> ts;
-  linalg::LuArena<double> arena;
-  arena.resize(n, 1);
-  newton::RefineBatchScratch<double> scratch;
-  scratch.reserve(n, 1, 1);
-  std::vector<newton::BatchPathStatus> status;
-
-  device.clear_log();
-  newton::refine_batch<double>(h, x, std::span<const Cd>(ts), 0, {}, arena, scratch,
-                               std::span<newton::BatchPathStatus>(status));
-  EXPECT_EQ(device.log().kernels.size(), 0u);
-  EXPECT_EQ(device.log().transfers.transfers_to_device, 0u);
-  EXPECT_EQ(device.log().transfers.transfers_from_device, 0u);
+TEST(NewtonStep, MatchesScalarRefinePerPathDoubleDouble) {
+  expect_step_matches_refine<prec::DoubleDouble>();
 }
 
 }  // namespace

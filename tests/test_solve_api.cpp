@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "service/request.hpp"
 #include "solve/options.hpp"
 #include "solve/report.hpp"
@@ -94,6 +97,26 @@ TEST(SolveReport, RetallyCountsEveryStatus) {
   EXPECT_EQ(back.attempted, 5u);
 }
 
+TEST(SolveReport, RetallyKeepsANaNResidual) {
+  // A NaN endpoint residual is the worst one: std::max used to drop it,
+  // wherever it sat among the paths.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t at = 0; at < 3; ++at) {
+    solve::Report<double> r;
+    r.paths.resize(3);
+    for (std::size_t p = 0; p < 3; ++p)
+      r.paths[p].final_residual = p == at ? nan : 1e-9 * static_cast<double>(p + 1);
+    r.retally();
+    EXPECT_TRUE(std::isnan(r.max_final_residual)) << "NaN at path " << at;
+  }
+  solve::Report<double> finite;
+  finite.paths.resize(2);
+  finite.paths[0].final_residual = 3e-9;
+  finite.paths[1].final_residual = 1e-9;
+  finite.retally();
+  EXPECT_EQ(finite.max_final_residual, 3e-9);
+}
+
 TEST(SolveReport, ToStringPrintsEveryTimingAndMetricsField) {
   // The human rendering is pinned: every Timing field and every
   // scheduling-metrics field prints, zero or not -- a consumer reading
@@ -122,7 +145,7 @@ TEST(SolveReport, ToStringPrintsEveryTimingAndMetricsField) {
   r.metrics.queue_pulls = 5;
 
   EXPECT_EQ(r.to_string(),
-            "solve report v3: 3 paths (converged=1, at_infinity=1, "
+            "solve report v4: 3 paths (converged=1, at_infinity=1, "
             "stalled=0, diverged=0, cancelled=1)\n"
             "  extremes: max_winding=2 max_final_residual=0.25 steps=12 "
             "rejections=4\n"
@@ -138,7 +161,7 @@ TEST(SolveReport, ToStringPrintsEveryTimingAndMetricsField) {
                 "timing: queue_wall_us=0 track_wall_us=0 total_wall_us=0 "
                 "modeled_us=0 rounds=0"),
             std::string::npos);
-  EXPECT_EQ(solve::Report<double>::kVersion, 3u);
+  EXPECT_EQ(solve::Report<double>::kVersion, 4u);
 }
 
 TEST(SolveReport, StatusToStringCoversEveryValue) {

@@ -224,11 +224,12 @@ TEST(ZeroAlloc, FusedValuesRangeSteadyState) {
 }
 
 TEST(ZeroAlloc, BatchPathTrackerSteadyStateRounds) {
-  // The lockstep tracker's rounds -- batched predictor, masked batched
-  // corrector, LU arena solves, retirement probes, endgame polish and
-  // active-set compaction -- must all run off pre-sized storage.  A
-  // first full run warms every buffer (and the device's collector
-  // scratch); the second run's rounds are then measured end to end.
+  // The lockstep tracker's rounds -- one launch of every live path's
+  // predictor, corrector iteration, polish or stall probe, LU arena
+  // solves and live-set compaction -- must all run off pre-sized
+  // storage.  A first full run warms every buffer (and the device's
+  // collector scratch); the second run's rounds are then measured end
+  // to end.
   poly::SystemSpec spec;
   spec.dimension = 3;
   spec.monomials_per_polynomial = 3;
@@ -268,14 +269,56 @@ TEST(ZeroAlloc, BatchPathTrackerSteadyStateRounds) {
   EXPECT_GT(tracker.rounds(), 1u);
 }
 
+/// Forwarding decorator over a batched homotopy that sorts each
+/// launch's points by their parameter -- tracking (real t < 1), circle
+/// sample (complex t), t = 1 -- and counts the launches holding all
+/// three, allocation-free.
+template <class Homo>
+class PointKindHomotopy {
+ public:
+  using BatchedHomotopyTag = void;
+
+  explicit PointKindHomotopy(Homo& h) : h_(h) {}
+
+  [[nodiscard]] unsigned dimension() const noexcept { return h_.dimension(); }
+  [[nodiscard]] std::size_t max_batch() const noexcept { return h_.max_batch(); }
+  void evaluate_range(const std::vector<std::vector<Cd>>& points, std::span<const Cd> ts,
+                      std::size_t first, std::size_t count, std::span<Cd> values,
+                      std::span<Cd> jacobians) {
+    bool tracking = false, sample = false, at_one = false;
+    for (std::size_t i = first; i < first + count; ++i) {
+      if (ts[i].im() != 0.0)
+        sample = true;
+      else if (ts[i].re() < 1.0)
+        tracking = true;
+      else
+        at_one = true;
+    }
+    if (tracking && sample && at_one) ++mixed_launches;
+    h_.evaluate_range(points, ts, first, count, values, jacobians);
+  }
+  void rhs_from_last(std::size_t i, std::span<Cd> out) const { h_.rhs_from_last(i, out); }
+  void renormalize(std::span<Cd> z) const { h_.renormalize(z); }
+  [[nodiscard]] double infinity_ratio(std::span<const Cd> z) const {
+    return h_.infinity_ratio(z);
+  }
+
+  unsigned mixed_launches = 0;
+
+ private:
+  Homo& h_;
+};
+
 TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   // The projective lockstep rounds add the pullback staging, the lift
   // scratch, patch renormalization, the at-infinity probes and the
-  // Cauchy endgame stage (circle correctors, sample sums, closure
-  // tests against the start point and earlier loop ends, attempt
-  // bookkeeping) -- all must run off pre-sized storage.
-  // The dim-3 workload drives several paths through the endgame (the
-  // winding-2/3 endpoints) and one to an at-infinity retirement.
+  // Cauchy endgame stage (circle samples, sample sums, closure tests
+  // against the start point and earlier loop ends, attempt
+  // bookkeeping) -- all must run off pre-sized storage, including the
+  // rounds whose one launch mixes tracking points, circle samples and
+  // t = 1 points.  The dim-3 workload drives several paths through the
+  // endgame (the winding-2/3 endpoints) and one to an at-infinity
+  // retirement.
   poly::SystemSpec spec;
   spec.dimension = 3;
   spec.monomials_per_polynomial = 3;
@@ -297,15 +340,15 @@ TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   }
 
   simt::Device device;
-  core::FusedGpuEvaluator<double> f(device, sys, 6);
-  ad::CpuEvaluator<double> g(start.system());
-  homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>> h(
-      f, sys, start.system(), gamma, std::span<const Cd>(patch));
+  core::FusedGpuEvaluator<double> f(device, sys, 6);  // one launch per round
+  using Fused =
+      homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>;
+  Fused h(f, sys, start.system(), gamma, std::span<const Cd>(patch));
+  PointKindHomotopy<Fused> kinds(h);
   homotopy::TrackOptions topt;
   topt.max_steps = 4000;
-  homotopy::BatchPathTracker<
-      double, homotopy::BatchedProjectiveHomotopy<double, core::FusedGpuEvaluator<double>>>
-      tracker(device, h, topt, roots.size());
+  homotopy::BatchPathTracker<double, PointKindHomotopy<Fused>> tracker(device, kinds, topt,
+                                                                      roots.size());
   // The endgame's outcome and sample counters ride along (registration
   // up front; every round's increments go through resolved handles).
   obs::MetricsRegistry registry;
@@ -324,32 +367,16 @@ TEST(ZeroAlloc, ProjectiveBatchTrackerWithEndgameSteadyStateRounds) {
   EXPECT_GE(endgame_paths, 1u);
   EXPECT_GE(at_infinity, 1u);
 
-  // Rounds whose wave holds correctors, circle samples and pending
-  // t = 1 polishes at once, told apart by the counters' deltas (every
-  // wave path observes its Newton iterations once; reads allocate
-  // nothing).
-  const auto correctors = [&] {
-    return metrics.steps_accepted->value() + metrics.steps_rejected->value();
-  };
-  unsigned full_waves = 0;
+  kinds.mixed_launches = 0;
   tracker.start(roots, 0, roots.size());
   const std::uint64_t before = g_allocations.load();
-  for (std::size_t live = roots.size(); live > 0;) {
-    const std::uint64_t c0 = correctors();
-    const std::uint64_t s0 = metrics.endgame_samples->value();
-    const std::uint64_t w0 = metrics.newton_iterations_per_path->count();
-    live = tracker.round();
-    const std::uint64_t c = correctors() - c0;
-    const std::uint64_t s = metrics.endgame_samples->value() - s0;
-    const std::uint64_t polishes = metrics.newton_iterations_per_path->count() - w0 - c - s;
-    if (c > 0 && s > 0 && polishes > 0) ++full_waves;
-  }
+  tracker.run();
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "steady-state projective lockstep rounds (incl. endgame) allocated "
       << (after - before) << " times over " << tracker.rounds() << " rounds";
-  EXPECT_GT(full_waves, 0u)
-      << "no measured round held correctors, circle samples and a polish";
+  EXPECT_GT(kinds.mixed_launches, 0u)
+      << "no measured launch held tracking points, circle samples and t = 1 points";
   std::uint64_t outcomes = 0;
   for (const obs::Counter* c : metrics.endgame_attempts) outcomes += c->value();
   EXPECT_GT(metrics.endgame_entries->value(), 0u);
@@ -437,37 +464,37 @@ TEST(ZeroAlloc, TracerOffIsNoOpAndAllocationFree) {
   EXPECT_EQ(tracer.device_count(), 0u);
 }
 
-TEST(ZeroAlloc, RefineBatchEmptyMaskSkipsLaunchAndAllocator) {
-  // An all-false active mask (count == 0) must neither launch, nor
-  // transfer, nor touch the allocator -- the empty-range staging used
-  // to pay a launch/upload round.
+TEST(ZeroAlloc, CancelledRoundSkipsLaunchAndAllocator) {
+  // Cancellation is free: once every live path is cancelled, the next
+  // round retires them all before any staging -- it returns 0 with an
+  // empty device log (no launch, no transfer) and touches no allocator.
   const auto sys = make_system(4, 3, 2, 2);
   const homotopy::TotalDegreeStart start(sys);
+  std::vector<std::vector<Cd>> roots;
+  for (std::uint64_t p = 0; p < 4; ++p) {
+    const auto rd = start.start_root(p);
+    roots.emplace_back(rd.begin(), rd.end());
+  }
   simt::Device device;
   core::FusedGpuEvaluator<double> f(device, sys, 2);
   ad::CpuEvaluator<double> g(start.system());
-  homotopy::BatchedHomotopy<double, core::FusedGpuEvaluator<double>> h(
-      f, g, homotopy::random_gamma(1));
+  homotopy::BatchPathTracker<double, core::FusedGpuEvaluator<double>> tracker(
+      device, f, g, homotopy::random_gamma(1), homotopy::TrackOptions{}, roots.size());
+  tracker.start(roots, 0, roots.size());
+  ASSERT_EQ(tracker.round(), roots.size());  // live paths mid-track
+  ASSERT_FALSE(device.log().kernels.empty());
 
-  std::vector<std::vector<Cd>> x;
-  std::vector<Cd> ts;
-  linalg::LuArena<double> arena;
-  arena.resize(4, 1);
-  newton::RefineBatchScratch<double> scratch;
-  scratch.reserve(4, 1, 1);
-  std::vector<newton::BatchPathStatus> status;
-
-  device.clear_log();
   const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 10; ++i)
-    newton::refine_batch<double>(h, x, std::span<const Cd>(ts), 0, {}, arena,
-                                 scratch,
-                                 std::span<newton::BatchPathStatus>(status));
+  for (std::size_t slot = 0; slot < roots.size(); ++slot) tracker.cancel(slot);
+  const std::size_t live = tracker.round();
   const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(live, 0u);
   EXPECT_EQ(after - before, 0u);
-  EXPECT_EQ(device.log().kernels.size(), 0u);
+  EXPECT_TRUE(device.log().kernels.empty()) << "an all-cancelled round launched";
   EXPECT_EQ(device.log().transfers.transfers_to_device, 0u);
   EXPECT_EQ(device.log().transfers.transfers_from_device, 0u);
+  for (std::size_t p = 0; p < roots.size(); ++p)
+    EXPECT_EQ(tracker.result(p).status, homotopy::PathStatus::kCancelled);
 }
 
 TEST(ZeroAlloc, FusedEvaluatorWithRaceCheckingSteadyState) {

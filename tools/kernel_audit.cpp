@@ -96,40 +96,6 @@ void write_finding(std::ostream& os, const Finding& f, const char* indent) {
 // Production sweep
 // ---------------------------------------------------------------------------
 
-/// Adapter giving FusedGpuEvaluator the BatchEvaluator shape refine_batch
-/// wants: the homotopy parameter is ignored (direct system evaluation),
-/// which is fine for an access audit -- the kernels launched are exactly
-/// the production fused/values kernels the trackers drive.
-template <polyeval::prec::RealScalar S>
-struct DirectBatchEval {
-  using C = polyeval::cplx::Complex<S>;
-  polyeval::core::FusedGpuEvaluator<S>& ev;
-  std::vector<polyeval::poly::EvalResult<S>> results;
-
-  void evaluate_range(const std::vector<std::vector<C>>& points,
-                      std::span<const C> /*ts*/, std::size_t first,
-                      std::size_t count, std::span<C> values,
-                      std::span<C> jacobians) {
-    const unsigned n = ev.dimension();
-    results.resize(count, polyeval::poly::EvalResult<S>(n));
-    ev.evaluate_range(points, first, count,
-                      std::span<polyeval::poly::EvalResult<S>>(results));
-    for (std::size_t i = 0; i < count; ++i) {
-      std::copy(results[i].values.begin(), results[i].values.end(),
-                values.begin() + static_cast<std::ptrdiff_t>(i * n));
-      std::copy(results[i].jacobian.begin(), results[i].jacobian.end(),
-                jacobians.begin() + static_cast<std::ptrdiff_t>(i * n * n));
-    }
-  }
-  void evaluate_values_range(const std::vector<std::vector<C>>& points,
-                             std::span<const C> /*ts*/, std::size_t first,
-                             std::size_t count, std::span<C> values) {
-    ev.evaluate_values_range(points, first, count, values);
-  }
-  [[nodiscard]] std::size_t max_batch() const { return ev.batch_capacity(); }
-  [[nodiscard]] unsigned dimension() const { return ev.dimension(); }
-};
-
 struct Geometry {
   std::string name;
   unsigned block_size = 0;  // 0 = heuristic auto
@@ -280,20 +246,33 @@ void sweep_precision(std::vector<SweepEntry>& entries, const char* precision,
     opt.interchange = geo.interchange;
     opt.tuning = polyeval::tune::TuningMode::kHeuristic;
     core::FusedGpuEvaluator<S> ev(dev, system, kBatch, opt);
-    DirectBatchEval<S> batch{ev, {}};
 
+    // Newton the way the lockstep tracker runs it: one full launch per
+    // evaluation round over every point, newton::step per point, until
+    // every solve has finished (the direct system, no homotopy
+    // parameter -- the kernels launched are exactly the trackers').
     std::vector<std::vector<C>> x = points;
-    std::vector<C> ts(kBatch, C{});
     polyeval::newton::NewtonOptions nopt;
     nopt.max_iterations = 2;
-    polyeval::linalg::LuArena<S> arena(spec.dimension, kBatch);
-    polyeval::newton::RefineBatchScratch<S> scratch;
-    scratch.reserve(spec.dimension, kBatch, kBatch);
-    std::vector<polyeval::newton::BatchPathStatus> status(kBatch);
+    polyeval::linalg::LuArena<S> arena(spec.dimension, 1);
+    std::vector<C> delta(spec.dimension);
+    std::vector<polyeval::newton::SolveState> solves(kBatch);
+    std::vector<bool> finished(kBatch, false);
     aud.begin_epoch();
-    polyeval::newton::refine_batch<S>(batch, x, std::span<const C>(ts), kBatch,
-                                      nopt, arena, scratch,
-                                      std::span<polyeval::newton::BatchPathStatus>(status));
+    for (unsigned left = kBatch; left > 0;) {
+      ev.evaluate_range(x, 0, kBatch, std::span<poly::EvalResult<S>>(results));
+      for (unsigned p = 0; p < kBatch; ++p) {
+        if (finished[p]) continue;
+        if (polyeval::newton::step<S>(solves[p], nopt, std::span<C>(x[p]),
+                                      std::span<const C>(results[p].values),
+                                      std::span<const C>(results[p].jacobian), arena,
+                                      std::span<C>(delta)) !=
+            polyeval::newton::Verdict::kContinue) {
+          finished[p] = true;
+          --left;
+        }
+      }
+    }
   });
 }
 
